@@ -15,11 +15,11 @@ from dataclasses import replace
 from typing import List, Optional, Sequence
 
 from .dataset import generate_synthetic, save_recording
+from .gbdt.io import write_atomic
 from .pipeline import (
     MODES,
     PipelineConfig,
     PipelineError,
-    _atomic_write,
     default_config,
     load_config,
     run_pipeline,
@@ -94,7 +94,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
     for i, movement in enumerate(movements):
         lines.append(movement + "," + ",".join(t[i][1] for t in tables))
     path = os.path.join(out_dir, "comparison.csv")
-    _atomic_write(path, "\n".join(lines) + "\n")
+    write_atomic(path, "\n".join(lines) + "\n")
     print(f"wrote {path}")
     return 0
 

@@ -16,7 +16,13 @@ from typing import List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .gbdt.booster import BoostedModel, TrainParams, predict_proba, train
-from .gbdt.io import FORMAT_VERSION, ModelFormatError, load_model, save_model
+from .gbdt.io import (
+    FORMAT_VERSION,
+    ModelFormatError,
+    load_model,
+    save_model,
+    write_atomic,
+)
 from .gbdt.objective import LossSpec
 
 MANIFEST_NAME = "manifest.json"
@@ -141,8 +147,18 @@ def predict_bagged(
 
 
 def save_bagged(model: BaggedModel, directory: Union[str, os.PathLike]) -> None:
-    """Persist the ensemble as member files plus a manifest."""
+    """Persist the ensemble as member files plus a manifest.
+
+    The manifest is removed first and written last, so a save that dies
+    part way leaves a directory load_bagged refuses, never a mix of old
+    and new members.
+    """
     os.makedirs(directory, exist_ok=True)
+    manifest_path = os.path.join(directory, MANIFEST_NAME)
+    try:
+        os.remove(manifest_path)
+    except FileNotFoundError:
+        pass
     member_files = [f"member_{j}.json" for j in range(model.k)]
     for name, member in zip(member_files, model.members):
         save_model(member, os.path.join(directory, name))
@@ -154,11 +170,8 @@ def save_bagged(model: BaggedModel, directory: Union[str, os.PathLike]) -> None:
         "members": member_files,
         "fold_assignment": model.fold_assignment.tolist(),
     }
-    with open(
-        os.path.join(directory, MANIFEST_NAME), "w", encoding="utf-8", newline="\n"
-    ) as fh:
-        json.dump(manifest, fh, separators=(",", ":"), sort_keys=True)
-        fh.write("\n")
+    text = json.dumps(manifest, separators=(",", ":"), sort_keys=True)
+    write_atomic(manifest_path, text + "\n")
 
 
 def load_bagged(directory: Union[str, os.PathLike]) -> BaggedModel:

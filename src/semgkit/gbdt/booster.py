@@ -5,6 +5,15 @@ class-weighted softmax cross-entropy. Raw scores start at the log class
 priors and accumulate learning_rate * tree output per round. Validation
 accuracy drives early stopping; prediction replays rounds up to the best
 validation round.
+
+Early stopping (shared with transfer.warm_start through _EarlyStopping):
+with patience on (early_stop_rounds > 0), growing stops after
+early_stop_rounds rounds without a strict gain in validation accuracy, or
+as soon as the best validation accuracy is 1.0, checked before the first
+round too. A later round can never beat 1.0, so such rounds could not
+change best_iteration or any prediction; a model stopped this way holds no
+rounds after best_iteration. With patience 0 every round up to max_rounds
+is grown.
 """
 from __future__ import annotations
 
@@ -114,6 +123,39 @@ def _encode_labels(
     return classes, encoded.astype(np.int64)
 
 
+class _EarlyStopping:
+    """Validation accuracy per round and the rule that stops a boosting loop.
+
+    Round 0 is the starting scores. best_round is the round with the
+    highest accuracy, the earliest on ties. With patience > 0, stop turns
+    true once patience rounds pass without a strict gain, or once the best
+    accuracy is 1.0, which no later round can beat.
+    """
+
+    def __init__(
+        self, classes: np.ndarray, valid_labels: np.ndarray, patience: int
+    ) -> None:
+        self.classes = classes
+        self.valid_labels = valid_labels
+        self.patience = patience
+        self.accuracy: List[float] = []
+        self.best_round = 0
+
+    def observe(self, valid_raw: np.ndarray) -> None:
+        pred = self.classes[np.argmax(valid_raw, axis=1)]
+        acc = float(np.mean(pred == self.valid_labels))
+        if self.accuracy and acc > self.accuracy[self.best_round]:
+            self.best_round = len(self.accuracy)
+        self.accuracy.append(acc)
+
+    @property
+    def stop(self) -> bool:
+        if not self.patience:
+            return False
+        since_best = len(self.accuracy) - 1 - self.best_round
+        return self.accuracy[self.best_round] >= 1.0 or since_best >= self.patience
+
+
 def _class_priors(encoded: np.ndarray, n_classes: int) -> np.ndarray:
     counts = np.bincount(encoded, minlength=n_classes).astype(np.float64)
     if (counts == 0).any():
@@ -135,7 +177,10 @@ def train(
     Returns the model with all grown rounds retained and best_iteration
     pointing at the round (0 = priors only) with the highest validation
     accuracy, earliest round winning ties. Without a validation set,
-    best_iteration is the final round.
+    best_iteration is the final round. With early_stop_rounds > 0, growing
+    stops after that many rounds without a gain, or as soon as validation
+    accuracy reaches 1.0 (before round 1 if the priors already score 1.0);
+    in the latter case the model ends at best_iteration.
     """
     features = np.ascontiguousarray(train_features, dtype=np.float64)
     if features.ndim != 2 or features.shape[0] < 1:
@@ -171,22 +216,19 @@ def train(
         vcodes = apply_bins(vfeat, binned.edges)
         vraw = np.broadcast_to(init_score, (vfeat.shape[0], n_classes)).copy()
 
-    def valid_accuracy() -> float:
-        pred = classes[np.argmax(vraw, axis=1)]
-        return float(np.mean(pred == vlabels))
-
     history: Dict[str, List[float]] = {
         "train_loss": [float(weighted_cross_entropy(raw, encoded, class_weights))],
     }
     trees: List[List[Tree]] = []
     round_scales: List[float] = []
-    best_iteration = 0
     if has_valid:
-        best_acc = valid_accuracy()
-        history["valid_accuracy"] = [best_acc]
-        rounds_since_best = 0
+        stopping = _EarlyStopping(classes, vlabels, params.early_stop_rounds)
+        stopping.observe(vraw)
+        history["valid_accuracy"] = stopping.accuracy
 
     for _ in range(params.max_rounds):
+        if has_valid and stopping.stop:
+            break
         grad, hess = grad_hess(raw, encoded, class_weights)
 
         if params.goss_enabled:
@@ -217,19 +259,7 @@ def train(
         )
 
         if has_valid:
-            acc = valid_accuracy()
-            history["valid_accuracy"].append(acc)
-            if acc > best_acc:
-                best_acc = acc
-                best_iteration = len(trees)
-                rounds_since_best = 0
-            else:
-                rounds_since_best += 1
-                if params.early_stop_rounds and rounds_since_best >= params.early_stop_rounds:
-                    break
-
-    if not has_valid:
-        best_iteration = len(trees)
+            stopping.observe(vraw)
 
     return BoostedModel(
         classes=classes,
@@ -238,7 +268,7 @@ def train(
         round_scales=round_scales,
         bin_edges=binned.edges,
         class_weights=class_weights,
-        best_iteration=best_iteration,
+        best_iteration=stopping.best_round if has_valid else len(trees),
         params=params,
         history=history,
     )

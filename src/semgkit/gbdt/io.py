@@ -3,11 +3,14 @@
 The on-disk form is a single JSON document. Floats are written with
 repr-level precision so a save/load round trip reproduces predictions bit
 for bit. format_version gates loading; unknown versions are rejected.
+Files are replaced atomically (write_atomic), so a reader sees either the
+old file or the whole new one.
 """
 from __future__ import annotations
 
 import json
 import os
+import uuid
 from typing import Union
 
 import numpy as np
@@ -108,12 +111,31 @@ def model_from_dict(obj: dict) -> BoostedModel:
     return model
 
 
+def write_atomic(path: Union[str, os.PathLike], text: str) -> None:
+    """Replace path with the UTF-8 text in one step.
+
+    The text goes to a temp file in the same directory whose random name
+    ends in .tmp, created exclusively, so concurrent writers never share
+    one; os.replace then swaps it in. On any failure the temp file is
+    removed and path keeps its previous content, or stays absent.
+    """
+    directory, name = os.path.split(os.fspath(path))
+    tmp = os.path.join(directory, f"{name}.{uuid.uuid4().hex}.tmp")
+    fh = open(tmp, "x", encoding="utf-8", newline="\n")
+    try:
+        with fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        os.remove(tmp)
+        raise
+
+
 def save_model(model: BoostedModel, path: Union[str, os.PathLike]) -> None:
-    """Write the model as JSON; identical models produce identical bytes."""
+    """Write the model as JSON, atomically; identical models give identical bytes."""
     doc = model_to_dict(model)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(doc, fh, separators=(",", ":"), sort_keys=True)
-        fh.write("\n")
+    text = json.dumps(doc, separators=(",", ":"), sort_keys=True)
+    write_atomic(path, text + "\n")
 
 
 def load_model(path: Union[str, os.PathLike]) -> BoostedModel:

@@ -17,17 +17,13 @@ preallocated buffers; both matter for training speed.
 from __future__ import annotations
 
 import heapq
-import math
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 import numpy as np
 
 from .binning import BinnedMatrix
-
-
-def _ceil_frac(fraction: float, n: int) -> int:
-    return int(math.ceil(round(fraction * n, 9)))
+from .sampling import _ceil_frac
 
 
 @dataclass

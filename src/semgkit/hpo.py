@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Union
 
@@ -88,12 +89,6 @@ class Study:
     gamma: float = 0.25
     n_candidates: int = 24
     trials: List[Trial] = field(default_factory=list)
-    rng: Optional[np.random.Generator] = None
-
-    def _ensure_rng(self) -> np.random.Generator:
-        if self.rng is None:
-            self.rng = np.random.default_rng([self.seed, len(self.trials)])
-        return self.rng
 
     @property
     def completed(self) -> List[Trial]:
@@ -142,11 +137,14 @@ def suggest(study: Study, space: SearchSpace) -> Params:
     """Next parameter point to evaluate.
 
     Uniform during startup; afterwards the best of n_candidates draws from
-    the good-trial density by good/bad log-density ratio.
+    the good-trial density by good/bad log-density ratio. The draws come
+    from a generator seeded by [seed, trial number], the trial number
+    being len(study.trials), so a resumed search suggests the same points
+    as one that ran straight through.
     """
     if not space:
         raise ValueError("the search space has no dimensions")
-    rng = study._ensure_rng()
+    rng = np.random.default_rng([study.seed, len(study.trials)])
     done = study.completed
     if len(done) < study.n_startup:
         return _uniform_sample(space, rng)
@@ -193,23 +191,41 @@ def _trial_record(trial: Trial, error: Optional[str] = None) -> dict:
 
 
 def load_trials(log_path: Union[str, os.PathLike]) -> List[Trial]:
-    """Parse a trials log written by optimize."""
-    trials: List[Trial] = []
+    """Parse a trials log written by optimize.
+
+    A record counts once its line ends in a newline. Text after the last
+    newline is the torn end of an interrupted write: it is dropped with a
+    RuntimeWarning. A malformed complete line still raises.
+    """
     with open(log_path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            rec = json.loads(line)
-            trials.append(
-                Trial(
-                    number=int(rec["trial"]),
-                    params=dict(rec["params"]),
-                    value=rec["value"],
-                    status=str(rec["status"]),
-                )
+        *lines, torn = fh.read().split("\n")
+    if torn.strip():
+        warnings.warn(
+            f"dropping the torn last line of {os.fspath(log_path)}: {torn[:60]!r}",
+            RuntimeWarning,
+        )
+    trials: List[Trial] = []
+    for line in lines:
+        line = line.strip()
+        if not line:
+            continue
+        rec = json.loads(line)
+        trials.append(
+            Trial(
+                number=int(rec["trial"]),
+                params=dict(rec["params"]),
+                value=rec["value"],
+                status=str(rec["status"]),
             )
+        )
     return trials
+
+
+def _cut_torn_tail(log_path: Union[str, os.PathLike]) -> None:
+    """Truncate the log after its last newline so appends start a line."""
+    with open(log_path, "rb+") as fh:
+        data = fh.read()
+        fh.truncate(data.rfind(b"\n") + 1)
 
 
 def optimize(
@@ -226,7 +242,9 @@ def optimize(
 
     A failing objective marks its trial failed and the search continues.
     With log_path, each trial appends one JSON line; prior lines are
-    loaded first and count toward n_trials, so rerunning resumes.
+    loaded first and count toward n_trials, so rerunning resumes, and a
+    resumed search equals an uninterrupted one. A torn last line left by
+    an interrupted run is dropped and cut from the log before appending.
     """
     if n_trials < 1:
         raise ValueError("n_trials must be at least 1")
@@ -235,7 +253,7 @@ def optimize(
     )
     if log_path is not None and os.path.exists(log_path):
         study.trials = load_trials(log_path)
-    study._ensure_rng()
+        _cut_torn_tail(log_path)
 
     log_fh = None
     if log_path is not None:
@@ -252,8 +270,8 @@ def optimize(
             trial = Trial(number=number, params=params, value=value, status=status)
             study.trials.append(trial)
             if log_fh is not None:
-                json.dump(_trial_record(trial, error), log_fh, sort_keys=True)
-                log_fh.write("\n")
+                record = json.dumps(_trial_record(trial, error), sort_keys=True)
+                log_fh.write(record + "\n")
                 log_fh.flush()
     finally:
         if log_fh is not None:

@@ -51,11 +51,12 @@ from .features import FeatureConfig, extract_matrix
 from .gbdt.booster import (
     BoostedModel,
     TrainParams,
+    _encode_labels,
     detect_hard_classes,
     predict_label,
     train,
 )
-from .gbdt.io import load_model, save_model
+from .gbdt.io import load_model, save_model, write_atomic
 from .gbdt.objective import LossSpec
 from .hpo import default_space, optimize
 from .transfer import TransferConfig, TransferReport, transfer_report
@@ -331,13 +332,6 @@ def load_config(path: Union[str, os.PathLike]) -> PipelineConfig:
 # ------------------------------------------------------------- file output
 
 
-def _atomic_write(path: str, text: str) -> None:
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
-
-
 def _fmt(x: float) -> str:
     return repr(float(x))
 
@@ -376,7 +370,7 @@ def emit_report(
     ]
     lines.append("mean," + ",".join(_fmt(v) for v in means))
     metrics_path = os.path.join(out_dir, "metrics.csv")
-    _atomic_write(metrics_path, "\n".join(lines) + "\n")
+    write_atomic(metrics_path, "\n".join(lines) + "\n")
 
     pooled = np.zeros_like(plan_metrics[0].confusion)
     for m in plan_metrics:
@@ -391,17 +385,17 @@ def emit_report(
         lines.append(f"{cls},{_fmt(acc)}")
     lines.append(f"mean,{_fmt(float(per_class.mean()))}")
     per_movement_path = os.path.join(out_dir, "per_movement.csv")
-    _atomic_write(per_movement_path, "\n".join(lines) + "\n")
+    write_atomic(per_movement_path, "\n".join(lines) + "\n")
 
     header = "true," + ",".join(f"pred_{c}" for c in class_ids)
     lines = [header]
     for cls, row in zip(class_ids, pooled):
         lines.append(f"{cls}," + ",".join(str(int(v)) for v in row))
     confusion_path = os.path.join(out_dir, "confusion.csv")
-    _atomic_write(confusion_path, "\n".join(lines) + "\n")
+    write_atomic(confusion_path, "\n".join(lines) + "\n")
 
     summary_path = os.path.join(out_dir, "summary.csv")
-    _atomic_write(
+    write_atomic(
         summary_path,
         "accuracy,macro_precision,macro_recall,macro_f1,train_seconds\n"
         + ",".join(_fmt(v) for v in means)
@@ -497,7 +491,7 @@ def _loss_for_plan(
 
 def _save_stats(stats: ChannelStats, directory: str) -> None:
     doc = {"mean": stats.mean.tolist(), "std": stats.std.tolist()}
-    _atomic_write(
+    write_atomic(
         os.path.join(directory, "standardization.json"),
         json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n",
     )
@@ -508,18 +502,6 @@ def _load_stats(directory: str) -> ChannelStats:
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
     return ChannelStats(np.asarray(doc["mean"]), np.asarray(doc["std"]))
-
-
-def _encode(class_ids: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    enc = np.searchsorted(class_ids, labels)
-    bad = (enc >= class_ids.shape[0]) | (
-        class_ids[np.minimum(enc, class_ids.shape[0] - 1)] != labels
-    )
-    if bad.any():
-        raise ValueError(
-            f"labels outside the class set: {np.unique(labels[bad]).tolist()}"
-        )
-    return enc
 
 
 # -------------------------------------------------------------- run modes
@@ -568,8 +550,8 @@ def _run_train(config: PipelineConfig, timings: Dict[str, float]) -> Dict:
         with _stage("evaluate", timings):
             plan_metrics.append(
                 evaluate(
-                    _encode(class_ids, pred),
-                    _encode(class_ids, y_test),
+                    _encode_labels(pred, class_ids)[1],
+                    _encode_labels(y_test, class_ids)[1],
                     len(class_ids),
                 )
             )
@@ -622,8 +604,8 @@ def _run_evaluate(config: PipelineConfig, timings: Dict[str, float]) -> Dict:
                 pred = predict_label(model, X_test)
             plan_metrics.append(
                 evaluate(
-                    _encode(class_ids, pred),
-                    _encode(class_ids, y_test),
+                    _encode_labels(pred, class_ids)[1],
+                    _encode_labels(y_test, class_ids)[1],
                     len(class_ids),
                 )
             )
@@ -689,7 +671,7 @@ def _run_tune(config: PipelineConfig, timings: Dict[str, float]) -> Dict:
             log_path=log_path,
         )
     best = {"value": study.best_value, "params": study.best_params}
-    _atomic_write(
+    write_atomic(
         os.path.join(config.out_dir, "best_params.json"),
         json.dumps(best, sort_keys=True, separators=(",", ":")) + "\n",
     )
@@ -779,7 +761,7 @@ def write_transfer_csv(
     before_mean, after_mean = report.mean_row()
     lines.append(f"mean,{_fmt(before_mean)},{_fmt(after_mean)}")
     path = os.path.join(out_dir, "transfer_report.csv")
-    _atomic_write(path, "\n".join(lines) + "\n")
+    write_atomic(path, "\n".join(lines) + "\n")
     return path
 
 

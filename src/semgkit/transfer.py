@@ -17,6 +17,7 @@ from .gbdt.binning import BinnedMatrix, apply_bins
 from .gbdt.booster import (
     BoostedModel,
     TrainParams,
+    _EarlyStopping,
     _encode_labels,
     predict_raw,
     train,
@@ -69,9 +70,13 @@ def warm_start(
     The base contributes its rounds up to best_iteration, bit for bit; new
     rounds use the base bin edges, cfg.learning_rate, and class weights
     recomputed from the target labels. Early stopping follows target
-    validation accuracy; best_iteration of the result counts base rounds
-    plus the best number of new rounds. Target labels outside the base
-    class set are a domain error.
+    validation accuracy under the same rule as booster.train: with
+    cfg.early_stop_rounds > 0 it stops after that many rounds without a
+    gain, or as soon as target validation accuracy is 1.0 (before the
+    first new round if the base already scores 1.0), in which case the
+    result ends at best_iteration. best_iteration of the result counts
+    base rounds plus the best number of new rounds. Target labels outside
+    the base class set are a domain error.
 
     With keep_base_trees False the base only fixes the class set: a fresh
     model is trained on the target data alone (the scratch arm of paired
@@ -124,21 +129,18 @@ def warm_start(
         vcodes = apply_bins(vfeat, base.bin_edges)
         vraw = predict_raw(base, vfeat, n_rounds=base_len)
 
-    def valid_accuracy() -> float:
-        pred = classes[np.argmax(vraw, axis=1)]
-        return float(np.mean(pred == vlabels))
-
     history: Dict[str, List[float]] = {
         "train_loss": [float(weighted_cross_entropy(raw, encoded, class_weights))],
     }
     new_trees: List[List[Tree]] = []
-    best_new = 0
     if has_valid:
-        best_acc = valid_accuracy()
-        history["valid_accuracy"] = [best_acc]
-        rounds_since_best = 0
+        stopping = _EarlyStopping(classes, vlabels, cfg.early_stop_rounds)
+        stopping.observe(vraw)
+        history["valid_accuracy"] = stopping.accuracy
 
     for _ in range(cfg.max_rounds):
+        if has_valid and stopping.stop:
+            break
         grad, hess = grad_hess(raw, encoded, class_weights)
         if params.goss_enabled:
             idx, mult = goss_sample(grad, params.top_rate, params.other_rate, rng)
@@ -167,20 +169,9 @@ def warm_start(
         )
 
         if has_valid:
-            acc = valid_accuracy()
-            history["valid_accuracy"].append(acc)
-            if acc > best_acc:
-                best_acc = acc
-                best_new = len(new_trees)
-                rounds_since_best = 0
-            else:
-                rounds_since_best += 1
-                if cfg.early_stop_rounds and rounds_since_best >= cfg.early_stop_rounds:
-                    break
+            stopping.observe(vraw)
 
-    if not has_valid:
-        best_new = len(new_trees)
-
+    best_new = stopping.best_round if has_valid else len(new_trees)
     return BoostedModel(
         classes=classes,
         init_score=base.init_score,

@@ -1,9 +1,12 @@
 """Stratified folds and probability-averaged bagging."""
 from __future__ import annotations
 
+import os
+
 import numpy as np
 import pytest
 
+from semgkit import ensemble
 from semgkit.ensemble import (
     BaggedModel,
     load_bagged,
@@ -190,4 +193,30 @@ class TestBaggedIO:
         save_bagged(model, out)
         (out / "member_1.json").unlink()
         with pytest.raises((FileNotFoundError, OSError)):
+            load_bagged(out)
+
+    def test_failed_resave_is_not_loadable(self, make_blobs, tmp_path, monkeypatch):
+        # a save that dies after some members must not leave the old
+        # manifest pointing at a mix of old and new member files
+        features, labels = make_blobs(n_per_class=30, seed=11)
+        old = train_bagged(features, labels, params=TrainParams(max_rounds=2), k=3)
+        new = train_bagged(features, labels,
+                           params=TrainParams(max_rounds=3, seed=1), k=3)
+        out = tmp_path / "ensemble"
+        save_bagged(old, out)
+        real_save = ensemble.save_model
+        calls = []
+
+        def dies_on_third(member, path):
+            calls.append(path)
+            if len(calls) == 3:
+                raise OSError("killed mid-save")
+            real_save(member, path)
+
+        monkeypatch.setattr(ensemble, "save_model", dies_on_third)
+        with pytest.raises(OSError, match="killed mid-save"):
+            save_bagged(new, out)
+        assert not (out / "manifest.json").exists()
+        assert [p for p in os.listdir(out) if p.endswith(".tmp")] == []
+        with pytest.raises(FileNotFoundError):
             load_bagged(out)

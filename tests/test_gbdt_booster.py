@@ -1,6 +1,9 @@
 """Boosting loop, early stopping, prediction, and model round trips."""
 from __future__ import annotations
 
+import dataclasses
+import os
+
 import numpy as np
 import pytest
 
@@ -18,6 +21,7 @@ from semgkit.gbdt import (
     save_model,
     train,
 )
+from semgkit.gbdt import io as gbdt_io
 
 
 def split_blobs(make_blobs, holdout=0.25, **kwargs):
@@ -145,6 +149,52 @@ class TestEarlyStopping:
         model = train(xtr, ytr, xva, yva, params=params)
         assert model.n_rounds == 15
 
+    def test_saturation_stop_matches_patience_zero(self, make_blobs):
+        # once validation accuracy is 1.0 no later round can be best, so
+        # stopping there keeps the best round, its trees and predictions
+        xtr, ytr, xva, yva = split_blobs(make_blobs, n_per_class=80, seed=12)
+        stopped = train(xtr, ytr, xva, yva,
+                        params=TrainParams(max_rounds=40, early_stop_rounds=15))
+        full = train(xtr, ytr, xva, yva,
+                     params=TrainParams(max_rounds=40, early_stop_rounds=0))
+        best = full.best_iteration
+        assert 0 < best < 40
+        assert full.history["valid_accuracy"][best] == 1.0
+        assert stopped.best_iteration == best
+        assert stopped.n_rounds == best
+        accuracy = full.history["valid_accuracy"]
+        assert stopped.history["valid_accuracy"] == accuracy[:best + 1]
+        for round_s, round_f in zip(stopped.trees, full.trees):
+            for tree_s, tree_f in zip(round_s, round_f):
+                for f in dataclasses.fields(tree_s):
+                    np.testing.assert_array_equal(
+                        getattr(tree_s, f.name), getattr(tree_f, f.name)
+                    )
+        np.testing.assert_array_equal(
+            predict_proba(stopped, xva), predict_proba(full, xva)
+        )
+
+    def test_saturated_priors_grow_no_rounds(self, make_blobs, tmp_path):
+        # class 0 is the training majority and the only validation label,
+        # so the priors alone already score 1.0
+        features, labels = make_blobs(n_per_class=60, seed=24)
+        features = np.vstack([features, features[labels == 0][:30]])
+        labels = np.concatenate([labels, np.zeros(30, dtype=labels.dtype)])
+        xva, yva = features[labels == 0][:20], labels[labels == 0][:20]
+        model = train(features, labels, xva, yva,
+                      params=TrainParams(max_rounds=10, early_stop_rounds=5))
+        assert model.n_rounds == 0
+        assert model.best_iteration == 0
+        assert model.history["valid_accuracy"] == [1.0]
+        path = tmp_path / "model.json"
+        save_model(model, path)
+        loaded = load_model(path)
+        assert loaded.n_rounds == 0
+        np.testing.assert_array_equal(predict_label(loaded, xva), yva)
+        np.testing.assert_array_equal(
+            predict_raw(loaded, features), predict_raw(model, features)
+        )
+
 
 class TestPrediction:
     def test_raw_prefix_consistency(self, make_blobs):
@@ -222,6 +272,21 @@ class TestModelIO:
         del doc["init_score"]
         with pytest.raises(ModelFormatError):
             model_from_dict(doc)
+
+    def test_failed_save_leaves_no_model_and_no_temp(
+        self, make_blobs, tmp_path, monkeypatch
+    ):
+        features, labels = make_blobs(n_per_class=40, seed=25)
+        model = train(features, labels, params=TrainParams(max_rounds=2))
+        path = tmp_path / "model.json"
+
+        def fail(src, dst):
+            raise OSError("disk gone")
+
+        monkeypatch.setattr(gbdt_io.os, "replace", fail)
+        with pytest.raises(OSError, match="disk gone"):
+            save_model(model, path)
+        assert os.listdir(tmp_path) == []
 
     def test_corrupt_file_rejected(self, tmp_path):
         path = tmp_path / "broken.json"

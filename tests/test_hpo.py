@@ -166,6 +166,46 @@ class TestOptimize:
         for a, b in zip(first.trials, second.trials[:15]):
             assert a.params == b.params and a.value == b.value
 
+    def test_resume_equals_uninterrupted_search(self, tmp_path):
+        space = {"x": uniform_dim(0.0, 1.0), "n": int_dim(1, 9)}
+
+        def objective(p):
+            return -((p["x"] - 0.3) ** 2) - 0.01 * p["n"]
+
+        straight_log = tmp_path / "straight.log"
+        straight = optimize(space, 40, objective, seed=3, log_path=straight_log)
+        resumed_log = tmp_path / "resumed.log"
+        optimize(space, 15, objective, seed=3, log_path=resumed_log)
+        resumed = optimize(space, 40, objective, seed=3, log_path=resumed_log)
+        straight_params = [t.params for t in straight.trials]
+        assert [t.params for t in resumed.trials] == straight_params
+        assert resumed_log.read_bytes() == straight_log.read_bytes()
+
+    def test_torn_last_line_dropped_and_resumed(self, tmp_path):
+        space = {"x": uniform_dim(0.0, 1.0)}
+        straight_log = tmp_path / "straight.log"
+        optimize(space, 20, lambda p: p["x"], seed=7, log_path=straight_log)
+        log = tmp_path / "trials.log"
+        optimize(space, 12, lambda p: p["x"], seed=7, log_path=log)
+        with open(log, "a", encoding="utf-8") as fh:
+            fh.write('{"params": {"x": 0.41')  # killed mid-write
+        with pytest.warns(RuntimeWarning, match="torn"):
+            assert len(load_trials(log)) == 12
+        with pytest.warns(RuntimeWarning, match="torn"):
+            study = optimize(space, 20, lambda p: p["x"], seed=7, log_path=log)
+        assert [t.number for t in study.trials] == list(range(20))
+        assert log.read_bytes() == straight_log.read_bytes()
+
+    def test_malformed_complete_line_still_raises(self, tmp_path):
+        log = tmp_path / "trials.log"
+        optimize({"x": uniform_dim(0.0, 1.0)}, 3, lambda p: p["x"],
+                 seed=8, log_path=log)
+        lines = log.read_text().splitlines()
+        lines[1] = lines[1][:10]
+        log.write_text("\n".join(lines) + "\n")
+        with pytest.raises(json.JSONDecodeError):
+            load_trials(log)
+
     def test_resume_skips_when_target_reached(self, tmp_path):
         log = tmp_path / "trials.log"
         space = {"x": uniform_dim(0.0, 1.0)}

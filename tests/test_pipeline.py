@@ -308,6 +308,15 @@ class TestEmitReport:
         leftovers = [p for p in os.listdir(tmp_path) if p.endswith(".tmp")]
         assert leftovers == []
 
+    def test_writes_leave_other_temp_files_alone(self, tmp_path, two_plans):
+        # each write picks a fresh temp name, so a file another run is
+        # still writing under the old fixed name is neither used nor moved
+        other = tmp_path / "metrics.csv.tmp"
+        other.write_text("another run")
+        emit_report(two_plans, [1, 5], tmp_path, train_seconds=1.0)
+        assert other.read_text() == "another run"
+        assert open(tmp_path / "metrics.csv").read().startswith("plan,")
+
     def test_empty_plan_list_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="at least one plan"):
             emit_report([], [0], tmp_path)

@@ -1,6 +1,8 @@
 """Warm-start transfer: additivity, frozen base trees, paired reports."""
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -138,6 +140,40 @@ class TestWarmStart:
         new_rounds = warm.n_rounds - n_base
         best_new = warm.best_iteration - n_base
         assert new_rounds <= best_new + 5
+
+    @pytest.mark.parametrize(
+        "draw_seed, gain_seed, best_new", [(23, 3, 6), (20, 0, 0)]
+    )
+    def test_saturation_stop_matches_patience_zero(
+        self, base_setup, draw_seed, gain_seed, best_new
+    ):
+        # target validation accuracy reaches 1.0 after best_new new rounds
+        # (0: the base alone scores 1.0); growing stops there and keeps
+        # the same best round, trees and predictions as patience 0
+        base, draw = base_setup
+        target_x, target_y = draw(60, seed=draw_seed)
+        target_x = shifted(target_x, gain_seed, 0.3, 2.0)
+        args = (base, target_x[:120], target_y[:120], target_x[120:], target_y[120:])
+        stopped = warm_start(
+            *args, cfg=TransferConfig(max_rounds=40, early_stop_rounds=10)
+        )
+        full = warm_start(*args, cfg=TransferConfig(max_rounds=40, early_stop_rounds=0))
+        n_base = base.best_iteration
+        assert full.n_rounds == n_base + 40
+        assert full.best_iteration == n_base + best_new
+        assert full.history["valid_accuracy"][best_new] == 1.0
+        assert stopped.best_iteration == full.best_iteration
+        assert stopped.n_rounds == stopped.best_iteration
+        assert stopped.history["valid_accuracy"][-1] == 1.0
+        for r in range(stopped.n_rounds):
+            for a, b in zip(stopped.trees[r], full.trees[r]):
+                for f in dataclasses.fields(a):
+                    np.testing.assert_array_equal(
+                        getattr(a, f.name), getattr(b, f.name)
+                    )
+        np.testing.assert_array_equal(
+            stopped.predict_proba(target_x), full.predict_proba(target_x)
+        )
 
     def test_warm_helps_on_identical_distribution(self, base_setup):
         # small target drawn from the source distribution: the base head
