@@ -53,7 +53,6 @@ from .features import (
     feature_names,
     plv,
     plv_matrix,
-    save_feature_matrix,
     stft_psd,
     time_domain,
 )

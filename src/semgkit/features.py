@@ -10,7 +10,6 @@ is 72 + 120 + 144 = 336 values.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Iterable, List, Sequence, Tuple
 
 import numpy as np
@@ -247,26 +246,3 @@ def extract_matrix(
         np.asarray(labels, dtype=np.int64),
         np.asarray(repetitions, dtype=np.int64),
     )
-
-
-def save_feature_matrix(
-    path,
-    features: np.ndarray,
-    labels: Sequence[int],
-    repetitions: Sequence[int],
-    subjects: Sequence[int],
-) -> None:
-    """Write features with label/repetition/subject columns as CSV."""
-    feats = np.asarray(features, dtype=np.float64)
-    if feats.ndim != 2:
-        raise ValueError("features must be 2-D")
-    names = feature_names(12) if feats.shape[1] == 336 else [
-        f"f{i}" for i in range(feats.shape[1])
-    ]
-    path = Path(path)
-    with path.open("w", encoding="utf-8", newline="\n") as handle:
-        handle.write(",".join(names + ["label", "repetition", "subject"]) + "\n")
-        for row, lab, rep, sub in zip(feats, labels, repetitions, subjects):
-            cells = [repr(float(v)) for v in row]
-            cells.extend([str(int(lab)), str(int(rep)), str(int(sub))])
-            handle.write(",".join(cells) + "\n")

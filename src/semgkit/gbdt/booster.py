@@ -6,8 +6,11 @@ priors and accumulate learning_rate * tree output per round. Validation
 accuracy drives early stopping; prediction replays rounds up to the best
 validation round.
 
-Early stopping (shared with transfer.warm_start through _EarlyStopping):
-with patience on (early_stop_rounds > 0), growing stops after
+One round loop (_boost) grows every model. It extends a starting model's
+first best_iteration rounds; train starts it from the class priors with no
+rounds, transfer.warm_start from a trained base model.
+
+Early stopping: with patience on (early_stop_rounds > 0), growing stops after
 early_stop_rounds rounds without a strict gain in validation accuracy, or
 as soon as the best validation accuracy is 1.0, checked before the first
 round too. A later round can never beat 1.0, so such rounds could not
@@ -164,6 +167,102 @@ def _class_priors(encoded: np.ndarray, n_classes: int) -> np.ndarray:
     return np.log(counts / counts.sum())
 
 
+def _valid_rows(
+    valid_features: Optional[np.ndarray],
+    valid_labels: Optional[np.ndarray],
+    bin_edges: Tuple[np.ndarray, ...],
+) -> Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Checked validation rows as (features, bin codes, labels), or None."""
+    if (valid_features is None) != (valid_labels is None):
+        raise ValueError("valid_features and valid_labels must come together")
+    if valid_features is None:
+        return None
+    vfeat = np.ascontiguousarray(valid_features, dtype=np.float64)
+    vlabels = np.asarray(valid_labels)
+    if vfeat.ndim != 2 or vfeat.shape[1] != len(bin_edges):
+        raise ValueError("valid_features must match the training width")
+    if vlabels.shape != (vfeat.shape[0],):
+        raise ValueError("valid_labels must be 1-D with one entry per row")
+    return vfeat, apply_bins(vfeat, bin_edges), vlabels
+
+
+def _boost(
+    start: BoostedModel,
+    codes: np.ndarray,
+    encoded: np.ndarray,
+    raw: np.ndarray,
+    valid: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]],
+) -> BoostedModel:
+    """The boosting round loop behind train and transfer.warm_start.
+
+    Grows up to start.params.max_rounds rounds onto the first
+    start.best_iteration rounds of start, using its bin edges, class
+    weights and params. codes are the training rows binned with those
+    edges, encoded their class positions and raw their scores after that
+    prefix; valid is (bin codes, prefix scores, labels) of the validation
+    rows or None. Both score arrays are updated in place.
+    """
+    params = start.params
+    class_weights = start.class_weights
+    binned = BinnedMatrix(codes, start.bin_edges)
+    n, n_classes = codes.shape[0], start.n_classes
+    rng = np.random.default_rng(params.seed)
+
+    history: Dict[str, List[float]] = {
+        "train_loss": [float(weighted_cross_entropy(raw, encoded, class_weights))],
+    }
+    trees: List[List[Tree]] = []
+    if valid is not None:
+        vcodes, vraw, vlabels = valid
+        stopping = _EarlyStopping(start.classes, vlabels, params.early_stop_rounds)
+        stopping.observe(vraw)
+        history["valid_accuracy"] = stopping.accuracy
+
+    for _ in range(params.max_rounds):
+        if valid is not None and stopping.stop:
+            break
+        grad, hess = grad_hess(raw, encoded, class_weights)
+
+        if params.goss_enabled:
+            idx, mult = goss_sample(grad, params.top_rate, params.other_rate, rng)
+            sub_binned = BinnedMatrix(binned.codes[idx], binned.edges)
+            sub_grad = grad[idx] * mult[:, None]
+            sub_hess = hess[idx] * mult[:, None]
+        elif params.bagging_fraction < 1.0:
+            n_keep = max(1, int(round(params.bagging_fraction * n)))
+            idx = np.sort(rng.choice(n, size=n_keep, replace=False))
+            sub_binned = BinnedMatrix(binned.codes[idx], binned.edges)
+            sub_grad = grad[idx]
+            sub_hess = hess[idx]
+        else:
+            sub_binned, sub_grad, sub_hess = binned, grad, hess
+
+        round_trees: List[Tree] = []
+        for c in range(n_classes):
+            tree = grow_tree(sub_binned, sub_grad[:, c], sub_hess[:, c], params, rng)
+            round_trees.append(tree)
+            raw[:, c] += params.learning_rate * tree.predict_binned(codes)
+            if valid is not None:
+                vraw[:, c] += params.learning_rate * tree.predict_binned(vcodes)
+        trees.append(round_trees)
+        history["train_loss"].append(
+            float(weighted_cross_entropy(raw, encoded, class_weights))
+        )
+
+        if valid is not None:
+            stopping.observe(vraw)
+
+    kept = start.best_iteration
+    return replace(
+        start,
+        trees=list(start.trees[:kept]) + trees,
+        round_scales=list(start.round_scales[:kept])
+        + [params.learning_rate] * len(trees),
+        best_iteration=kept + (stopping.best_round if valid is not None else len(trees)),
+        history=history,
+    )
+
+
 def train(
     train_features: np.ndarray,
     train_labels: np.ndarray,
@@ -188,11 +287,9 @@ def train(
     labels = np.asarray(train_labels)
     if labels.shape != (features.shape[0],):
         raise ValueError("train_labels must be 1-D with one entry per row")
-    if (valid_features is None) != (valid_labels is None):
-        raise ValueError("valid_features and valid_labels must come together")
 
     classes, encoded = _encode_labels(labels)
-    n, n_classes = features.shape[0], classes.shape[0]
+    n_classes = classes.shape[0]
     if n_classes < 2:
         raise ValueError("training needs at least two classes")
     if loss is None:
@@ -200,78 +297,24 @@ def train(
     class_weights = loss.weights_for(labels, classes)
 
     binned = bin_features(features, params.max_bins)
-    rng = np.random.default_rng(params.seed)
-
+    valid = _valid_rows(valid_features, valid_labels, binned.edges)
     init_score = _class_priors(encoded, n_classes)
-    raw = np.broadcast_to(init_score, (n, n_classes)).copy()
-
-    has_valid = valid_features is not None
-    if has_valid:
-        vfeat = np.ascontiguousarray(valid_features, dtype=np.float64)
-        vlabels = np.asarray(valid_labels)
-        if vfeat.ndim != 2 or vfeat.shape[1] != features.shape[1]:
-            raise ValueError("valid_features must match the training width")
-        if vlabels.shape != (vfeat.shape[0],):
-            raise ValueError("valid_labels must be 1-D with one entry per row")
-        vcodes = apply_bins(vfeat, binned.edges)
+    if valid is not None:
+        vfeat, vcodes, vlabels = valid
         vraw = np.broadcast_to(init_score, (vfeat.shape[0], n_classes)).copy()
-
-    history: Dict[str, List[float]] = {
-        "train_loss": [float(weighted_cross_entropy(raw, encoded, class_weights))],
-    }
-    trees: List[List[Tree]] = []
-    round_scales: List[float] = []
-    if has_valid:
-        stopping = _EarlyStopping(classes, vlabels, params.early_stop_rounds)
-        stopping.observe(vraw)
-        history["valid_accuracy"] = stopping.accuracy
-
-    for _ in range(params.max_rounds):
-        if has_valid and stopping.stop:
-            break
-        grad, hess = grad_hess(raw, encoded, class_weights)
-
-        if params.goss_enabled:
-            idx, mult = goss_sample(grad, params.top_rate, params.other_rate, rng)
-            sub_binned = BinnedMatrix(binned.codes[idx], binned.edges)
-            sub_grad = grad[idx] * mult[:, None]
-            sub_hess = hess[idx] * mult[:, None]
-        elif params.bagging_fraction < 1.0:
-            n_keep = max(1, int(round(params.bagging_fraction * n)))
-            idx = np.sort(rng.choice(n, size=n_keep, replace=False))
-            sub_binned = BinnedMatrix(binned.codes[idx], binned.edges)
-            sub_grad = grad[idx]
-            sub_hess = hess[idx]
-        else:
-            sub_binned, sub_grad, sub_hess = binned, grad, hess
-
-        round_trees: List[Tree] = []
-        for c in range(n_classes):
-            tree = grow_tree(sub_binned, sub_grad[:, c], sub_hess[:, c], params, rng)
-            round_trees.append(tree)
-            raw[:, c] += params.learning_rate * tree.predict_binned(binned.codes)
-            if has_valid:
-                vraw[:, c] += params.learning_rate * tree.predict_binned(vcodes)
-        trees.append(round_trees)
-        round_scales.append(params.learning_rate)
-        history["train_loss"].append(
-            float(weighted_cross_entropy(raw, encoded, class_weights))
-        )
-
-        if has_valid:
-            stopping.observe(vraw)
-
-    return BoostedModel(
+        valid = (vcodes, vraw, vlabels)
+    start = BoostedModel(
         classes=classes,
         init_score=init_score,
-        trees=trees,
-        round_scales=round_scales,
+        trees=[],
+        round_scales=[],
         bin_edges=binned.edges,
         class_weights=class_weights,
-        best_iteration=stopping.best_round if has_valid else len(trees),
+        best_iteration=0,
         params=params,
-        history=history,
     )
+    raw = np.broadcast_to(init_score, (features.shape[0], n_classes)).copy()
+    return _boost(start, binned.codes, encoded, raw, valid)
 
 
 def predict_raw(

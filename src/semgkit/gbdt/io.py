@@ -19,7 +19,7 @@ from .booster import BoostedModel, TrainParams
 from .objective import LossSpec
 from .tree import Tree
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 
 class ModelFormatError(ValueError):
@@ -32,7 +32,6 @@ def _tree_to_dict(tree: Tree) -> dict:
         "threshold": tree.threshold.tolist(),
         "left": tree.left.tolist(),
         "right": tree.right.tolist(),
-        "default_left": tree.default_left.tolist(),
         "value": tree.value.tolist(),
     }
 
@@ -43,7 +42,6 @@ def _tree_from_dict(obj: dict) -> Tree:
         threshold=np.asarray(obj["threshold"], dtype=np.int32),
         left=np.asarray(obj["left"], dtype=np.int32),
         right=np.asarray(obj["right"], dtype=np.int32),
-        default_left=np.asarray(obj["default_left"], dtype=bool),
         value=np.asarray(obj["value"], dtype=np.float64),
     )
 

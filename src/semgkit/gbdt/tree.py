@@ -34,7 +34,6 @@ class Tree:
     threshold: np.ndarray
     left: np.ndarray
     right: np.ndarray
-    default_left: np.ndarray
     value: np.ndarray
 
     @property
@@ -273,6 +272,5 @@ def grow_tree(
         threshold=np.asarray(threshold, dtype=np.int32),
         left=np.asarray(left, dtype=np.int32),
         right=np.asarray(right, dtype=np.int32),
-        default_left=np.ones(len(feature), dtype=bool),
         value=np.asarray(value, dtype=np.float64),
     )

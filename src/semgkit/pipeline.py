@@ -17,7 +17,7 @@ import os
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -213,6 +213,92 @@ def _parse_float_list(text: str) -> Tuple[float, ...]:
     return tuple(float(tok) for tok in text.replace(",", " ").split())
 
 
+def _parse_bool(text: str) -> bool:
+    try:
+        return configparser.ConfigParser.BOOLEAN_STATES[text.lower()]
+    except KeyError:
+        raise ValueError(f"Not a boolean: {text}") from None
+
+
+def _optional(parse: Callable[[str], object]) -> Callable[[str], object]:
+    """An empty value means None."""
+    return lambda text: parse(text) if text else None
+
+
+# section -> key -> (PipelineConfig fields it sets, parser). A dotted field
+# names a field of a nested config; a missing key keeps the PipelineConfig()
+# default.
+_INI_KEYS: Dict[str, Dict[str, Tuple[Tuple[str, ...], Callable[[str], object]]]] = {
+    "data": {
+        "csv": (("data_path",), _optional(str)),
+        "n_classes": (("synthetic.n_classes",), int),
+        "repetitions": (("synthetic.repetitions",), int),
+        "hold_duration": (("synthetic.hold_duration",), float),
+        "rest_duration": (("synthetic.rest_duration",), float),
+        "sample_rate": (("synthetic.sample_rate", "features.sample_rate"), float),
+        "snr_db": (("synthetic.snr_db",), float),
+        "mains_hz": (("synthetic.mains_hz",), float),
+        "class_seed": (("synthetic.class_seed",), _optional(int)),
+    },
+    "filter": {
+        "low_hz": (("bandpass_low_hz",), float),
+        "high_hz": (("bandpass_high_hz",), float),
+        "order": (("bandpass_order",), int),
+        "notch_hz": (("notch_hz",), _parse_float_list),
+        "quality": (("notch_quality",), float),
+        "zero_phase": (("zero_phase",), _parse_bool),
+    },
+    "window": {
+        "length": (("window_len",), int),
+        "step": (("step",), int),
+        "include_rest": (("include_rest",), _parse_bool),
+    },
+    "features": {
+        "stft_seg_len": (("features.stft_seg_len",), int),
+        "stft_hop": (("features.stft_hop",), int),
+    },
+    "train": {
+        "learning_rate": (("params.learning_rate",), float),
+        "num_leaves": (("params.num_leaves",), int),
+        "max_rounds": (("params.max_rounds",), int),
+        "min_data_in_leaf": (("params.min_data_in_leaf",), int),
+        "l2_regularization": (("params.l2_regularization",), float),
+        "feature_fraction": (("params.feature_fraction",), float),
+        "bagging_fraction": (("params.bagging_fraction",), float),
+        "top_rate": (("params.top_rate",), float),
+        "other_rate": (("params.other_rate",), float),
+        "max_bins": (("params.max_bins",), int),
+        "early_stop_rounds": (("params.early_stop_rounds",), int),
+    },
+    "loss": {
+        "gain": (("loss_gain",), float),
+        "hard_classes": (("hard_classes",), _parse_int_list),
+        "auto": (("auto_hard_classes",), _parse_bool),
+    },
+    "ensemble": {
+        "enabled": (("use_ensemble",), _parse_bool),
+        "k": (("ensemble_k",), int),
+    },
+    "hpo": {
+        "n_trials": (("hpo_trials",), int),
+        "fast": (("hpo_fast",), _parse_bool),
+    },
+    "transfer": {
+        "base_model": (("transfer_base_model",), _optional(str)),
+        "target_seed": (("transfer_target_seed",), _optional(int)),
+        "learning_rate": (("transfer.learning_rate",), float),
+        "max_rounds": (("transfer.max_rounds",), int),
+        "early_stop_rounds": (("transfer.early_stop_rounds",), int),
+        "seeds": (("transfer_seeds",), _parse_int_list),
+    },
+    "run": {
+        "out": (("out_dir",), str),
+        "model_dir": (("model_dir",), _optional(str)),
+        "seed": (("seed",), int),
+    },
+}
+
+
 def load_config(path: Union[str, os.PathLike]) -> PipelineConfig:
     """Read an INI config; unknown keys are errors, missing ones default.
 
@@ -224,109 +310,28 @@ def load_config(path: Union[str, os.PathLike]) -> PipelineConfig:
     if not read:
         raise FileNotFoundError(f"config file not found: {path}")
 
-    known = {
-        "data": {
-            "csv", "n_classes", "repetitions", "hold_duration",
-            "rest_duration", "sample_rate", "snr_db", "mains_hz", "class_seed",
-        },
-        "filter": {"low_hz", "high_hz", "order", "notch_hz", "quality", "zero_phase"},
-        "window": {"length", "step", "include_rest"},
-        "features": {"stft_seg_len", "stft_hop"},
-        "train": {
-            "learning_rate", "num_leaves", "max_rounds", "min_data_in_leaf",
-            "l2_regularization", "feature_fraction", "bagging_fraction",
-            "top_rate", "other_rate", "max_bins", "early_stop_rounds",
-        },
-        "loss": {"gain", "hard_classes", "auto"},
-        "ensemble": {"enabled", "k"},
-        "hpo": {"n_trials", "fast"},
-        "transfer": {
-            "base_model", "target_seed", "learning_rate", "max_rounds",
-            "early_stop_rounds", "seeds",
-        },
-        "run": {"out", "model_dir", "seed"},
-    }
+    top: Dict[str, object] = {}
+    nested: Dict[str, Dict[str, object]] = {}
     for section in cp.sections():
-        if section not in known:
+        keys = _INI_KEYS.get(section)
+        if keys is None:
             raise ValueError(f"unknown config section [{section}]")
-        extra = set(cp[section]) - known[section]
+        extra = set(cp[section]) - set(keys)
         if extra:
             raise ValueError(
                 f"unknown key(s) in [{section}]: {', '.join(sorted(extra))}"
             )
+        for key in cp[section]:
+            targets, parse = keys[key]
+            value = parse(cp.get(section, key).strip())
+            for target in targets:
+                owner, _, name = target.rpartition(".")
+                (nested.setdefault(owner, {}) if owner else top)[name] = value
 
-    def get(section: str, key: str, default: str) -> str:
-        return cp.get(section, key, fallback=default).strip()
-
-    base = PipelineConfig()
-    synth = SyntheticSpec(
-        n_classes=cp.getint("data", "n_classes", fallback=18),
-        repetitions=cp.getint("data", "repetitions", fallback=6),
-        hold_duration=cp.getfloat("data", "hold_duration", fallback=5.0),
-        rest_duration=cp.getfloat("data", "rest_duration", fallback=3.0),
-        sample_rate=cp.getfloat("data", "sample_rate", fallback=2000.0),
-        snr_db=cp.getfloat("data", "snr_db", fallback=20.0),
-        mains_hz=cp.getfloat("data", "mains_hz", fallback=74.0),
-        class_seed=(
-            int(get("data", "class_seed", "")) if get("data", "class_seed", "") else None
-        ),
-    )
-    profile = PipelineConfig().params  # keep INI fallbacks equal to defaults
-    params = TrainParams(
-        learning_rate=cp.getfloat("train", "learning_rate", fallback=profile.learning_rate),
-        num_leaves=cp.getint("train", "num_leaves", fallback=profile.num_leaves),
-        max_rounds=cp.getint("train", "max_rounds", fallback=profile.max_rounds),
-        min_data_in_leaf=cp.getint("train", "min_data_in_leaf", fallback=profile.min_data_in_leaf),
-        l2_regularization=cp.getfloat("train", "l2_regularization", fallback=profile.l2_regularization),
-        feature_fraction=cp.getfloat("train", "feature_fraction", fallback=profile.feature_fraction),
-        bagging_fraction=cp.getfloat("train", "bagging_fraction", fallback=profile.bagging_fraction),
-        top_rate=cp.getfloat("train", "top_rate", fallback=profile.top_rate),
-        other_rate=cp.getfloat("train", "other_rate", fallback=profile.other_rate),
-        max_bins=cp.getint("train", "max_bins", fallback=profile.max_bins),
-        early_stop_rounds=cp.getint("train", "early_stop_rounds", fallback=profile.early_stop_rounds),
-    )
-    transfer_cfg = TransferConfig(
-        learning_rate=cp.getfloat("transfer", "learning_rate", fallback=0.05),
-        max_rounds=cp.getint("transfer", "max_rounds", fallback=50),
-        early_stop_rounds=cp.getint("transfer", "early_stop_rounds", fallback=30),
-    )
-    return PipelineConfig(
-        data_path=get("data", "csv", "") or None,
-        synthetic=synth,
-        bandpass_low_hz=cp.getfloat("filter", "low_hz", fallback=20.0),
-        bandpass_high_hz=cp.getfloat("filter", "high_hz", fallback=200.0),
-        bandpass_order=cp.getint("filter", "order", fallback=5),
-        notch_hz=_parse_float_list(get("filter", "notch_hz", "74, 148")),
-        notch_quality=cp.getfloat("filter", "quality", fallback=30.0),
-        zero_phase=cp.getboolean("filter", "zero_phase", fallback=False),
-        window_len=cp.getint("window", "length", fallback=1280),
-        step=cp.getint("window", "step", fallback=320),
-        include_rest=cp.getboolean("window", "include_rest", fallback=False),
-        features=FeatureConfig(
-            sample_rate=cp.getfloat("data", "sample_rate", fallback=2000.0),
-            stft_seg_len=cp.getint("features", "stft_seg_len", fallback=256),
-            stft_hop=cp.getint("features", "stft_hop", fallback=128),
-        ),
-        params=params,
-        loss_gain=cp.getfloat("loss", "gain", fallback=1.5),
-        hard_classes=_parse_int_list(get("loss", "hard_classes", "")),
-        auto_hard_classes=cp.getboolean("loss", "auto", fallback=False),
-        use_ensemble=cp.getboolean("ensemble", "enabled", fallback=True),
-        ensemble_k=cp.getint("ensemble", "k", fallback=5),
-        hpo_trials=cp.getint("hpo", "n_trials", fallback=30),
-        hpo_fast=cp.getboolean("hpo", "fast", fallback=True),
-        transfer=transfer_cfg,
-        transfer_base_model=get("transfer", "base_model", "") or None,
-        transfer_target_seed=(
-            int(get("transfer", "target_seed", ""))
-            if get("transfer", "target_seed", "")
-            else None
-        ),
-        transfer_seeds=_parse_int_list(get("transfer", "seeds", "0 1 2 3 4")),
-        out_dir=get("run", "out", base.out_dir),
-        model_dir=get("run", "model_dir", "") or None,
-        seed=cp.getint("run", "seed", fallback=0),
-    )
+    base = default_config()
+    for owner, values in nested.items():
+        top[owner] = replace(getattr(base, owner), **values)
+    return replace(base, **top)
 
 
 # ------------------------------------------------------------- file output

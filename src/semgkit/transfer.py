@@ -5,26 +5,27 @@ source model's outputs and new rounds of trees fit the target gradients
 at a reduced learning rate. Class weights are recomputed on the target
 label balance. The result is one model holding base trees plus new trees,
 so its predictions decompose exactly into base score + new-tree score.
+warm_start runs the same round loop as booster.train, started from the
+base model instead of the class priors.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .gbdt.binning import BinnedMatrix, apply_bins
+from .gbdt.binning import apply_bins
 from .gbdt.booster import (
     BoostedModel,
     TrainParams,
-    _EarlyStopping,
+    _boost,
     _encode_labels,
+    _valid_rows,
     predict_raw,
     train,
 )
-from .gbdt.objective import LossSpec, grad_hess, weighted_cross_entropy
-from .gbdt.sampling import goss_sample
-from .gbdt.tree import Tree, grow_tree
+from .gbdt.objective import LossSpec
 
 
 @dataclass(frozen=True)
@@ -34,7 +35,6 @@ class TransferConfig:
     learning_rate: float = 0.05
     max_rounds: int = 50
     early_stop_rounds: int = 30
-    keep_base_trees: bool = True
 
     def __post_init__(self) -> None:
         if self.learning_rate <= 0.0:
@@ -77,10 +77,6 @@ def warm_start(
     result ends at best_iteration. best_iteration of the result counts
     base rounds plus the best number of new rounds. Target labels outside
     the base class set are a domain error.
-
-    With keep_base_trees False the base only fixes the class set: a fresh
-    model is trained on the target data alone (the scratch arm of paired
-    comparisons), with its own bin edges.
     """
     features = np.ascontiguousarray(target_train_features, dtype=np.float64)
     labels = np.asarray(target_train_labels)
@@ -91,99 +87,22 @@ def warm_start(
             f"target feature width {features.shape[1]} does not match the "
             f"base model width {len(base.bin_edges)}"
         )
-    _encode_labels(labels, base.classes)  # raises on labels outside base classes
-    if (target_valid_features is None) != (target_valid_labels is None):
-        raise ValueError("valid features and labels must come together")
+    _, encoded = _encode_labels(labels, base.classes)
+    valid = _valid_rows(target_valid_features, target_valid_labels, base.bin_edges)
     if loss is None:
         loss = LossSpec()
-    params = _phase_params(base, cfg, seed)
 
-    if not cfg.keep_base_trees:
-        return train(
-            features,
-            labels,
-            target_valid_features,
-            target_valid_labels,
-            params=params,
-            loss=loss,
-        )
-
-    classes = base.classes
-    n, n_classes = features.shape[0], base.n_classes
-    _, encoded = _encode_labels(labels, classes)
-    class_weights = loss.weights_for(labels, classes)
-    rng = np.random.default_rng(params.seed)
-
-    binned = BinnedMatrix(apply_bins(features, base.bin_edges), base.bin_edges)
-    base_len = base.best_iteration
-    raw = predict_raw(base, features, n_rounds=base_len)
-
-    has_valid = target_valid_features is not None
-    if has_valid:
-        vfeat = np.ascontiguousarray(target_valid_features, dtype=np.float64)
-        vlabels = np.asarray(target_valid_labels)
-        if vfeat.ndim != 2 or vfeat.shape[1] != features.shape[1]:
-            raise ValueError("valid features must match the training width")
-        if vlabels.shape != (vfeat.shape[0],):
-            raise ValueError("valid labels must be 1-D with one entry per row")
-        vcodes = apply_bins(vfeat, base.bin_edges)
-        vraw = predict_raw(base, vfeat, n_rounds=base_len)
-
-    history: Dict[str, List[float]] = {
-        "train_loss": [float(weighted_cross_entropy(raw, encoded, class_weights))],
-    }
-    new_trees: List[List[Tree]] = []
-    if has_valid:
-        stopping = _EarlyStopping(classes, vlabels, cfg.early_stop_rounds)
-        stopping.observe(vraw)
-        history["valid_accuracy"] = stopping.accuracy
-
-    for _ in range(cfg.max_rounds):
-        if has_valid and stopping.stop:
-            break
-        grad, hess = grad_hess(raw, encoded, class_weights)
-        if params.goss_enabled:
-            idx, mult = goss_sample(grad, params.top_rate, params.other_rate, rng)
-            sub_binned = BinnedMatrix(binned.codes[idx], binned.edges)
-            sub_grad = grad[idx] * mult[:, None]
-            sub_hess = hess[idx] * mult[:, None]
-        elif params.bagging_fraction < 1.0:
-            n_keep = max(1, int(round(params.bagging_fraction * n)))
-            idx = np.sort(rng.choice(n, size=n_keep, replace=False))
-            sub_binned = BinnedMatrix(binned.codes[idx], binned.edges)
-            sub_grad = grad[idx]
-            sub_hess = hess[idx]
-        else:
-            sub_binned, sub_grad, sub_hess = binned, grad, hess
-
-        round_trees: List[Tree] = []
-        for c in range(n_classes):
-            tree = grow_tree(sub_binned, sub_grad[:, c], sub_hess[:, c], params, rng)
-            round_trees.append(tree)
-            raw[:, c] += cfg.learning_rate * tree.predict_binned(binned.codes)
-            if has_valid:
-                vraw[:, c] += cfg.learning_rate * tree.predict_binned(vcodes)
-        new_trees.append(round_trees)
-        history["train_loss"].append(
-            float(weighted_cross_entropy(raw, encoded, class_weights))
-        )
-
-        if has_valid:
-            stopping.observe(vraw)
-
-    best_new = stopping.best_round if has_valid else len(new_trees)
-    return BoostedModel(
-        classes=classes,
-        init_score=base.init_score,
-        trees=list(base.trees[:base_len]) + new_trees,
-        round_scales=list(base.round_scales[:base_len])
-        + [cfg.learning_rate] * len(new_trees),
-        bin_edges=base.bin_edges,
-        class_weights=class_weights,
-        best_iteration=base_len + best_new,
-        params=params,
-        history=history,
+    start = replace(
+        base,
+        class_weights=loss.weights_for(labels, base.classes),
+        params=_phase_params(base, cfg, seed),
     )
+    codes = apply_bins(features, base.bin_edges)
+    raw = predict_raw(base, features, n_rounds=base.best_iteration)
+    if valid is not None:
+        vfeat, vcodes, vlabels = valid
+        valid = (vcodes, predict_raw(base, vfeat, n_rounds=base.best_iteration), vlabels)
+    return _boost(start, codes, encoded, raw, valid)
 
 
 @dataclass
@@ -267,10 +186,7 @@ def transfer_report(
             features[valid_mask],
             labels[valid_mask],
         )
-        scratch = warm_start(
-            base, *args, cfg=replace(cfg, keep_base_trees=False),
-            loss=loss, seed=int(seed),
-        )
+        scratch = train(*args, params=_phase_params(base, cfg, seed), loss=loss)
         warmed = warm_start(base, *args, cfg=cfg, loss=loss, seed=int(seed))
         test_labels = labels[test_mask]
         for arm, model in ((0, scratch), (1, warmed)):

@@ -257,12 +257,13 @@ class TestModelIO:
         assert clone.best_iteration == model.best_iteration
         np.testing.assert_array_equal(clone.classes, model.classes)
 
-    def test_bad_version_rejected(self, make_blobs):
+    @pytest.mark.parametrize("version", [99, 1])
+    def test_bad_version_rejected(self, make_blobs, version):
         features, labels = make_blobs(n_per_class=40, seed=20)
         model = train(features, labels, params=TrainParams(max_rounds=2))
         doc = model_to_dict(model)
-        doc["format_version"] = 99
-        with pytest.raises(ModelFormatError):
+        doc["format_version"] = version
+        with pytest.raises(ModelFormatError, match=f"format_version {version}; expected 2"):
             model_from_dict(doc)
 
     def test_missing_key_rejected(self, make_blobs):

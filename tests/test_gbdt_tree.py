@@ -239,7 +239,6 @@ class TestPredictBinned:
             threshold=np.array([1, -1, 0, -1, -1], dtype=np.int32),
             left=np.array([1, -1, 3, -1, -1], dtype=np.int32),
             right=np.array([2, -1, 4, -1, -1], dtype=np.int32),
-            default_left=np.ones(5, dtype=bool),
             value=np.array([0.0, 10.0, 0.0, 20.0, 30.0]),
         )
         codes = np.array(
@@ -254,7 +253,6 @@ class TestPredictBinned:
             threshold=np.array([3, -1, -1], dtype=np.int32),
             left=np.array([1, -1, -1], dtype=np.int32),
             right=np.array([2, -1, -1], dtype=np.int32),
-            default_left=np.ones(3, dtype=bool),
             value=np.array([0.0, -1.0, 1.0]),
         )
         codes = np.array([[3], [4]], dtype=np.uint8)

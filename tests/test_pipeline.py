@@ -217,6 +217,7 @@ class TestLoadConfig:
         assert cfg.use_ensemble is True
         assert cfg.model_dir is None
         assert cfg.resolved_model_dir() == os.path.join(cfg.out_dir, "model")
+        assert cfg == replace(default_config(), seed=7)
 
     def test_inline_comments_are_stripped(self, tmp_path):
         path = tmp_path / "c.ini"

@@ -10,6 +10,7 @@ from semgkit.gbdt import TrainParams, load_model, predict_raw, save_model, train
 from semgkit.transfer import (
     TransferConfig,
     _paired_split,
+    _phase_params,
     transfer_report,
     warm_start,
 )
@@ -101,19 +102,28 @@ class TestWarmStart:
         with pytest.raises(ValueError, match="does not match the base model width"):
             warm_start(base, target_x[:, :5], target_y)
 
-    def test_scratch_arm_ignores_base_trees(self, base_setup):
-        base, draw = base_setup
-        target_x, target_y = draw(60, seed=8)
-        scratch = warm_start(
-            base, target_x, target_y,
-            cfg=TransferConfig(max_rounds=6, keep_base_trees=False),
+    def test_truncated_base_keeps_best_prefix(self, base_setup):
+        # a base stopped by validation with patience 0 grows all its rounds
+        # but is best earlier; only that prefix carries into the warm model
+        _, draw = base_setup
+        source_x, source_y = draw(40, seed=16)
+        source_x = source_x + np.random.default_rng(16).normal(0.0, 6.0, source_x.shape)
+        base = train(
+            source_x[:90], source_y[:90], source_x[90:], source_y[90:],
+            params=TrainParams(max_rounds=20, early_stop_rounds=0, seed=0),
         )
-        assert scratch.n_rounds <= 6
-        # fresh binning: edges computed from the target, not copied
-        assert len(scratch.bin_edges) == len(base.bin_edges)
-        assert not all(
-            np.array_equal(a, b)
-            for a, b in zip(scratch.bin_edges, base.bin_edges)
+        assert 0 < base.best_iteration < base.n_rounds
+        target_x, target_y = draw(30, seed=14)
+        warm = warm_start(base, target_x, target_y, cfg=TransferConfig(max_rounds=3))
+        n_base = base.best_iteration
+        assert warm.n_rounds == n_base + 3
+        for r in range(n_base):
+            for c in range(3):
+                assert warm.trees[r][c] is base.trees[r][c]
+        assert warm.round_scales[:n_base] == base.round_scales[:n_base]
+        np.testing.assert_array_equal(
+            predict_raw(warm, target_x, n_rounds=n_base),
+            predict_raw(base, target_x, n_base),
         )
 
     def test_recomputes_class_weights_on_target(self, base_setup):
@@ -247,6 +257,30 @@ class TestTransferReport:
             if report.after_accuracy[0] >= report.before_accuracy[0]:
                 wins += 1
         assert wins >= 4
+
+    def test_scratch_arm_is_train_on_the_split(self, base_setup):
+        # before = train on the target split alone with the transfer-phase
+        # params: fresh bin edges and no base trees
+        base, draw = base_setup
+        target_x, target_y = draw(32, seed=8)
+        cfg = TransferConfig(max_rounds=6, early_stop_rounds=3)
+        report = transfer_report(target_x, target_y, base, cfg=cfg, seeds=(3,))
+        train_mask, valid_mask, test_mask = _paired_split(
+            target_y, np.random.default_rng([3, 404])
+        )
+        scratch = train(
+            target_x[train_mask], target_y[train_mask],
+            target_x[valid_mask], target_y[valid_mask],
+            params=_phase_params(base, cfg, 3),
+        )
+        assert scratch.n_rounds <= 6
+        assert len(scratch.bin_edges) == len(base.bin_edges)
+        assert not all(
+            np.array_equal(a, b)
+            for a, b in zip(scratch.bin_edges, base.bin_edges)
+        )
+        pred = scratch.predict_label(target_x[test_mask])
+        assert report.before_accuracy[0] == np.mean(pred == target_y[test_mask])
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
