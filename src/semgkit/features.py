@@ -6,6 +6,9 @@ rate, RMS, waveform length), then for each channel ten band powers over
 equal-width bands partitioning 20-200 Hz, then the row-major flatten of the
 full channel-by-channel phase-locking-value matrix. With 12 channels that
 is 72 + 120 + 144 = 336 values.
+
+time_domain, stft_psd, band_power and analytic_phase work along the last
+axis of a (..., n_samples) input: one call takes a channel or a window.
 """
 from __future__ import annotations
 
@@ -26,17 +29,18 @@ class FeatureExtractionError(ValueError):
 
 @dataclass(frozen=True)
 class TimeDomainFeatures:
-    """The six per-channel time-domain features."""
+    """The six time-domain features, each of the input's leading shape."""
 
-    mean: float
-    var: float
-    mav: float
-    zcr: float
-    rms: float
-    wl: float
+    mean: np.ndarray
+    var: np.ndarray
+    mav: np.ndarray
+    zcr: np.ndarray
+    rms: np.ndarray
+    wl: np.ndarray
 
     def to_array(self) -> np.ndarray:
-        return np.array([self.mean, self.var, self.mav, self.zcr, self.rms, self.wl])
+        """Shape (6,) for one channel, (n_channels, 6) for a window."""
+        return np.stack([getattr(self, f) for f in TIME_DOMAIN_ORDER], axis=-1)
 
 
 @dataclass(frozen=True)
@@ -56,26 +60,24 @@ class FeatureConfig:
             raise ValueError("stft_hop must be >= 1")
 
 
-def time_domain(channel: Sequence[float]) -> TimeDomainFeatures:
-    """Six time-domain features of one channel.
+def time_domain(channel: np.typing.ArrayLike) -> TimeDomainFeatures:
+    """Six time-domain features of each channel in a (..., n_samples) input.
 
     Variance uses the 1/(N-1) normalization. The zero-crossing rate sums
     |sgn(s(n)) - sgn(s(n-1))| over n = 2..N with the three-valued sign and
     divides by 2N. Waveform length sums |s(n) - s(n-1)| over n = 2..N.
     """
     x = np.asarray(channel, dtype=np.float64)
-    if x.ndim != 1 or x.size < 2:
-        raise ValueError("channel must be 1-D with at least 2 samples")
-    n = x.size
-    signs = np.sign(x)
-    diffs = np.diff(x)
+    if x.ndim < 1 or x.shape[-1] < 2:
+        raise ValueError("channel must have at least 2 samples on its last axis")
+    n = x.shape[-1]
     return TimeDomainFeatures(
-        mean=float(x.mean()),
-        var=float(x.var(ddof=1)),
-        mav=float(np.abs(x).mean()),
-        zcr=float(np.abs(np.diff(signs)).sum() / (2.0 * n)),
-        rms=float(np.sqrt(np.mean(x * x))),
-        wl=float(np.abs(diffs).sum()),
+        mean=x.mean(axis=-1),
+        var=x.var(axis=-1, ddof=1),
+        mav=np.abs(x).mean(axis=-1),
+        zcr=np.abs(np.diff(np.sign(x))).sum(axis=-1) / (2.0 * n),
+        rms=np.sqrt(np.mean(x * x, axis=-1)),
+        wl=np.abs(np.diff(x)).sum(axis=-1),
     )
 
 
@@ -84,47 +86,49 @@ def _hann(length: int) -> np.ndarray:
 
 
 def stft_psd(
-    channel: Sequence[float],
+    channel: np.typing.ArrayLike,
     sample_rate: float,
     seg_len: int = 256,
     hop: int = 128,
 ) -> np.ndarray:
     """Power spectral density as a sum of Hann-windowed DFT powers.
 
-    Segments start at offsets 0, hop, 2*hop, ...; each is multiplied by a
-    Hann window and transformed; the returned length-seg_len sequence is
-    the per-bin sum of |S|^2 over all segment positions. Bin b corresponds
-    to frequency b * sample_rate / seg_len.
+    Works along the last axis of a (..., n_samples) input and returns
+    (..., seg_len). Segments start at offsets 0, hop, 2*hop, ...; each is
+    multiplied by a Hann window and transformed; the result is the per-bin
+    sum of |S|^2 over all segment positions. Bin b corresponds to
+    frequency b * sample_rate / seg_len.
     """
     x = np.asarray(channel, dtype=np.float64)
-    if x.ndim != 1:
-        raise ValueError("channel must be 1-D")
-    if seg_len > x.size:
-        raise ValueError(f"seg_len {seg_len} exceeds signal length {x.size}")
+    if x.ndim < 1:
+        raise ValueError("channel must have a sample axis")
+    if seg_len > x.shape[-1]:
+        raise ValueError(f"seg_len {seg_len} exceeds signal length {x.shape[-1]}")
     if hop < 1:
         raise ValueError("hop must be >= 1")
     window = _hann(seg_len)
-    segments = np.lib.stride_tricks.sliding_window_view(x, seg_len)[::hop]
-    spectra = np.fft.fft(segments * window, axis=1)
-    return (spectra.real ** 2 + spectra.imag ** 2).sum(axis=0)
+    segments = np.lib.stride_tricks.sliding_window_view(x, seg_len, axis=-1)[..., ::hop, :]
+    spectra = np.fft.fft(segments * window, axis=-1)
+    return (spectra.real ** 2 + spectra.imag ** 2).sum(axis=-2)
 
 
 def band_power(
-    psd: Sequence[float],
+    psd: np.typing.ArrayLike,
     sample_rate: float,
     seg_len: int,
 ) -> np.ndarray:
     """Sum the PSD over ten equal bands partitioning 20-200 Hz.
 
-    Band k (1-based) covers [20 + 18(k-1), 20 + 18k) Hz; the last band is
-    closed on the right at 200 Hz. A bin belongs to a band when its center
-    frequency does.
+    Works along the last axis of a (..., seg_len) input and returns
+    (..., 10). Band k (1-based) covers [20 + 18(k-1), 20 + 18k) Hz; the
+    last band is closed on the right at 200 Hz. A bin belongs to a band
+    when its center frequency does.
     """
     p = np.asarray(psd, dtype=np.float64)
-    if p.shape != (seg_len,):
+    if p.ndim < 1 or p.shape[-1] != seg_len:
         raise ValueError(f"psd must have length seg_len={seg_len}")
     freqs = np.arange(seg_len) * (sample_rate / seg_len)
-    out = np.empty(N_BANDS)
+    out = np.empty(p.shape[:-1] + (N_BANDS,))
     for k in range(N_BANDS):
         lo = BAND_LO_HZ + BAND_WIDTH_HZ * k
         hi = lo + BAND_WIDTH_HZ
@@ -132,21 +136,22 @@ def band_power(
             mask = (freqs >= lo) & (freqs <= hi)
         else:
             mask = (freqs >= lo) & (freqs < hi)
-        out[k] = p[mask].sum()
+        out[..., k] = p[..., mask].sum(axis=-1)
     return out
 
 
-def analytic_phase(channel: Sequence[float]) -> np.ndarray:
+def analytic_phase(channel: np.typing.ArrayLike) -> np.ndarray:
     """Instantaneous phase of the discrete analytic signal.
 
-    The analytic signal is built in the frequency domain: positive
-    frequency coefficients are doubled, negative ones zeroed, DC and
-    Nyquist kept as they are. The phase is atan2(imag, real).
+    Works along the last axis of a (..., n_samples) input and returns the
+    same shape. The analytic signal is built in the frequency domain:
+    positive frequency coefficients are doubled, negative ones zeroed, DC
+    and Nyquist kept as they are. The phase is atan2(imag, real).
     """
     x = np.asarray(channel, dtype=np.float64)
-    if x.ndim != 1 or x.size < 4:
-        raise ValueError("channel must be 1-D with at least 4 samples")
-    n = x.size
+    if x.ndim < 1 or x.shape[-1] < 4:
+        raise ValueError("channel must have at least 4 samples on its last axis")
+    n = x.shape[-1]
     spectrum = np.fft.fft(x)
     gain = np.zeros(n)
     gain[0] = 1.0
@@ -174,12 +179,8 @@ def plv_matrix(window_data: np.ndarray) -> np.ndarray:
     data = np.asarray(window_data, dtype=np.float64)
     if data.ndim != 2:
         raise ValueError("window_data must be (n_channels, n_samples)")
-    n_ch, n = data.shape
-    phases = np.empty_like(data)
-    for i in range(n_ch):
-        phases[i] = analytic_phase(data[i])
-    phasors = np.exp(1j * phases)
-    coupling = phasors @ phasors.conj().T / n
+    phasors = np.exp(1j * analytic_phase(data))
+    coupling = phasors @ phasors.conj().T / data.shape[1]
     matrix = np.minimum(np.abs(coupling), 1.0)
     # exact symmetry and unit diagonal by construction
     upper = np.triu(matrix, k=1)
@@ -210,19 +211,16 @@ def extract_features(window, cfg: FeatureConfig = FeatureConfig()) -> np.ndarray
     data = np.asarray(getattr(window, "data", window), dtype=np.float64)
     if data.ndim != 2:
         raise ValueError("window data must be (n_channels, n_samples)")
-    n_ch = data.shape[0]
-    parts: List[np.ndarray] = []
-    for i in range(n_ch):
-        parts.append(time_domain(data[i]).to_array())
-    for i in range(n_ch):
-        psd = stft_psd(data[i], cfg.sample_rate, cfg.stft_seg_len, cfg.stft_hop)
-        parts.append(band_power(psd, cfg.sample_rate, cfg.stft_seg_len))
-    parts.append(plv_matrix(data).ravel())
-    vector = np.concatenate(parts)
+    psd = stft_psd(data, cfg.sample_rate, cfg.stft_seg_len, cfg.stft_hop)
+    vector = np.concatenate([
+        time_domain(data).to_array().ravel(),
+        band_power(psd, cfg.sample_rate, cfg.stft_seg_len).ravel(),
+        plv_matrix(data).ravel(),
+    ])
     if not np.all(np.isfinite(vector)):
         bad = int(np.flatnonzero(~np.isfinite(vector))[0])
         raise FeatureExtractionError(
-            f"non-finite feature {feature_names(n_ch)[bad]} (index {bad})"
+            f"non-finite feature {feature_names(data.shape[0])[bad]} (index {bad})"
         )
     return vector
 

@@ -171,8 +171,8 @@ def _valid_rows(
     valid_features: Optional[np.ndarray],
     valid_labels: Optional[np.ndarray],
     bin_edges: Tuple[np.ndarray, ...],
-) -> Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Checked validation rows as (features, bin codes, labels), or None."""
+) -> Optional[Tuple[np.ndarray, np.ndarray]]:
+    """Checked validation rows as (bin codes, labels), or None."""
     if (valid_features is None) != (valid_labels is None):
         raise ValueError("valid_features and valid_labels must come together")
     if valid_features is None:
@@ -183,37 +183,51 @@ def _valid_rows(
         raise ValueError("valid_features must match the training width")
     if vlabels.shape != (vfeat.shape[0],):
         raise ValueError("valid_labels must be 1-D with one entry per row")
-    return vfeat, apply_bins(vfeat, bin_edges), vlabels
+    return apply_bins(vfeat, bin_edges), vlabels
+
+
+def _scores(model: BoostedModel, codes: np.ndarray, n_rounds: int) -> np.ndarray:
+    """Raw scores of binned rows after the first n_rounds rounds.
+
+    Scores accumulate sequentially in one buffer, so extending a model by
+    more rounds reproduces its prefix scores bit for bit.
+    """
+    raw = np.broadcast_to(model.init_score, (codes.shape[0], model.n_classes)).copy()
+    for r in range(n_rounds):
+        scale = model.round_scales[r]
+        for c, tree in enumerate(model.trees[r]):
+            raw[:, c] += scale * tree.predict_binned(codes)
+    return raw
 
 
 def _boost(
     start: BoostedModel,
     codes: np.ndarray,
     encoded: np.ndarray,
-    raw: np.ndarray,
-    valid: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]],
+    valid: Optional[Tuple[np.ndarray, np.ndarray]],
 ) -> BoostedModel:
     """The boosting round loop behind train and transfer.warm_start.
 
     Grows up to start.params.max_rounds rounds onto the first
     start.best_iteration rounds of start, using its bin edges, class
     weights and params. codes are the training rows binned with those
-    edges, encoded their class positions and raw their scores after that
-    prefix; valid is (bin codes, prefix scores, labels) of the validation
-    rows or None. Both score arrays are updated in place.
+    edges and encoded their class positions; valid is (bin codes, labels)
+    of the validation rows or None. Scores start from that prefix.
     """
     params = start.params
     class_weights = start.class_weights
     binned = BinnedMatrix(codes, start.bin_edges)
     n, n_classes = codes.shape[0], start.n_classes
     rng = np.random.default_rng(params.seed)
+    raw = _scores(start, codes, start.best_iteration)
 
     history: Dict[str, List[float]] = {
         "train_loss": [float(weighted_cross_entropy(raw, encoded, class_weights))],
     }
     trees: List[List[Tree]] = []
     if valid is not None:
-        vcodes, vraw, vlabels = valid
+        vcodes, vlabels = valid
+        vraw = _scores(start, vcodes, start.best_iteration)
         stopping = _EarlyStopping(start.classes, vlabels, params.early_stop_rounds)
         stopping.observe(vraw)
         history["valid_accuracy"] = stopping.accuracy
@@ -298,14 +312,9 @@ def train(
 
     binned = bin_features(features, params.max_bins)
     valid = _valid_rows(valid_features, valid_labels, binned.edges)
-    init_score = _class_priors(encoded, n_classes)
-    if valid is not None:
-        vfeat, vcodes, vlabels = valid
-        vraw = np.broadcast_to(init_score, (vfeat.shape[0], n_classes)).copy()
-        valid = (vcodes, vraw, vlabels)
     start = BoostedModel(
         classes=classes,
-        init_score=init_score,
+        init_score=_class_priors(encoded, n_classes),
         trees=[],
         round_scales=[],
         bin_edges=binned.edges,
@@ -313,8 +322,7 @@ def train(
         best_iteration=0,
         params=params,
     )
-    raw = np.broadcast_to(init_score, (features.shape[0], n_classes)).copy()
-    return _boost(start, binned.codes, encoded, raw, valid)
+    return _boost(start, binned.codes, encoded, valid)
 
 
 def predict_raw(
@@ -322,8 +330,8 @@ def predict_raw(
 ) -> np.ndarray:
     """Raw scores after n_rounds rounds (default: best_iteration).
 
-    Scores accumulate sequentially in one buffer, so extending a model by
-    more rounds reproduces its prefix scores bit for bit.
+    Extending a model by more rounds reproduces its prefix scores bit for
+    bit (see _scores).
     """
     features = np.ascontiguousarray(features, dtype=np.float64)
     if features.ndim != 2:
@@ -332,13 +340,7 @@ def predict_raw(
         n_rounds = model.best_iteration
     if n_rounds < 0 or n_rounds > model.n_rounds:
         raise ValueError(f"n_rounds must be in [0, {model.n_rounds}]")
-    codes = apply_bins(features, model.bin_edges)
-    raw = np.broadcast_to(model.init_score, (features.shape[0], model.n_classes)).copy()
-    for r in range(n_rounds):
-        scale = model.round_scales[r]
-        for c, tree in enumerate(model.trees[r]):
-            raw[:, c] += scale * tree.predict_binned(codes)
-    return raw
+    return _scores(model, apply_bins(features, model.bin_edges), n_rounds)
 
 
 def predict_proba(model: BoostedModel, features: np.ndarray) -> np.ndarray:

@@ -8,6 +8,7 @@ old file or the whole new one.
 """
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import uuid
@@ -48,7 +49,6 @@ def _tree_from_dict(obj: dict) -> Tree:
 
 def model_to_dict(model: BoostedModel) -> dict:
     """JSON-ready dict for one model; shared by file and ensemble IO."""
-    params = model.params
     return {
         "format_version": FORMAT_VERSION,
         "model_type": "boosted_trees_multiclass",
@@ -58,20 +58,7 @@ def model_to_dict(model: BoostedModel) -> dict:
         "bin_edges": [e.tolist() for e in model.bin_edges],
         "class_weights": model.class_weights.tolist(),
         "best_iteration": int(model.best_iteration),
-        "params": {
-            "learning_rate": params.learning_rate,
-            "num_leaves": params.num_leaves,
-            "max_rounds": params.max_rounds,
-            "min_data_in_leaf": params.min_data_in_leaf,
-            "l2_regularization": params.l2_regularization,
-            "feature_fraction": params.feature_fraction,
-            "bagging_fraction": params.bagging_fraction,
-            "top_rate": params.top_rate,
-            "other_rate": params.other_rate,
-            "max_bins": params.max_bins,
-            "early_stop_rounds": params.early_stop_rounds,
-            "seed": params.seed,
-        },
+        "params": dataclasses.asdict(model.params),
         "history": {k: list(v) for k, v in model.history.items()},
         "trees": [[_tree_to_dict(t) for t in rnd] for rnd in model.trees],
     }

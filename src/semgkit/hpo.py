@@ -234,9 +234,6 @@ def optimize(
     objective_fn: Callable[[Params], float],
     seed: int = 0,
     log_path: Optional[Union[str, os.PathLike]] = None,
-    n_startup: int = 10,
-    gamma: float = 0.25,
-    n_candidates: int = 24,
 ) -> Study:
     """Run trials until n_trials total exist, maximizing objective_fn.
 
@@ -248,9 +245,7 @@ def optimize(
     """
     if n_trials < 1:
         raise ValueError("n_trials must be at least 1")
-    study = Study(
-        seed=seed, n_startup=n_startup, gamma=gamma, n_candidates=n_candidates
-    )
+    study = Study(seed=seed)
     if log_path is not None and os.path.exists(log_path):
         study.trials = load_trials(log_path)
         _cut_torn_tail(log_path)

@@ -42,7 +42,6 @@ from .dsp import (
 from .ensemble import (
     BaggedModel,
     load_bagged,
-    predict_bagged,
     save_bagged,
     stratified_kfold,
     train_bagged,
@@ -53,7 +52,6 @@ from .gbdt.booster import (
     TrainParams,
     _encode_labels,
     detect_hard_classes,
-    predict_label,
     train,
 )
 from .gbdt.io import load_model, save_model, write_atomic
@@ -535,7 +533,6 @@ def _run_train(config: PipelineConfig, timings: Dict[str, float]) -> Dict:
                 model: Union[BaggedModel, BoostedModel] = train_bagged(
                     X_train, y_train, params=params, loss=loss, k=config.ensemble_k
                 )
-                pred = predict_bagged(model, X_test)[0]
             else:
                 assignment = stratified_kfold(y_train, k=5, seed=params.seed)
                 hold = assignment == 0
@@ -543,7 +540,7 @@ def _run_train(config: PipelineConfig, timings: Dict[str, float]) -> Dict:
                     X_train[~hold], y_train[~hold], X_train[hold], y_train[hold],
                     params=params, loss=loss,
                 )
-                pred = predict_label(model, X_test)
+            pred = model.predict_label(X_test)
         with _stage("save", timings):
             plan_dir = os.path.join(model_root, f"plan_{i}")
             os.makedirs(plan_dir, exist_ok=True)
@@ -603,10 +600,7 @@ def _run_evaluate(config: PipelineConfig, timings: Dict[str, float]) -> Dict:
                 raise ValueError(f"plan {i} has no test windows")
             X_test, y_test = _standardized_features(test_w, stats, config.features)
         with _stage("evaluate", timings):
-            if isinstance(model, BaggedModel):
-                pred = predict_bagged(model, X_test)[0]
-            else:
-                pred = predict_label(model, X_test)
+            pred = model.predict_label(X_test)
             plan_metrics.append(
                 evaluate(
                     _encode_labels(pred, class_ids)[1],
@@ -662,7 +656,7 @@ def _run_tune(config: PipelineConfig, timings: Dict[str, float]) -> Dict:
                 X_train[~hold], y_train[~hold], X_train[hold], y_train[hold],
                 params=trial_params, loss=base_loss,
             )
-            accs.append(float(np.mean(predict_label(model, X_test) == y_test)))
+            accs.append(float(np.mean(model.predict_label(X_test) == y_test)))
         return float(np.mean(accs))
 
     os.makedirs(config.out_dir, exist_ok=True)

@@ -15,6 +15,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
+from .ensemble import stratified_kfold
 from .gbdt.binning import apply_bins
 from .gbdt.booster import (
     BoostedModel,
@@ -22,7 +23,6 @@ from .gbdt.booster import (
     _boost,
     _encode_labels,
     _valid_rows,
-    predict_raw,
     train,
 )
 from .gbdt.objective import LossSpec
@@ -97,12 +97,7 @@ def warm_start(
         class_weights=loss.weights_for(labels, base.classes),
         params=_phase_params(base, cfg, seed),
     )
-    codes = apply_bins(features, base.bin_edges)
-    raw = predict_raw(base, features, n_rounds=base.best_iteration)
-    if valid is not None:
-        vfeat, vcodes, vlabels = valid
-        valid = (vcodes, predict_raw(base, vfeat, n_rounds=base.best_iteration), vlabels)
-    return _boost(start, codes, encoded, raw, valid)
+    return _boost(start, apply_bins(features, base.bin_edges), encoded, valid)
 
 
 @dataclass
@@ -143,11 +138,7 @@ def _paired_split(
     labels: np.ndarray, rng: np.random.Generator
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-class deal into train (1/2), valid (1/4) and test (1/4)."""
-    quarter = np.empty(labels.shape[0], dtype=np.int64)
-    for cls in np.unique(labels):
-        positions = np.flatnonzero(labels == cls)
-        order = rng.permutation(positions.size)
-        quarter[positions[order]] = np.arange(positions.size) % 4
+    quarter = stratified_kfold(labels, k=4, seed=rng)
     return quarter <= 1, quarter == 2, quarter == 3
 
 

@@ -241,6 +241,32 @@ class TestVector:
         )
         np.testing.assert_array_equal(vec[192:], plv_matrix(data).ravel())
 
+    def test_block_equals_stacked_rows(self):
+        rng = np.random.default_rng(12)
+        data = rng.standard_normal((12, 1280))
+        cfg = FeatureConfig()
+        fs, seg, hop = cfg.sample_rate, cfg.stft_seg_len, cfg.stft_hop
+        td = time_domain(data).to_array()
+        psd = stft_psd(data, fs, seg, hop)
+        bands = band_power(psd, fs, seg)
+        row_td = np.stack([time_domain(row).to_array() for row in data])
+        row_psd = np.stack([stft_psd(row, fs, seg, hop) for row in data])
+        row_bands = np.stack([band_power(p, fs, seg) for p in row_psd])
+        assert td.shape == (12, 6) and bands.shape == (12, 10)
+        assert np.array_equal(td, row_td)
+        assert np.array_equal(psd, row_psd)
+        assert np.array_equal(bands, row_bands)
+        assert np.array_equal(
+            analytic_phase(data), np.stack([analytic_phase(row) for row in data])
+        )
+        vec = extract_features(data, cfg)
+        assert np.array_equal(
+            vec,
+            np.concatenate(
+                [row_td.ravel(), row_bands.ravel(), plv_matrix(data).ravel()]
+            ),
+        )
+
     def test_accepts_window_object(self):
         rng = np.random.default_rng(9)
         data = rng.standard_normal((12, 1280))
