@@ -8,7 +8,7 @@ from semgkit import (
     cascade,
     design_bandpass,
     design_notch,
-    filter_signal,
+    filter_channels,
     frequency_response,
 )
 
@@ -42,14 +42,14 @@ def tone_amplitude(sig, f):
     return 2.0 * abs(np.mean(sig * np.exp(-2j * np.pi * f * tt)))
 
 
-y = filter_signal(chain, x)
+y = filter_channels(chain, x)
 print("\nafter causal filtering:")
 print("  100 Hz amplitude:", round(tone_amplitude(y[500:], 100.0), 4))
 print("   74 Hz amplitude:", round(tone_amplitude(y[500:], 74.0), 4))
 
 # zero_phase runs the filter forward and then backward, which squares the
 # magnitude response and cancels the phase lag. Offline analysis only.
-z = filter_signal(chain, x, zero_phase=True)
+z = filter_channels(chain, x, zero_phase=True)
 print("\nafter zero-phase filtering:")
 print("  100 Hz amplitude:", round(tone_amplitude(z[500:-500], 100.0), 4))
 print("   74 Hz amplitude:", round(tone_amplitude(z[500:-500], 74.0), 4))

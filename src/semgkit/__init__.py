@@ -30,7 +30,6 @@ from .dsp import (
     design_bandpass,
     design_notch,
     filter_channels,
-    filter_signal,
     frequency_response,
     standardize,
 )

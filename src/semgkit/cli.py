@@ -17,7 +17,6 @@ from typing import List, Optional, Sequence
 from .dataset import generate_synthetic, save_recording
 from .gbdt.io import write_atomic
 from .pipeline import (
-    MODES,
     PipelineConfig,
     PipelineError,
     default_config,

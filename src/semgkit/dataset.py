@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import csv
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import List, Optional, Sequence, Tuple
 
@@ -166,7 +166,6 @@ def _runs(values: np.ndarray) -> List[Tuple[int, int]]:
 
 def load_recording(
     path,
-    format: str = "csv",
     sample_rate: float = 2000.0,
     subject_id: int = 0,
 ) -> Recording:
@@ -176,8 +175,6 @@ def load_recording(
     following row is one sample. Values are floating-point volts for the
     channels and integers for stimulus and repetition.
     """
-    if format != "csv":
-        raise ValueError(f"unsupported format: {format!r}")
     path = Path(path)
     with path.open("r", encoding="utf-8", newline="") as handle:
         header_line = handle.readline()
@@ -287,12 +284,10 @@ def generate_synthetic(spec: SyntheticSpec) -> Recording:
         if key not in narrow_filters:
             narrow_filters[key] = dsp.design_bandpass(lo, hi, order=3, sample_rate=fs)
 
-    carriers = np.empty((N_CHANNELS, total))
-    for i in range(N_CHANNELS):
-        white = rng_noise.standard_normal(total)
-        band = dsp.filter_signal(carrier_bp, white)
-        rms = np.sqrt(np.mean(band * band))
-        carriers[i] = band / rms
+    carriers = dsp.filter_channels(
+        carrier_bp, rng_noise.standard_normal((N_CHANNELS, total))
+    )
+    carriers /= np.sqrt(np.mean(carriers * carriers, axis=1, keepdims=True))
 
     channels = np.empty((N_CHANNELS, total))
     stimulus = np.zeros(total, dtype=np.int64)
@@ -315,7 +310,7 @@ def generate_synthetic(spec: SyntheticSpec) -> Recording:
             lo = band_lo[c - 1]
             nb = narrow_filters[(lo, lo + 18.0)]
             raw = rng_noise.standard_normal(hold_n + pad)
-            shared = dsp.filter_signal(nb, raw)[pad:]
+            shared = dsp.filter_channels(nb, raw)[pad:]
             shared = shared / np.sqrt(np.mean(shared * shared))
             channels[:, hold_sl] += shared_gain[c - 1][:, None] * shared
             pos += block_n
@@ -324,18 +319,15 @@ def generate_synthetic(spec: SyntheticSpec) -> Recording:
     t_axis = np.arange(total) / fs
     mains_amp = 0.35
     phases = rng_noise.uniform(0.0, 2.0 * np.pi, size=(2, N_CHANNELS))
-    for i in range(N_CHANNELS):
-        channels[i] += mains_amp * np.sin(
-            2.0 * np.pi * spec.mains_hz * t_axis + phases[0, i]
-        )
-        channels[i] += 0.5 * mains_amp * np.sin(
-            2.0 * np.pi * 2.0 * spec.mains_hz * t_axis + phases[1, i]
-        )
+    for harmonic, phase in zip((1.0, 2.0), phases):
+        for i in range(N_CHANNELS):
+            channels[i] += mains_amp / harmonic * np.sin(
+                2.0 * np.pi * harmonic * spec.mains_hz * t_axis + phase[i]
+            )
 
     rms_clean = np.sqrt(np.mean(channels * channels))
     noise_std = rms_clean / (10.0 ** (spec.snr_db / 20.0))
-    for i in range(N_CHANNELS):
-        channels[i] += noise_std * rng_noise.standard_normal(total)
+    channels += noise_std * rng_noise.standard_normal((N_CHANNELS, total))
 
     return Recording(
         subject_id=0,

@@ -135,43 +135,29 @@ def design_notch(
     return out
 
 
-def filter_signal(
-    sos: SecondOrderSections,
-    signal: Sequence[float],
-    zero_phase: bool = False,
-) -> np.ndarray:
-    """Run a 1-D signal through the cascade.
-
-    Causal mode evaluates each section in direct-form II transposed with
-    zero initial state. Zero-phase mode filters forward, then filters the
-    time-reversed output and reverses again, removing phase distortion and
-    doubling the attenuation in dB.
-    """
-    x = np.asarray(signal, dtype=np.float64)
-    if x.ndim != 1:
-        raise ValueError("signal must be 1-D")
-    if x.size == 0:
-        raise ValueError("signal must be non-empty")
-    y = _sig.sosfilt(sos._scipy_sos(), x) * sos.overall_gain
-    if zero_phase:
-        y = _sig.sosfilt(sos._scipy_sos(), y[::-1]) * sos.overall_gain
-        y = y[::-1]
-    return y
-
-
 def filter_channels(
     sos: SecondOrderSections,
     channels: np.ndarray,
     zero_phase: bool = False,
 ) -> np.ndarray:
-    """Filter each row of a (n_channels, n_samples) array."""
+    """Filter along the last axis of a (..., n_samples) array.
+
+    Causal mode evaluates each section in direct-form II transposed with
+    zero initial state. Zero-phase mode filters forward, then filters the
+    time-reversed output and reverses again, removing phase distortion and
+    doubling the attenuation in dB. Every row is filtered on its own, so a
+    block gives the same values as its rows one at a time; a 1-D input is
+    one channel.
+    """
     x = np.asarray(channels, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] == 0:
-        raise ValueError("channels must be a non-empty 2-D array")
-    y = _sig.sosfilt(sos._scipy_sos(), x, axis=1) * sos.overall_gain
+    if x.ndim == 0 or x.shape[-1] == 0:
+        raise ValueError("channels must have a non-empty last axis")
+    y = _sig.sosfilt(sos._scipy_sos(), x, axis=-1)
+    y *= sos.overall_gain
     if zero_phase:
-        y = _sig.sosfilt(sos._scipy_sos(), y[:, ::-1], axis=1) * sos.overall_gain
-        y = y[:, ::-1]
+        y = _sig.sosfilt(sos._scipy_sos(), y[..., ::-1], axis=-1)
+        y *= sos.overall_gain
+        y = y[..., ::-1]
     return y
 
 
@@ -231,19 +217,14 @@ def compute_stats(train_windows: Iterable) -> ChannelStats:
     arrays. Statistics must come from training data only; the split is the
     caller's responsibility.
     """
-    total = None
-    total_sq = None
+    total = total_sq = 0.0
     count = 0
     for w in train_windows:
         data = _window_data(w)
-        if total is None:
-            total = data.sum(axis=1)
-            total_sq = (data * data).sum(axis=1)
-        else:
-            total += data.sum(axis=1)
-            total_sq += (data * data).sum(axis=1)
+        total = total + data.sum(axis=1)
+        total_sq = total_sq + (data * data).sum(axis=1)
         count += data.shape[1]
-    if total is None or count == 0:
+    if count == 0:
         raise ValueError("at least one training window is required")
     mean = total / count
     var = total_sq / count - mean * mean

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -212,23 +212,25 @@ def _boost(
     start.best_iteration rounds of start, using its bin edges, class
     weights and params. codes are the training rows binned with those
     edges and encoded their class positions; valid is (bin codes, labels)
-    of the validation rows or None. Scores start from that prefix.
+    of the validation rows or None. Scores start from that prefix and are
+    kept in one matrix, the training rows first, then the validation rows,
+    so each grown tree is applied to both in one call.
     """
     params = start.params
     class_weights = start.class_weights
     binned = BinnedMatrix(codes, start.bin_edges)
     n, n_classes = codes.shape[0], start.n_classes
     rng = np.random.default_rng(params.seed)
-    raw = _scores(start, codes, start.best_iteration)
+    scored = codes if valid is None else np.concatenate([codes, valid[0]])
+    all_raw = _scores(start, scored, start.best_iteration)
+    raw, vraw = all_raw[:n], all_raw[n:]
 
     history: Dict[str, List[float]] = {
         "train_loss": [float(weighted_cross_entropy(raw, encoded, class_weights))],
     }
     trees: List[List[Tree]] = []
     if valid is not None:
-        vcodes, vlabels = valid
-        vraw = _scores(start, vcodes, start.best_iteration)
-        stopping = _EarlyStopping(start.classes, vlabels, params.early_stop_rounds)
+        stopping = _EarlyStopping(start.classes, valid[1], params.early_stop_rounds)
         stopping.observe(vraw)
         history["valid_accuracy"] = stopping.accuracy
 
@@ -255,9 +257,7 @@ def _boost(
         for c in range(n_classes):
             tree = grow_tree(sub_binned, sub_grad[:, c], sub_hess[:, c], params, rng)
             round_trees.append(tree)
-            raw[:, c] += params.learning_rate * tree.predict_binned(codes)
-            if valid is not None:
-                vraw[:, c] += params.learning_rate * tree.predict_binned(vcodes)
+            all_raw[:, c] += params.learning_rate * tree.predict_binned(scored)
         trees.append(round_trees)
         history["train_loss"].append(
             float(weighted_cross_entropy(raw, encoded, class_weights))
@@ -354,6 +354,18 @@ def predict_label(model: BoostedModel, features: np.ndarray) -> np.ndarray:
     return model.classes[np.argmax(raw, axis=1)]
 
 
+def _per_class_recall(
+    pred: np.ndarray, truth: np.ndarray, classes: np.ndarray
+) -> np.ndarray:
+    """Recall of each class in classes; NaN for a class absent from truth."""
+    recalls = np.full(classes.shape[0], np.nan)
+    for i, cls in enumerate(classes):
+        mask = truth == cls
+        if mask.any():
+            recalls[i] = float(np.mean(pred[mask] == cls))
+    return recalls
+
+
 def detect_hard_classes(
     train_features: np.ndarray,
     train_labels: np.ndarray,
@@ -375,12 +387,7 @@ def detect_hard_classes(
         params=warm_params, loss=LossSpec(),
     )
     pred = predict_label(model, valid_features)
-    vlabels = np.asarray(valid_labels)
-    recalls = np.full(model.n_classes, np.nan)
-    for i, cls in enumerate(model.classes):
-        mask = vlabels == cls
-        if mask.any():
-            recalls[i] = float(np.mean(pred[mask] == cls))
+    recalls = _per_class_recall(pred, np.asarray(valid_labels), model.classes)
     if np.isnan(recalls).all():
         warnings.warn("no classes measurable on the validation set", RuntimeWarning)
         return frozenset()

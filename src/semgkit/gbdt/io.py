@@ -17,7 +17,6 @@ from typing import Union
 import numpy as np
 
 from .booster import BoostedModel, TrainParams
-from .objective import LossSpec
 from .tree import Tree
 
 FORMAT_VERSION = 2

@@ -11,7 +11,7 @@ hard set (f_c the class frequency in the training data), 1 otherwise.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterable, Sequence, Tuple
 
 import numpy as np

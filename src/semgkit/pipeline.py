@@ -476,6 +476,23 @@ def _standardized_features(
     return X, labels
 
 
+def _holdout_fit(
+    fit: Callable[..., object],
+    X: np.ndarray,
+    y: np.ndarray,
+    params: TrainParams,
+    **kwargs,
+) -> object:
+    """Call fit with fold 0 of a 5-fold stratified deal as validation rows.
+
+    fit is train or detect_hard_classes, called as fit(train X, train y,
+    valid X, valid y, params=params, **kwargs); the deal is seeded by
+    params.seed.
+    """
+    hold = stratified_kfold(y, k=5, seed=params.seed) == 0
+    return fit(X[~hold], y[~hold], X[hold], y[hold], params=params, **kwargs)
+
+
 def _loss_for_plan(
     config: PipelineConfig,
     params: TrainParams,
@@ -484,12 +501,19 @@ def _loss_for_plan(
 ) -> LossSpec:
     if not config.auto_hard_classes:
         return LossSpec(gain=config.loss_gain, hard_classes=config.hard_classes)
-    assignment = stratified_kfold(y, k=5, seed=params.seed)
-    hold = assignment == 0
-    detected = detect_hard_classes(
-        X[~hold], y[~hold], X[hold], y[hold], params=params
-    )
+    detected = _holdout_fit(detect_hard_classes, X, y, params)
     return LossSpec(gain=config.loss_gain, hard_classes=detected)
+
+
+def _score_plan(
+    pred: np.ndarray, truth: np.ndarray, class_ids: np.ndarray
+) -> Metrics:
+    """Metrics of one plan's predictions, classes encoded against class_ids."""
+    return evaluate(
+        _encode_labels(pred, class_ids)[1],
+        _encode_labels(truth, class_ids)[1],
+        len(class_ids),
+    )
 
 
 def _save_stats(stats: ChannelStats, directory: str) -> None:
@@ -534,12 +558,7 @@ def _run_train(config: PipelineConfig, timings: Dict[str, float]) -> Dict:
                     X_train, y_train, params=params, loss=loss, k=config.ensemble_k
                 )
             else:
-                assignment = stratified_kfold(y_train, k=5, seed=params.seed)
-                hold = assignment == 0
-                model = train(
-                    X_train[~hold], y_train[~hold], X_train[hold], y_train[hold],
-                    params=params, loss=loss,
-                )
+                model = _holdout_fit(train, X_train, y_train, params, loss=loss)
             pred = model.predict_label(X_test)
         with _stage("save", timings):
             plan_dir = os.path.join(model_root, f"plan_{i}")
@@ -550,13 +569,7 @@ def _run_train(config: PipelineConfig, timings: Dict[str, float]) -> Dict:
                 save_model(model, os.path.join(plan_dir, "model.json"))
             _save_stats(stats, plan_dir)
         with _stage("evaluate", timings):
-            plan_metrics.append(
-                evaluate(
-                    _encode_labels(pred, class_ids)[1],
-                    _encode_labels(y_test, class_ids)[1],
-                    len(class_ids),
-                )
-            )
+            plan_metrics.append(_score_plan(pred, y_test, class_ids))
 
     with _stage("report", timings):
         paths = emit_report(
@@ -601,13 +614,7 @@ def _run_evaluate(config: PipelineConfig, timings: Dict[str, float]) -> Dict:
             X_test, y_test = _standardized_features(test_w, stats, config.features)
         with _stage("evaluate", timings):
             pred = model.predict_label(X_test)
-            plan_metrics.append(
-                evaluate(
-                    _encode_labels(pred, class_ids)[1],
-                    _encode_labels(y_test, class_ids)[1],
-                    len(class_ids),
-                )
-            )
+            plan_metrics.append(_score_plan(pred, y_test, class_ids))
 
     with _stage("report", timings):
         paths = emit_report(plan_metrics, class_ids, config.out_dir, 0.0)
@@ -637,25 +644,16 @@ def _run_tune(config: PipelineConfig, timings: Dict[str, float]) -> Dict:
             )
 
     base_loss = LossSpec(gain=config.loss_gain, hard_classes=config.hard_classes)
+    space = default_space()
+    if params.goss_enabled:
+        # GOSS is the row sampler then, and bagging_fraction is never read
+        del space["bagging_fraction"]
 
     def objective(point: Dict) -> float:
-        trial_params = replace(
-            params,
-            learning_rate=float(point["learning_rate"]),
-            num_leaves=int(point["num_leaves"]),
-            min_data_in_leaf=int(point["min_data_in_leaf"]),
-            feature_fraction=float(point["feature_fraction"]),
-            bagging_fraction=float(point["bagging_fraction"]),
-            l2_regularization=float(point["l2_regularization"]),
-        )
+        trial_params = replace(params, **point)
         accs = []
         for X_train, y_train, X_test, y_test in plan_data:
-            assignment = stratified_kfold(y_train, k=5, seed=trial_params.seed)
-            hold = assignment == 0
-            model = train(
-                X_train[~hold], y_train[~hold], X_train[hold], y_train[hold],
-                params=trial_params, loss=base_loss,
-            )
+            model = _holdout_fit(train, X_train, y_train, trial_params, loss=base_loss)
             accs.append(float(np.mean(model.predict_label(X_test) == y_test)))
         return float(np.mean(accs))
 
@@ -663,7 +661,7 @@ def _run_tune(config: PipelineConfig, timings: Dict[str, float]) -> Dict:
     log_path = os.path.join(config.out_dir, "trials.log")
     with _stage("tune", timings):
         study = optimize(
-            default_space(),
+            space,
             config.hpo_trials,
             objective,
             seed=config.seed,

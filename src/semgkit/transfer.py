@@ -22,6 +22,7 @@ from .gbdt.booster import (
     TrainParams,
     _boost,
     _encode_labels,
+    _per_class_recall,
     _valid_rows,
     train,
 )
@@ -180,18 +181,12 @@ def transfer_report(
         scratch = train(*args, params=_phase_params(base, cfg, seed), loss=loss)
         warmed = warm_start(base, *args, cfg=cfg, loss=loss, seed=int(seed))
         test_labels = labels[test_mask]
-        for arm, model in ((0, scratch), (1, warmed)):
+        for model, per_class, acc in (
+            (scratch, before_pc, before_acc), (warmed, after_pc, after_acc)
+        ):
             pred = model.predict_label(features[test_mask])
-            acc = float(np.mean(pred == test_labels))
-            per_class = np.full(n_classes, np.nan)
-            for i, cls in enumerate(classes):
-                mask = test_labels == cls
-                if mask.any():
-                    per_class[i] = float(np.mean(pred[mask] == cls))
-            if arm == 0:
-                before_pc[s], before_acc[s] = per_class, acc
-            else:
-                after_pc[s], after_acc[s] = per_class, acc
+            acc[s] = float(np.mean(pred == test_labels))
+            per_class[s] = _per_class_recall(pred, test_labels, classes)
 
     return TransferReport(
         classes=classes,

@@ -101,10 +101,6 @@ class TestCsvRoundTrip:
         with pytest.raises(RecordingFormatError, match="no sample rows"):
             load_recording(path)
 
-    def test_unknown_format_rejected(self, tmp_path):
-        with pytest.raises(ValueError, match="unsupported format"):
-            load_recording(tmp_path / "x.bin", format="binary")
-
 
 class TestRecordingValidation:
     def test_repetition_must_be_constant_per_run(self):

@@ -16,7 +16,6 @@ from semgkit.dsp import (
     design_bandpass,
     design_notch,
     filter_channels,
-    filter_signal,
     frequency_response,
     standardize,
 )
@@ -124,7 +123,7 @@ class TestApply:
         rng = np.random.default_rng(3)
         x = rng.standard_normal(400)
         sos = design_bandpass(20.0, 200.0, order=3, sample_rate=FS)
-        got = filter_signal(sos, x)
+        got = filter_channels(sos, x)
         want = naive_sosfilt(sos.sections, x)
         np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-12)
 
@@ -132,7 +131,7 @@ class TestApply:
         rng = np.random.default_rng(4)
         x = rng.standard_normal(300)
         sos = design_notch(74.0, 30.0, FS)
-        got = filter_signal(sos, x)
+        got = filter_channels(sos, x)
         want = naive_sosfilt(sos.sections, x)
         np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-12)
 
@@ -142,7 +141,7 @@ class TestApply:
         rng = np.random.default_rng(5)
         x = rng.standard_normal(512)
         sos = design_bandpass(20.0, 200.0, order=4, sample_rate=FS)
-        got = filter_signal(sos, x, zero_phase=True)
+        got = filter_channels(sos, x, zero_phase=True)
         fwd = sp_signal.sosfilt(sos._scipy_sos(), x) * sos.overall_gain
         want = (sp_signal.sosfilt(sos._scipy_sos(), fwd[::-1]) * sos.overall_gain)[::-1]
         np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-12)
@@ -152,7 +151,7 @@ class TestApply:
         t = np.arange(4096) / FS
         x = np.sin(2.0 * np.pi * 80.0 * t)
         sos = design_bandpass(20.0, 200.0, 5, FS)
-        y = filter_signal(sos, x, zero_phase=True)
+        y = filter_channels(sos, x, zero_phase=True)
         core = slice(1024, 3072)  # ignore edge transients
         lags = [np.dot(y[core], np.roll(x, k)[core]) for k in (-2, -1, 0, 1, 2)]
         assert int(np.argmax(lags)) == 2
@@ -161,38 +160,39 @@ class TestApply:
         t = np.arange(8000) / FS
         tone = np.sin(2.0 * np.pi * 74.0 * t)
         sos = design_notch(74.0, 30.0, FS)
-        y = filter_signal(sos, tone)
+        y = filter_channels(sos, tone)
         steady = y[4000:]
         assert np.sqrt(np.mean(steady**2)) < 0.05 * np.sqrt(np.mean(tone**2))
 
     def test_filter_channels_rowwise(self):
+        # a block, 2-D or 3-D, equals its rows filtered one at a time
         rng = np.random.default_rng(6)
         x = rng.standard_normal((4, 256))
         sos = design_bandpass(20.0, 200.0, 3, FS)
-        got = filter_channels(sos, x)
-        for i in range(4):
-            np.testing.assert_array_equal(got[i], filter_signal(sos, x[i]))
-        got_zp = filter_channels(sos, x, zero_phase=True)
-        for i in range(4):
-            np.testing.assert_array_equal(
-                got_zp[i], filter_signal(sos, x[i], zero_phase=True)
-            )
+        for zero_phase in (False, True):
+            got = filter_channels(sos, x, zero_phase=zero_phase)
+            for i in range(4):
+                np.testing.assert_array_equal(
+                    got[i], filter_channels(sos, x[i], zero_phase=zero_phase)
+                )
+            stacked = filter_channels(sos, x.reshape(2, 2, 256), zero_phase=zero_phase)
+            np.testing.assert_array_equal(stacked.reshape(4, 256), got)
 
     def test_input_validation(self):
         sos = design_notch(74.0, 30.0, FS)
         with pytest.raises(ValueError):
-            filter_signal(sos, np.zeros((2, 2)))
+            filter_channels(sos, np.zeros(()))
         with pytest.raises(ValueError):
-            filter_signal(sos, np.zeros(0))
+            filter_channels(sos, np.zeros(0))
         with pytest.raises(ValueError):
-            filter_channels(sos, np.zeros(5))
+            filter_channels(sos, np.zeros((2, 0)))
 
     def test_overall_gain_applied(self):
         base = design_notch(74.0, 30.0, FS)
         scaled = SecondOrderSections(base.sections, overall_gain=2.0)
         x = np.random.default_rng(7).standard_normal(64)
         np.testing.assert_allclose(
-            filter_signal(scaled, x), 2.0 * filter_signal(base, x), rtol=1e-12
+            filter_channels(scaled, x), 2.0 * filter_channels(base, x), rtol=1e-12
         )
 
 

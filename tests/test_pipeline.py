@@ -439,6 +439,45 @@ class TestRunModes:
             run_pipeline(config, mode="transfer")
         assert err.value.stage == "load_model"
 
+    def test_tune_mode(self, tmp_path):
+        config = replace(tiny_config(tmp_path), hpo_trials=3)
+        result = run_pipeline(config, mode="tune")
+        assert result["mode"] == "tune"
+        assert result["n_trials"] == 3
+        log = result["files"]["trials"]
+        with open(log, encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+        assert len(lines) == 3
+        records = [json.loads(line) for line in lines]
+        assert all("bagging_fraction" in r["params"] for r in records)
+        best_record = max(
+            (r for r in records if r["status"] == "ok"), key=lambda r: r["value"]
+        )
+        with open(tmp_path / "best_params.json", encoding="utf-8") as fh:
+            best = json.load(fh)
+        assert best == {"value": best_record["value"], "params": best_record["params"]}
+        assert result["best_value"] == best_record["value"]
+
+        rerun = run_pipeline(replace(config, hpo_trials=4), mode="tune")
+        assert rerun["n_trials"] == 4
+        with open(log, encoding="utf-8") as fh:
+            relines = fh.read().splitlines()
+        assert relines[:3] == lines
+        assert len(relines) == 4
+
+    def test_tune_under_goss_leaves_bagging_fraction_out(self, tmp_path):
+        # with GOSS on, bagging_fraction cannot change a model, so it is
+        # not searched
+        goss = replace(TINY_PARAMS, top_rate=0.2, other_rate=0.1)
+        config = replace(tiny_config(tmp_path), params=goss, hpo_trials=2)
+        result = run_pipeline(config, mode="tune")
+        with open(result["files"]["trials"], encoding="utf-8") as fh:
+            records = [json.loads(line) for line in fh]
+        assert len(records) == 2
+        for record in records:
+            assert record["status"] == "ok"
+            assert "bagging_fraction" not in record["params"]
+
     def test_bad_data_path_fails_in_load_stage(self, tmp_path):
         config = tiny_config(tmp_path)
         config.data_path = str(tmp_path / "missing.csv")
