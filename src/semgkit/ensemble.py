@@ -4,10 +4,13 @@ Bagging trains k models, member j on folds != j with fold j as its
 early-stopping validation set, then averages member probabilities at
 prediction time. Stratification deals each class round-robin across folds
 so per-class fold counts differ by at most one.
+
+As in LightGBM's cv, the rows are binned once and all members share those
+edges; prediction bins once too. save_bagged writes one manifest.json that
+holds the shared edges once and every member's body (see gbdt.io).
 """
 from __future__ import annotations
 
-import json
 import os
 import warnings
 from dataclasses import dataclass, replace
@@ -15,22 +18,18 @@ from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .gbdt.booster import BoostedModel, TrainParams, predict_proba, train
-from .gbdt.io import (
-    FORMAT_VERSION,
-    ModelFormatError,
-    load_model,
-    save_model,
-    write_atomic,
-)
-from .gbdt.objective import LossSpec
+from .gbdt.binning import BinnedMatrix, apply_bins, bin_features
+from .gbdt.booster import BoostedModel, TrainParams, _fit, _scores
+from .gbdt.io import ModelFormatError, member_from_dict, member_to_dict, new_document
+from .gbdt.io import open_document, read_document, write_document
+from .gbdt.objective import LossSpec, softmax
 
-MANIFEST_NAME = "manifest.json"
+MODEL_TYPE = "bagged_ensemble"
 
 
 @dataclass
 class BaggedModel:
-    """k boosted members aggregated by probability averaging."""
+    """k boosted members, sharing one set of bin edges, averaged by probability."""
 
     members: List[BoostedModel]
     fold_assignment: np.ndarray
@@ -43,8 +42,10 @@ class BaggedModel:
         for m in self.members[1:]:
             if not np.array_equal(m.classes, first.classes):
                 raise ValueError("members must share one class set")
-            if len(m.bin_edges) != len(first.bin_edges):
-                raise ValueError("members must share one feature dimension")
+            if len(m.bin_edges) != len(first.bin_edges) or not all(
+                np.array_equal(a, b) for a, b in zip(m.bin_edges, first.bin_edges)
+            ):
+                raise ValueError("members must share one set of bin edges")
 
     @property
     def k(self) -> int:
@@ -98,9 +99,10 @@ def train_bagged(
 ) -> BaggedModel:
     """Train k members on complementary stratified folds.
 
-    Member j uses folds != j for training and fold j for early stopping.
-    Member seeds derive from params.seed by seed-sequence spawning so the
-    members differ but the whole ensemble is reproducible.
+    Member j trains on its folds != j rows of one binning of all the rows,
+    with fold j for early stopping. Member seeds derive from params.seed
+    by seed-sequence spawning so the members differ but the whole ensemble
+    is reproducible.
     """
     features = np.asarray(features, dtype=np.float64)
     labels = np.asarray(labels)
@@ -108,6 +110,7 @@ def train_bagged(
         raise ValueError("features must be 2-D with one label per row")
     assignment = stratified_kfold(labels, k=k, seed=params.seed)
     children = np.random.SeedSequence(params.seed).spawn(k)
+    binned = bin_features(features, params.max_bins)
     members: List[BoostedModel] = []
     for j in range(k):
         hold = assignment == j
@@ -115,13 +118,12 @@ def train_bagged(
             params, seed=int(children[j].generate_state(1)[0])
         )
         members.append(
-            train(
-                features[~hold],
+            _fit(
+                BinnedMatrix(binned.codes[~hold], binned.edges),
                 labels[~hold],
-                features[hold],
-                labels[hold],
-                params=member_params,
-                loss=loss,
+                (binned.codes[hold], labels[hold]),
+                member_params,
+                loss,
             )
         )
     return BaggedModel(members=members, fold_assignment=assignment, seed=params.seed)
@@ -135,64 +137,31 @@ def predict_bagged(
     Probabilities are the arithmetic mean of the member outputs; the label
     is the argmax, lowest class index on ties.
     """
-    features = np.asarray(features, dtype=np.float64)
-    if features.ndim != 2 or features.shape[1] != len(model.members[0].bin_edges):
-        raise ValueError("features must be 2-D and match the model width")
-    probs = predict_proba(model.members[0], features)
-    for member in model.members[1:]:
-        probs += predict_proba(member, features)
+    codes = apply_bins(features, model.members[0].bin_edges)
+    probs = sum(softmax(_scores(m, codes, m.best_iteration)) for m in model.members)
     probs /= model.k
     labels = model.classes[np.argmax(probs, axis=1)]
     return labels, probs
 
 
 def save_bagged(model: BaggedModel, directory: Union[str, os.PathLike]) -> None:
-    """Persist the ensemble as member files plus a manifest.
-
-    The manifest is removed first and written last, so a save that dies
-    part way leaves a directory load_bagged refuses, never a mix of old
-    and new members.
-    """
+    """Write the ensemble to directory/manifest.json in one atomic write."""
     os.makedirs(directory, exist_ok=True)
-    manifest_path = os.path.join(directory, MANIFEST_NAME)
-    try:
-        os.remove(manifest_path)
-    except FileNotFoundError:
-        pass
-    member_files = [f"member_{j}.json" for j in range(model.k)]
-    for name, member in zip(member_files, model.members):
-        save_model(member, os.path.join(directory, name))
-    manifest = {
-        "format_version": FORMAT_VERSION,
-        "model_type": "bagged_ensemble",
-        "k": model.k,
-        "seed": int(model.seed),
-        "members": member_files,
-        "fold_assignment": model.fold_assignment.tolist(),
-    }
-    text = json.dumps(manifest, separators=(",", ":"), sort_keys=True)
-    write_atomic(manifest_path, text + "\n")
+    doc = new_document(MODEL_TYPE, model.members[0].bin_edges)
+    doc["seed"] = int(model.seed)
+    doc["fold_assignment"] = model.fold_assignment.tolist()
+    doc["member_bodies"] = [member_to_dict(m) for m in model.members]
+    write_document(os.path.join(directory, "manifest.json"), doc)
 
 
 def load_bagged(directory: Union[str, os.PathLike]) -> BaggedModel:
     """Read an ensemble written by save_bagged."""
-    path = os.path.join(directory, MANIFEST_NAME)
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            manifest = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ModelFormatError(f"manifest is not valid JSON: {exc}") from exc
-    if manifest.get("format_version") != FORMAT_VERSION:
-        raise ModelFormatError(
-            f"unsupported manifest format_version {manifest.get('format_version')!r}"
-        )
-    if manifest.get("model_type") != "bagged_ensemble":
-        raise ModelFormatError("manifest does not describe a bagged ensemble")
-    members = [
-        load_model(os.path.join(directory, name)) for name in manifest["members"]
-    ]
+    doc = read_document(os.path.join(directory, "manifest.json"))
+    edges = open_document(doc, MODEL_TYPE)
+    if not {"member_bodies", "seed", "fold_assignment"} <= doc.keys():
+        raise ModelFormatError("manifest lacks member_bodies, seed or fold_assignment")
     return BaggedModel(
-        members=members,
-        fold_assignment=np.asarray(manifest["fold_assignment"], dtype=np.int64),
-        seed=int(manifest["seed"]),
+        members=[member_from_dict(body, edges) for body in doc["member_bodies"]],
+        fold_assignment=np.asarray(doc["fold_assignment"], dtype=np.int64),
+        seed=int(doc["seed"]),
     )

@@ -7,8 +7,9 @@ accuracy drives early stopping; prediction replays rounds up to the best
 validation round.
 
 One round loop (_boost) grows every model. It extends a starting model's
-first best_iteration rounds; train starts it from the class priors with no
-rounds, transfer.warm_start from a trained base model.
+first best_iteration rounds; _fit starts it from the class priors with no
+rounds on rows already binned (for train and ensemble.train_bagged),
+transfer.warm_start from a trained base model.
 
 Early stopping: with patience on (early_stop_rounds > 0), growing stops after
 early_stop_rounds rounds without a strict gain in validation accuracy, or
@@ -206,7 +207,7 @@ def _boost(
     encoded: np.ndarray,
     valid: Optional[Tuple[np.ndarray, np.ndarray]],
 ) -> BoostedModel:
-    """The boosting round loop behind train and transfer.warm_start.
+    """The boosting round loop behind _fit and transfer.warm_start.
 
     Grows up to start.params.max_rounds rounds onto the first
     start.best_iteration rounds of start, using its bin edges, class
@@ -301,24 +302,32 @@ def train(
     labels = np.asarray(train_labels)
     if labels.shape != (features.shape[0],):
         raise ValueError("train_labels must be 1-D with one entry per row")
+    binned = bin_features(features, params.max_bins)
+    valid = _valid_rows(valid_features, valid_labels, binned.edges)
+    return _fit(binned, labels, valid, params, loss)
 
+
+def _fit(
+    binned: BinnedMatrix,
+    labels: np.ndarray,
+    valid: Optional[Tuple[np.ndarray, np.ndarray]],
+    params: TrainParams,
+    loss: Optional[LossSpec],
+) -> BoostedModel:
+    """train on binned rows; valid is (bin codes, labels) or None."""
     classes, encoded = _encode_labels(labels)
     n_classes = classes.shape[0]
     if n_classes < 2:
         raise ValueError("training needs at least two classes")
     if loss is None:
         loss = LossSpec()
-    class_weights = loss.weights_for(labels, classes)
-
-    binned = bin_features(features, params.max_bins)
-    valid = _valid_rows(valid_features, valid_labels, binned.edges)
     start = BoostedModel(
         classes=classes,
         init_score=_class_priors(encoded, n_classes),
         trees=[],
         round_scales=[],
         bin_edges=binned.edges,
-        class_weights=class_weights,
+        class_weights=loss.weights_for(labels, classes),
         best_iteration=0,
         params=params,
     )

@@ -1,10 +1,12 @@
 """Versioned JSON persistence for boosted models.
 
-The on-disk form is a single JSON document. Floats are written with
-repr-level precision so a save/load round trip reproduces predictions bit
-for bit. format_version gates loading; unknown versions are rejected.
-Files are replaced atomically (write_atomic), so a reader sees either the
-old file or the whole new one.
+A model document holds a header (format_version, model_type), the bin
+edges and a member body: every other model field. A single model's file
+holds one body; a bagged ensemble's (ensemble.save_bagged) holds the
+edges its members share once, and one body per member. Floats keep
+repr-level precision, so a round trip reproduces predictions bit for bit.
+Other format versions, earlier ones included, are rejected. Files are
+replaced atomically (write_atomic): a reader sees the old or the new file.
 """
 from __future__ import annotations
 
@@ -12,14 +14,15 @@ import dataclasses
 import json
 import os
 import uuid
-from typing import Union
+from typing import Tuple, Union
 
 import numpy as np
 
 from .booster import BoostedModel, TrainParams
 from .tree import Tree
 
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
+MODEL_TYPE = "boosted_trees_multiclass"
 
 
 class ModelFormatError(ValueError):
@@ -46,15 +49,35 @@ def _tree_from_dict(obj: dict) -> Tree:
     )
 
 
-def model_to_dict(model: BoostedModel) -> dict:
-    """JSON-ready dict for one model; shared by file and ensemble IO."""
+def new_document(model_type: str, bin_edges: Tuple[np.ndarray, ...]) -> dict:
+    """Header and bin edges of a model document; bodies are added to it."""
     return {
         "format_version": FORMAT_VERSION,
-        "model_type": "boosted_trees_multiclass",
+        "model_type": model_type,
+        "bin_edges": [e.tolist() for e in bin_edges],
+    }
+
+
+def open_document(obj: dict, model_type: str) -> Tuple[np.ndarray, ...]:
+    """Check a model document's header; return its bin edges."""
+    if not isinstance(obj, dict):
+        raise ModelFormatError("model document must be a JSON object")
+    version = obj.get("format_version")
+    if version != FORMAT_VERSION:
+        raise ModelFormatError(
+            f"unsupported model format_version {version!r}; expected {FORMAT_VERSION}"
+        )
+    if obj.get("model_type") != model_type or "bin_edges" not in obj:
+        raise ModelFormatError(f"not a {model_type} document with bin_edges")
+    return tuple(np.asarray(e, dtype=np.float64) for e in obj["bin_edges"])
+
+
+def member_to_dict(model: BoostedModel) -> dict:
+    """JSON-ready body of one model: every field but the bin edges."""
+    return {
         "classes": [int(c) for c in model.classes],
         "init_score": model.init_score.tolist(),
         "round_scales": [float(s) for s in model.round_scales],
-        "bin_edges": [e.tolist() for e in model.bin_edges],
         "class_weights": model.class_weights.tolist(),
         "best_iteration": int(model.best_iteration),
         "params": dataclasses.asdict(model.params),
@@ -63,27 +86,18 @@ def model_to_dict(model: BoostedModel) -> dict:
     }
 
 
-def model_from_dict(obj: dict) -> BoostedModel:
-    if not isinstance(obj, dict):
-        raise ModelFormatError("model document must be a JSON object")
-    version = obj.get("format_version")
-    if version != FORMAT_VERSION:
-        raise ModelFormatError(
-            f"unsupported model format_version {version!r}; expected {FORMAT_VERSION}"
-        )
+def member_from_dict(obj: dict, bin_edges: Tuple[np.ndarray, ...]) -> BoostedModel:
+    """Model from a body written by member_to_dict and its bin edges."""
     try:
-        params = TrainParams(**obj["params"])
         model = BoostedModel(
             classes=np.asarray(obj["classes"], dtype=np.int64),
             init_score=np.asarray(obj["init_score"], dtype=np.float64),
             trees=[[_tree_from_dict(t) for t in rnd] for rnd in obj["trees"]],
             round_scales=[float(s) for s in obj["round_scales"]],
-            bin_edges=tuple(
-                np.asarray(e, dtype=np.float64) for e in obj["bin_edges"]
-            ),
+            bin_edges=bin_edges,
             class_weights=np.asarray(obj["class_weights"], dtype=np.float64),
             best_iteration=int(obj["best_iteration"]),
-            params=params,
+            params=TrainParams(**obj["params"]),
             history={k: list(v) for k, v in obj.get("history", {}).items()},
         )
     except (KeyError, TypeError) as exc:
@@ -93,6 +107,14 @@ def model_from_dict(obj: dict) -> BoostedModel:
     if len(model.round_scales) != model.n_rounds:
         raise ModelFormatError("round_scales length must match the round count")
     return model
+
+
+def model_to_dict(model: BoostedModel) -> dict:
+    return {**new_document(MODEL_TYPE, model.bin_edges), **member_to_dict(model)}
+
+
+def model_from_dict(obj: dict) -> BoostedModel:
+    return member_from_dict(obj, open_document(obj, MODEL_TYPE))
 
 
 def write_atomic(path: Union[str, os.PathLike], text: str) -> None:
@@ -115,18 +137,25 @@ def write_atomic(path: Union[str, os.PathLike], text: str) -> None:
         raise
 
 
+def write_document(path: Union[str, os.PathLike], doc: dict) -> None:
+    """doc as compact, key-sorted JSON, written atomically: equal docs, equal bytes."""
+    write_atomic(path, json.dumps(doc, separators=(",", ":"), sort_keys=True) + "\n")
+
+
+def read_document(path: Union[str, os.PathLike]) -> dict:
+    """The JSON value in path; ModelFormatError if it is not valid JSON."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ModelFormatError(f"{os.fspath(path)} is not valid JSON: {exc}") from exc
+
+
 def save_model(model: BoostedModel, path: Union[str, os.PathLike]) -> None:
     """Write the model as JSON, atomically; identical models give identical bytes."""
-    doc = model_to_dict(model)
-    text = json.dumps(doc, separators=(",", ":"), sort_keys=True)
-    write_atomic(path, text + "\n")
+    write_document(path, model_to_dict(model))
 
 
 def load_model(path: Union[str, os.PathLike]) -> BoostedModel:
     """Read a model written by save_model."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ModelFormatError(f"not valid JSON: {exc}") from exc
-    return model_from_dict(doc)
+    return model_from_dict(read_document(path))

@@ -1,11 +1,11 @@
 """Hyperparameter search by density-ratio sampling.
 
 The first n_startup trials sample uniformly (log-uniform on log dims).
-After that the completed trials are split at the gamma quantile of the
+After that the completed trials are split at the GAMMA quantile of the
 objective into good and bad sets, each dimension gets a Gaussian kernel
-density per set (Scott bandwidth), and the suggestion is the best of 24
-candidates drawn from the good density, ranked by the summed log ratio of
-good to bad density. The objective is maximized.
+density per set (Scott bandwidth), and the suggestion is the best of
+N_CANDIDATES candidates drawn from the good density, ranked by the summed
+log ratio of good to bad density. The objective is maximized.
 """
 from __future__ import annotations
 
@@ -19,6 +19,9 @@ from typing import Callable, Dict, List, Optional, Union
 import numpy as np
 
 Params = Dict[str, Union[int, float]]
+
+GAMMA = 0.25  # share of completed trials, best first, in the good set
+N_CANDIDATES = 24
 
 
 @dataclass(frozen=True)
@@ -86,8 +89,6 @@ class Study:
 
     seed: int = 0
     n_startup: int = 10
-    gamma: float = 0.25
-    n_candidates: int = 24
     trials: List[Trial] = field(default_factory=list)
 
     @property
@@ -136,7 +137,7 @@ def _log_density(x: np.ndarray, points: np.ndarray, bw: float) -> np.ndarray:
 def suggest(study: Study, space: SearchSpace) -> Params:
     """Next parameter point to evaluate.
 
-    Uniform during startup; afterwards the best of n_candidates draws from
+    Uniform during startup; afterwards the best of N_CANDIDATES draws from
     the good-trial density by good/bad log-density ratio. The draws come
     from a generator seeded by [seed, trial number], the trial number
     being len(study.trials), so a resumed search suggests the same points
@@ -150,13 +151,12 @@ def suggest(study: Study, space: SearchSpace) -> Params:
         return _uniform_sample(space, rng)
 
     ranked = sorted(done, key=lambda t: t.value, reverse=True)
-    n_good = int(math.ceil(study.gamma * len(ranked)))
+    n_good = int(math.ceil(GAMMA * len(ranked)))
     good, bad = ranked[:n_good], ranked[n_good:]
     if not bad:
         return _uniform_sample(space, rng)
 
-    n_cand = study.n_candidates
-    scores = np.zeros(n_cand)
+    scores = np.zeros(N_CANDIDATES)
     candidates: Dict[str, np.ndarray] = {}
     for name, dim in space.items():
         gpts = np.array([dim.to_internal(t.params[name]) for t in good])
@@ -165,8 +165,8 @@ def suggest(study: Study, space: SearchSpace) -> Params:
         span = hi - lo
         bw_g = _bandwidth(gpts, span)
         bw_b = _bandwidth(bpts, span)
-        centers = gpts[rng.integers(0, gpts.size, size=n_cand)]
-        cand = np.clip(centers + rng.normal(0.0, bw_g, size=n_cand), lo, hi)
+        centers = gpts[rng.integers(0, gpts.size, size=N_CANDIDATES)]
+        cand = np.clip(centers + rng.normal(0.0, bw_g, size=N_CANDIDATES), lo, hi)
         if dim.integer:
             cand = np.clip(np.rint(cand), dim.low, dim.high)
         scores += _log_density(cand, gpts, bw_g) - _log_density(cand, bpts, bw_b)

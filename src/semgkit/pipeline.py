@@ -12,7 +12,6 @@ byte for byte; wall-clock timing is reported separately in summary.csv.
 from __future__ import annotations
 
 import configparser
-import json
 import os
 import time
 from contextlib import contextmanager
@@ -33,6 +32,7 @@ from .dataset import (
 )
 from .dsp import (
     ChannelStats,
+    cascade,
     compute_stats,
     design_bandpass,
     design_notch,
@@ -54,7 +54,7 @@ from .gbdt.booster import (
     detect_hard_classes,
     train,
 )
-from .gbdt.io import load_model, save_model, write_atomic
+from .gbdt.io import load_model, read_document, save_model, write_atomic, write_document
 from .gbdt.objective import LossSpec
 from .hpo import default_space, optimize
 from .transfer import TransferConfig, TransferReport, transfer_report
@@ -459,9 +459,9 @@ def _filter_recording(config: PipelineConfig, recording: Recording) -> Recording
     ]
     for f0 in config.notch_hz:
         chain.append(design_notch(f0, quality=config.notch_quality, sample_rate=fs))
-    channels = recording.channels
-    for sos in chain:
-        channels = filter_channels(sos, channels, zero_phase=config.zero_phase)
+    channels = filter_channels(
+        cascade(*chain), recording.channels, zero_phase=config.zero_phase
+    )
     return replace(recording, channels=channels)
 
 
@@ -518,16 +518,11 @@ def _score_plan(
 
 def _save_stats(stats: ChannelStats, directory: str) -> None:
     doc = {"mean": stats.mean.tolist(), "std": stats.std.tolist()}
-    write_atomic(
-        os.path.join(directory, "standardization.json"),
-        json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n",
-    )
+    write_document(os.path.join(directory, "standardization.json"), doc)
 
 
 def _load_stats(directory: str) -> ChannelStats:
-    path = os.path.join(directory, "standardization.json")
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+    doc = read_document(os.path.join(directory, "standardization.json"))
     return ChannelStats(np.asarray(doc["mean"]), np.asarray(doc["std"]))
 
 
@@ -668,10 +663,7 @@ def _run_tune(config: PipelineConfig, timings: Dict[str, float]) -> Dict:
             log_path=log_path,
         )
     best = {"value": study.best_value, "params": study.best_params}
-    write_atomic(
-        os.path.join(config.out_dir, "best_params.json"),
-        json.dumps(best, sort_keys=True, separators=(",", ":")) + "\n",
-    )
+    write_document(os.path.join(config.out_dir, "best_params.json"), best)
     return {
         "mode": "tune",
         "best_value": study.best_value,

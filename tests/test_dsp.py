@@ -135,6 +135,16 @@ class TestApply:
         want = naive_sosfilt(sos.sections, x)
         np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-12)
 
+    def test_cascade_equals_filters_in_sequence(self):
+        # the pipeline's one-pass chain: causal output is bit-identical
+        rng = np.random.default_rng(6)
+        x = rng.standard_normal((3, 700))
+        bp = design_bandpass(20.0, 380.0, order=5, sample_rate=FS)
+        n1 = design_notch(74.0, 30.0, FS)
+        n2 = design_notch(148.0, 30.0, FS)
+        want = filter_channels(n2, filter_channels(n1, filter_channels(bp, x)))
+        assert np.array_equal(filter_channels(cascade(bp, n1, n2), x), want)
+
     def test_zero_phase_matches_forward_backward_reference(self):
         # forward pass, then a forward pass over the reversal, both from
         # zero state (no edge-matched initial conditions)

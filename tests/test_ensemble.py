@@ -1,12 +1,12 @@
 """Stratified folds and probability-averaged bagging."""
 from __future__ import annotations
 
+import json
 import os
 
 import numpy as np
 import pytest
 
-from semgkit import ensemble
 from semgkit.ensemble import (
     BaggedModel,
     load_bagged,
@@ -15,7 +15,15 @@ from semgkit.ensemble import (
     stratified_kfold,
     train_bagged,
 )
-from semgkit.gbdt import BoostedModel, TrainParams, predict_label, train
+from semgkit.gbdt import (
+    BoostedModel,
+    ModelFormatError,
+    TrainParams,
+    bin_features,
+    predict_label,
+    train,
+)
+from semgkit.gbdt import io as gbdt_io
 
 
 class TestStratifiedKfold:
@@ -155,6 +163,27 @@ class TestTrainBagged:
             train_bagged(features, labels, params=TrainParams(max_rounds=2), k=1)
 
 
+class TestSharedBinning:
+    def test_members_share_edges_of_all_training_rows(self, make_blobs):
+        features, labels = make_blobs(n_per_class=40, seed=12)
+        params = TrainParams(max_rounds=3, max_bins=16)
+        model = train_bagged(features, labels, params=params, k=3)
+        want = bin_features(features, params.max_bins).edges
+        for member in model.members:
+            assert len(member.bin_edges) == len(want)
+            for got, edges in zip(member.bin_edges, want):
+                np.testing.assert_array_equal(got, edges)
+
+    def test_members_with_different_edges_rejected(self, make_blobs):
+        features, labels = make_blobs(n_per_class=40, seed=13)
+        params = TrainParams(max_rounds=2)
+        a = train(features[::2], labels[::2], params=params)
+        b = train(features[1::2], labels[1::2], params=params)
+        with pytest.raises(ValueError, match="one set of bin edges"):
+            BaggedModel(members=[a, b], fold_assignment=np.zeros(2, dtype=np.int64),
+                        seed=0)
+
+
 class TestBaggedIO:
     def test_save_load_round_trip(self, make_blobs, tmp_path):
         features, labels = make_blobs(n_per_class=40, seed=8)
@@ -162,9 +191,7 @@ class TestBaggedIO:
                              params=TrainParams(max_rounds=4, seed=5), k=3)
         out = tmp_path / "ensemble"
         save_bagged(model, out)
-        assert (out / "manifest.json").is_file()
-        for j in range(3):
-            assert (out / f"member_{j}.json").is_file()
+        assert os.listdir(out) == ["manifest.json"]
         loaded = load_bagged(out)
         assert loaded.k == 3
         assert loaded.seed == model.seed
@@ -181,9 +208,13 @@ class TestBaggedIO:
         a = tmp_path / "a"
         b = tmp_path / "b"
         save_bagged(model, a)
-        save_bagged(model, b)
+        save_bagged(load_bagged(a), b)
         assert (a / "manifest.json").read_bytes() == (b / "manifest.json").read_bytes()
-        assert (a / "member_0.json").read_bytes() == (b / "member_0.json").read_bytes()
+        doc = json.loads((a / "manifest.json").read_text())
+        assert sorted(doc) == ["bin_edges", "fold_assignment", "format_version",
+                               "member_bodies", "model_type", "seed"]
+        assert doc["format_version"] == 3
+        assert all("bin_edges" not in body for body in doc["member_bodies"])
 
     def test_load_rejects_missing_member(self, make_blobs, tmp_path):
         features, labels = make_blobs(n_per_class=30, seed=10)
@@ -191,32 +222,64 @@ class TestBaggedIO:
                              params=TrainParams(max_rounds=2), k=2)
         out = tmp_path / "broken"
         save_bagged(model, out)
-        (out / "member_1.json").unlink()
-        with pytest.raises((FileNotFoundError, OSError)):
+        path = out / "manifest.json"
+        doc = json.loads(path.read_text())
+        del doc["member_bodies"][1]
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match="at least two members"):
+            load_bagged(out)
+        del doc["member_bodies"]
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ModelFormatError, match="member_bodies"):
             load_bagged(out)
 
-    def test_failed_resave_is_not_loadable(self, make_blobs, tmp_path, monkeypatch):
-        # a save that dies after some members must not leave the old
-        # manifest pointing at a mix of old and new member files
+    def test_version_2_manifest_rejected(self, make_blobs, tmp_path):
+        features, labels = make_blobs(n_per_class=30, seed=14)
+        model = train_bagged(features, labels,
+                             params=TrainParams(max_rounds=2), k=2)
+        save_bagged(model, tmp_path)
+        path = tmp_path / "manifest.json"
+        doc = json.loads(path.read_text())
+        doc["format_version"] = 2
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ModelFormatError, match="format_version 2"):
+            load_bagged(tmp_path)
+
+    def test_failed_resave_keeps_old_ensemble(self, make_blobs, tmp_path, monkeypatch):
+        # a re-save that dies mid-write leaves the old ensemble loadable
+        # and unchanged, and no temp file behind
         features, labels = make_blobs(n_per_class=30, seed=11)
         old = train_bagged(features, labels, params=TrainParams(max_rounds=2), k=3)
         new = train_bagged(features, labels,
                            params=TrainParams(max_rounds=3, seed=1), k=3)
         out = tmp_path / "ensemble"
         save_bagged(old, out)
-        real_save = ensemble.save_model
-        calls = []
+        before = (out / "manifest.json").read_bytes()
 
-        def dies_on_third(member, path):
-            calls.append(path)
-            if len(calls) == 3:
+        class DiesMidWrite:
+            def __init__(self, fh):
+                self.fh = fh
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def write(self, text):
+                self.fh.write(text[: len(text) // 2])
                 raise OSError("killed mid-save")
-            real_save(member, path)
 
-        monkeypatch.setattr(ensemble, "save_model", dies_on_third)
+        real_open = open
+        monkeypatch.setattr(gbdt_io, "open",
+                            lambda *a, **kw: DiesMidWrite(real_open(*a, **kw)),
+                            raising=False)
         with pytest.raises(OSError, match="killed mid-save"):
             save_bagged(new, out)
-        assert not (out / "manifest.json").exists()
-        assert [p for p in os.listdir(out) if p.endswith(".tmp")] == []
-        with pytest.raises(FileNotFoundError):
-            load_bagged(out)
+        monkeypatch.undo()
+        assert os.listdir(out) == ["manifest.json"]
+        assert (out / "manifest.json").read_bytes() == before
+        loaded = load_bagged(out)
+        np.testing.assert_array_equal(
+            predict_bagged(loaded, features)[1], predict_bagged(old, features)[1]
+        )

@@ -257,14 +257,33 @@ class TestModelIO:
         assert clone.best_iteration == model.best_iteration
         np.testing.assert_array_equal(clone.classes, model.classes)
 
-    @pytest.mark.parametrize("version", [99, 1])
+    @pytest.mark.parametrize("version", [99, 2, 1])
     def test_bad_version_rejected(self, make_blobs, version):
         features, labels = make_blobs(n_per_class=40, seed=20)
         model = train(features, labels, params=TrainParams(max_rounds=2))
         doc = model_to_dict(model)
         doc["format_version"] = version
-        with pytest.raises(ModelFormatError, match=f"format_version {version}; expected 2"):
+        with pytest.raises(ModelFormatError, match=f"format_version {version}; expected 3"):
             model_from_dict(doc)
+
+    def test_version_2_file_rejected(self, make_blobs, tmp_path):
+        features, labels = make_blobs(n_per_class=40, seed=26)
+        model = train(features, labels, params=TrainParams(max_rounds=2))
+        path = tmp_path / "model.json"
+        save_model(model, path)
+        path.write_text(path.read_text().replace('"format_version":3', '"format_version":2'))
+        with pytest.raises(ModelFormatError, match="format_version 2"):
+            load_model(path)
+
+    def test_model_document_keys(self, make_blobs):
+        # header and bin edges plus the member body, nothing else
+        features, labels = make_blobs(n_per_class=40, seed=27)
+        model = train(features, labels, params=TrainParams(max_rounds=2))
+        assert sorted(model_to_dict(model)) == [
+            "best_iteration", "bin_edges", "class_weights", "classes",
+            "format_version", "history", "init_score", "model_type",
+            "params", "round_scales", "trees",
+        ]
 
     def test_missing_key_rejected(self, make_blobs):
         features, labels = make_blobs(n_per_class=40, seed=21)
