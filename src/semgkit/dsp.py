@@ -27,19 +27,15 @@ class SecondOrderSections:
     ----------
     sections : ndarray, shape (n_sections, 5)
         Rows of (b0, b1, b2, a1, a2) with a0 normalized to 1.
-    overall_gain : float
-        Scalar gain applied once per filtering pass.
     """
 
     sections: np.ndarray
-    overall_gain: float = 1.0
 
     def __post_init__(self) -> None:
         arr = np.atleast_2d(np.asarray(self.sections, dtype=np.float64))
         if arr.size == 0 or arr.shape[1] != 5:
             raise ValueError("sections must be a non-empty (n, 5) array")
         object.__setattr__(self, "sections", arr)
-        object.__setattr__(self, "overall_gain", float(self.overall_gain))
 
     @property
     def n_sections(self) -> int:
@@ -65,9 +61,7 @@ def cascade(*filters: SecondOrderSections) -> SecondOrderSections:
     """Concatenate several section cascades into one filter."""
     if not filters:
         raise ValueError("cascade requires at least one filter")
-    sections = np.vstack([f.sections for f in filters])
-    gain = float(np.prod([f.overall_gain for f in filters]))
-    return SecondOrderSections(sections, gain)
+    return SecondOrderSections(np.vstack([f.sections for f in filters]))
 
 
 def design_bandpass(
@@ -153,11 +147,8 @@ def filter_channels(
     if x.ndim == 0 or x.shape[-1] == 0:
         raise ValueError("channels must have a non-empty last axis")
     y = _sig.sosfilt(sos._scipy_sos(), x, axis=-1)
-    y *= sos.overall_gain
     if zero_phase:
-        y = _sig.sosfilt(sos._scipy_sos(), y[..., ::-1], axis=-1)
-        y *= sos.overall_gain
-        y = y[..., ::-1]
+        y = _sig.sosfilt(sos._scipy_sos(), y[..., ::-1], axis=-1)[..., ::-1]
     return y
 
 
@@ -168,8 +159,8 @@ def frequency_response(
 ) -> np.ndarray:
     """|H(e^{jw})| at the given frequencies.
 
-    The response is the product of the section responses times the
-    overall gain, evaluated at z = exp(j*2*pi*f/sample_rate).
+    The response is the product of the section responses, evaluated at
+    z = exp(j*2*pi*f/sample_rate).
     """
     f = np.asarray(freqs_hz, dtype=np.float64)
     nyq = sample_rate / 2.0
@@ -177,7 +168,7 @@ def frequency_response(
         raise ValueError(f"frequencies must lie in [0, {nyq}]")
     z1 = np.exp(-1j * 2.0 * np.pi * f / sample_rate)
     z2 = z1 * z1
-    h = np.full(f.shape, sos.overall_gain, dtype=np.complex128)
+    h = np.ones(f.shape, dtype=np.complex128)
     for b0, b1, b2, a1, a2 in sos.sections:
         h = h * (b0 + b1 * z1 + b2 * z2) / (1.0 + a1 * z1 + a2 * z2)
     return np.abs(h)

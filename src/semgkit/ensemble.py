@@ -6,7 +6,7 @@ prediction time. Stratification deals each class round-robin across folds
 so per-class fold counts differ by at most one.
 
 As in LightGBM's cv, the rows are binned once and all members share those
-edges; prediction bins once too. save_bagged writes one manifest.json that
+edges; prediction bins once too. save_bagged writes one model.json that
 holds the shared edges once and every member's body (see gbdt.io).
 """
 from __future__ import annotations
@@ -145,23 +145,27 @@ def predict_bagged(
 
 
 def save_bagged(model: BaggedModel, directory: Union[str, os.PathLike]) -> None:
-    """Write the ensemble to directory/manifest.json in one atomic write."""
+    """Write the ensemble to directory/model.json in one atomic write."""
     os.makedirs(directory, exist_ok=True)
     doc = new_document(MODEL_TYPE, model.members[0].bin_edges)
     doc["seed"] = int(model.seed)
     doc["fold_assignment"] = model.fold_assignment.tolist()
     doc["member_bodies"] = [member_to_dict(m) for m in model.members]
-    write_document(os.path.join(directory, "manifest.json"), doc)
+    write_document(os.path.join(directory, "model.json"), doc)
 
 
-def load_bagged(directory: Union[str, os.PathLike]) -> BaggedModel:
-    """Read an ensemble written by save_bagged."""
-    doc = read_document(os.path.join(directory, "manifest.json"))
+def bagged_from_dict(doc: dict) -> BaggedModel:
+    """Ensemble from a document written by save_bagged."""
     edges = open_document(doc, MODEL_TYPE)
     if not {"member_bodies", "seed", "fold_assignment"} <= doc.keys():
-        raise ModelFormatError("manifest lacks member_bodies, seed or fold_assignment")
+        raise ModelFormatError("document lacks member_bodies, seed or fold_assignment")
     return BaggedModel(
         members=[member_from_dict(body, edges) for body in doc["member_bodies"]],
         fold_assignment=np.asarray(doc["fold_assignment"], dtype=np.int64),
         seed=int(doc["seed"]),
     )
+
+
+def load_bagged(directory: Union[str, os.PathLike]) -> BaggedModel:
+    """Read an ensemble written by save_bagged."""
+    return bagged_from_dict(read_document(os.path.join(directory, "model.json")))

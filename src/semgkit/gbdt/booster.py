@@ -1,10 +1,11 @@
 """Multiclass gradient boosting with histogram trees.
 
 Each round fits one tree per class on the one-vs-all gradient of the
-class-weighted softmax cross-entropy. Raw scores start at the log class
-priors and accumulate learning_rate * tree output per round. Validation
-accuracy drives early stopping; prediction replays rounds up to the best
-validation round.
+class-weighted softmax cross-entropy. Each tree's leaf values are shrunk
+by the learning rate of the round that grew it, so raw scores are the log
+class priors plus a plain sum of tree outputs. Validation accuracy drives
+early stopping; prediction replays rounds up to the best validation
+round.
 
 One round loop (_boost) grows every model. It extends a starting model's
 first best_iteration rounds; _fit starts it from the class priors with no
@@ -86,7 +87,6 @@ class BoostedModel:
     classes: np.ndarray
     init_score: np.ndarray
     trees: List[List[Tree]]
-    round_scales: List[float]
     bin_edges: Tuple[np.ndarray, ...]
     class_weights: np.ndarray
     best_iteration: int
@@ -195,9 +195,8 @@ def _scores(model: BoostedModel, codes: np.ndarray, n_rounds: int) -> np.ndarray
     """
     raw = np.broadcast_to(model.init_score, (codes.shape[0], model.n_classes)).copy()
     for r in range(n_rounds):
-        scale = model.round_scales[r]
         for c, tree in enumerate(model.trees[r]):
-            raw[:, c] += scale * tree.predict_binned(codes)
+            raw[:, c] += tree.predict_binned(codes)
     return raw
 
 
@@ -257,8 +256,9 @@ def _boost(
         round_trees: List[Tree] = []
         for c in range(n_classes):
             tree = grow_tree(sub_binned, sub_grad[:, c], sub_hess[:, c], params, rng)
+            tree = replace(tree, value=params.learning_rate * tree.value)
             round_trees.append(tree)
-            all_raw[:, c] += params.learning_rate * tree.predict_binned(scored)
+            all_raw[:, c] += tree.predict_binned(scored)
         trees.append(round_trees)
         history["train_loss"].append(
             float(weighted_cross_entropy(raw, encoded, class_weights))
@@ -271,8 +271,6 @@ def _boost(
     return replace(
         start,
         trees=list(start.trees[:kept]) + trees,
-        round_scales=list(start.round_scales[:kept])
-        + [params.learning_rate] * len(trees),
         best_iteration=kept + (stopping.best_round if valid is not None else len(trees)),
         history=history,
     )
@@ -325,7 +323,6 @@ def _fit(
         classes=classes,
         init_score=_class_priors(encoded, n_classes),
         trees=[],
-        round_scales=[],
         bin_edges=binned.edges,
         class_weights=loss.weights_for(labels, classes),
         best_iteration=0,

@@ -1,12 +1,13 @@
 """Versioned JSON persistence for boosted models.
 
 A model document holds a header (format_version, model_type), the bin
-edges and a member body: every other model field. A single model's file
-holds one body; a bagged ensemble's (ensemble.save_bagged) holds the
-edges its members share once, and one body per member. Floats keep
-repr-level precision, so a round trip reproduces predictions bit for bit.
-Other format versions, earlier ones included, are rejected. Files are
-replaced atomically (write_atomic): a reader sees the old or the new file.
+edges and a member body: every other model field. Leaf values include
+the learning rate, so a model is its init scores plus a sum of trees.
+A plan saves one model.json: a single model's holds one body, a bagged
+ensemble's (ensemble.save_bagged) the edges its members share once and
+one body per member. Floats keep repr-level precision, so a round trip
+reproduces predictions bit for bit. Other format versions, earlier ones
+included, are rejected. Files are replaced atomically (write_atomic).
 """
 from __future__ import annotations
 
@@ -21,7 +22,7 @@ import numpy as np
 from .booster import BoostedModel, TrainParams
 from .tree import Tree
 
-FORMAT_VERSION = 3
+FORMAT_VERSION = 4
 MODEL_TYPE = "boosted_trees_multiclass"
 
 
@@ -68,7 +69,9 @@ def open_document(obj: dict, model_type: str) -> Tuple[np.ndarray, ...]:
             f"unsupported model format_version {version!r}; expected {FORMAT_VERSION}"
         )
     if obj.get("model_type") != model_type or "bin_edges" not in obj:
-        raise ModelFormatError(f"not a {model_type} document with bin_edges")
+        raise ModelFormatError(
+            f"not a {model_type} document with bin_edges: {obj.get('model_type')!r}"
+        )
     return tuple(np.asarray(e, dtype=np.float64) for e in obj["bin_edges"])
 
 
@@ -77,7 +80,6 @@ def member_to_dict(model: BoostedModel) -> dict:
     return {
         "classes": [int(c) for c in model.classes],
         "init_score": model.init_score.tolist(),
-        "round_scales": [float(s) for s in model.round_scales],
         "class_weights": model.class_weights.tolist(),
         "best_iteration": int(model.best_iteration),
         "params": dataclasses.asdict(model.params),
@@ -93,7 +95,6 @@ def member_from_dict(obj: dict, bin_edges: Tuple[np.ndarray, ...]) -> BoostedMod
             classes=np.asarray(obj["classes"], dtype=np.int64),
             init_score=np.asarray(obj["init_score"], dtype=np.float64),
             trees=[[_tree_from_dict(t) for t in rnd] for rnd in obj["trees"]],
-            round_scales=[float(s) for s in obj["round_scales"]],
             bin_edges=bin_edges,
             class_weights=np.asarray(obj["class_weights"], dtype=np.float64),
             best_iteration=int(obj["best_iteration"]),
@@ -104,8 +105,6 @@ def member_from_dict(obj: dict, bin_edges: Tuple[np.ndarray, ...]) -> BoostedMod
         raise ModelFormatError(f"malformed model document: {exc}") from exc
     if model.best_iteration < 0 or model.best_iteration > model.n_rounds:
         raise ModelFormatError("best_iteration outside the stored rounds")
-    if len(model.round_scales) != model.n_rounds:
-        raise ModelFormatError("round_scales length must match the round count")
     return model
 
 

@@ -40,8 +40,9 @@ from .dsp import (
     standardize,
 )
 from .ensemble import (
+    MODEL_TYPE as BAGGED_TYPE,
     BaggedModel,
-    load_bagged,
+    bagged_from_dict,
     save_bagged,
     stratified_kfold,
     train_bagged,
@@ -54,7 +55,8 @@ from .gbdt.booster import (
     detect_hard_classes,
     train,
 )
-from .gbdt.io import load_model, read_document, save_model, write_atomic, write_document
+from .gbdt.io import load_model, model_from_dict, read_document, save_model
+from .gbdt.io import write_atomic, write_document
 from .gbdt.objective import LossSpec
 from .hpo import default_space, optimize
 from .transfer import TransferConfig, TransferReport, transfer_report
@@ -580,9 +582,11 @@ def _run_train(config: PipelineConfig, timings: Dict[str, float]) -> Dict:
 
 
 def _load_plan_model(plan_dir: str) -> Union[BaggedModel, BoostedModel]:
-    if os.path.exists(os.path.join(plan_dir, "manifest.json")):
-        return load_bagged(plan_dir)
-    return load_model(os.path.join(plan_dir, "model.json"))
+    """The model in plan_dir/model.json, bagged or single by its model_type."""
+    doc = read_document(os.path.join(plan_dir, "model.json"))
+    if isinstance(doc, dict) and doc.get("model_type") == BAGGED_TYPE:
+        return bagged_from_dict(doc)
+    return model_from_dict(doc)
 
 
 def _run_evaluate(config: PipelineConfig, timings: Dict[str, float]) -> Dict:
@@ -679,7 +683,7 @@ def _resolve_base_model(path: str) -> Tuple[BoostedModel, ChannelStats]:
         if not os.path.exists(model_file):
             raise ValueError(
                 "transfer needs a single boosted model: expected model.json "
-                f"inside {path} (bagged ensembles are not valid bases)"
+                f"inside {path}"
             )
         stats_dir = path
     else:

@@ -1,10 +1,10 @@
 """Warm-start transfer of a boosted model onto a small target dataset.
 
 The source model's trees are frozen; target raw scores start from the
-source model's outputs and new rounds of trees fit the target gradients
-at a reduced learning rate. Class weights are recomputed on the target
-label balance. The result is one model holding base trees plus new trees,
-so its predictions decompose exactly into base score + new-tree score.
+source model's outputs, and new rounds of trees, their leaves shrunk by
+a reduced learning rate, fit the target gradients with class weights of
+the target label balance. The result holds base trees plus new trees, so
+its predictions decompose exactly into base score + new-tree score.
 warm_start runs the same round loop as booster.train, started from the
 base model instead of the class priors.
 """
@@ -69,9 +69,9 @@ def warm_start(
     """Continue boosting from the base model on target data.
 
     The base contributes its rounds up to best_iteration, bit for bit; new
-    rounds use the base bin edges, cfg.learning_rate, and class weights
-    recomputed from the target labels. Early stopping follows target
-    validation accuracy under the same rule as booster.train: with
+    rounds use the base bin edges, class weights recomputed from the target
+    labels, and leaves shrunk by cfg.learning_rate. Early stopping follows
+    target validation accuracy under the same rule as booster.train: with
     cfg.early_stop_rounds > 0 it stops after that many rounds without a
     gain, or as soon as target validation accuracy is 1.0 (before the
     first new round if the base already scores 1.0), in which case the

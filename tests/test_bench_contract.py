@@ -1,17 +1,28 @@
-"""The names bench/tracing.py wraps must exist in the package.
+"""What the benchmark relies on must exist in the package.
 
 Tracer.install() looks up every (module, attribute) in SPANNED and
 Tree.predict_binned with getattr, so renaming one of them would make every
 traced benchmark run fail. The tracer module is loaded from its file as it
 is, without importing the benchmark package.
+
+bench/worker.py also reads the model files a train run leaves:
+ensemble.load_bagged on each plan directory of a bagged run, and
+gbdt.io.load_model on plan_1/model.json of a single-model run. A change of
+layout must keep both working.
 """
 from __future__ import annotations
 
 import importlib
 import importlib.util
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
+
+from semgkit import ensemble, pipeline
+from semgkit.dataset import SyntheticSpec
+from semgkit.gbdt import BoostedModel, TrainParams
+from semgkit.gbdt import io as gbdt_io
 
 TRACING_PATH = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
 
@@ -37,3 +48,24 @@ def test_tree_predict_binned_exists():
     from semgkit.gbdt.tree import Tree
 
     assert callable(getattr(Tree, "predict_binned"))
+
+
+@pytest.mark.parametrize("bagged", [True, False], ids=["bagged", "single"])
+def test_train_files_load_as_the_worker_reads_them(tmp_path, bagged):
+    config = replace(
+        pipeline.default_config(),
+        synthetic=SyntheticSpec(n_classes=3, repetitions=6, hold_duration=0.8,
+                                rest_duration=0.25),
+        params=TrainParams(num_leaves=4, max_rounds=2, min_data_in_leaf=5, max_bins=15),
+        use_ensemble=bagged,
+        ensemble_k=3,
+        out_dir=str(tmp_path),
+    )
+    result = pipeline.run_pipeline(config, mode="train")
+    plan_dirs = [Path(result["model_dir"]) / f"plan_{i}" for i in (1, 2, 3)]
+    if bagged:
+        for plan_dir in plan_dirs:
+            assert len(ensemble.load_bagged(plan_dir).members) == config.ensemble_k
+    else:
+        for plan_dir in plan_dirs:
+            assert isinstance(gbdt_io.load_model(plan_dir / "model.json"), BoostedModel)

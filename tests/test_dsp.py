@@ -10,7 +10,6 @@ from scipy import signal as sp_signal
 from semgkit.dsp import (
     ChannelStats,
     DegenerateChannelError,
-    SecondOrderSections,
     cascade,
     compute_stats,
     design_bandpass,
@@ -152,8 +151,8 @@ class TestApply:
         x = rng.standard_normal(512)
         sos = design_bandpass(20.0, 200.0, order=4, sample_rate=FS)
         got = filter_channels(sos, x, zero_phase=True)
-        fwd = sp_signal.sosfilt(sos._scipy_sos(), x) * sos.overall_gain
-        want = (sp_signal.sosfilt(sos._scipy_sos(), fwd[::-1]) * sos.overall_gain)[::-1]
+        fwd = sp_signal.sosfilt(sos._scipy_sos(), x)
+        want = sp_signal.sosfilt(sos._scipy_sos(), fwd[::-1])[::-1]
         np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-12)
 
     def test_zero_phase_removes_delay(self):
@@ -196,14 +195,6 @@ class TestApply:
             filter_channels(sos, np.zeros(0))
         with pytest.raises(ValueError):
             filter_channels(sos, np.zeros((2, 0)))
-
-    def test_overall_gain_applied(self):
-        base = design_notch(74.0, 30.0, FS)
-        scaled = SecondOrderSections(base.sections, overall_gain=2.0)
-        x = np.random.default_rng(7).standard_normal(64)
-        np.testing.assert_allclose(
-            filter_channels(scaled, x), 2.0 * filter_channels(base, x), rtol=1e-12
-        )
 
 
 class TestStandardize:

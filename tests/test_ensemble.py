@@ -104,7 +104,6 @@ class TestTrainBagged:
                 classes=np.array([0, 1]),
                 init_score=init,
                 trees=[],
-                round_scales=[],
                 bin_edges=(np.array([0.0]),),
                 class_weights=np.ones(2),
                 best_iteration=0,
@@ -191,7 +190,7 @@ class TestBaggedIO:
                              params=TrainParams(max_rounds=4, seed=5), k=3)
         out = tmp_path / "ensemble"
         save_bagged(model, out)
-        assert os.listdir(out) == ["manifest.json"]
+        assert os.listdir(out) == ["model.json"]
         loaded = load_bagged(out)
         assert loaded.k == 3
         assert loaded.seed == model.seed
@@ -209,11 +208,11 @@ class TestBaggedIO:
         b = tmp_path / "b"
         save_bagged(model, a)
         save_bagged(load_bagged(a), b)
-        assert (a / "manifest.json").read_bytes() == (b / "manifest.json").read_bytes()
-        doc = json.loads((a / "manifest.json").read_text())
+        assert (a / "model.json").read_bytes() == (b / "model.json").read_bytes()
+        doc = json.loads((a / "model.json").read_text())
         assert sorted(doc) == ["bin_edges", "fold_assignment", "format_version",
                                "member_bodies", "model_type", "seed"]
-        assert doc["format_version"] == 3
+        assert doc["format_version"] == 4
         assert all("bin_edges" not in body for body in doc["member_bodies"])
 
     def test_load_rejects_missing_member(self, make_blobs, tmp_path):
@@ -222,7 +221,7 @@ class TestBaggedIO:
                              params=TrainParams(max_rounds=2), k=2)
         out = tmp_path / "broken"
         save_bagged(model, out)
-        path = out / "manifest.json"
+        path = out / "model.json"
         doc = json.loads(path.read_text())
         del doc["member_bodies"][1]
         path.write_text(json.dumps(doc))
@@ -238,7 +237,7 @@ class TestBaggedIO:
         model = train_bagged(features, labels,
                              params=TrainParams(max_rounds=2), k=2)
         save_bagged(model, tmp_path)
-        path = tmp_path / "manifest.json"
+        path = tmp_path / "model.json"
         doc = json.loads(path.read_text())
         doc["format_version"] = 2
         path.write_text(json.dumps(doc))
@@ -254,7 +253,7 @@ class TestBaggedIO:
                            params=TrainParams(max_rounds=3, seed=1), k=3)
         out = tmp_path / "ensemble"
         save_bagged(old, out)
-        before = (out / "manifest.json").read_bytes()
+        before = (out / "model.json").read_bytes()
 
         class DiesMidWrite:
             def __init__(self, fh):
@@ -277,8 +276,8 @@ class TestBaggedIO:
         with pytest.raises(OSError, match="killed mid-save"):
             save_bagged(new, out)
         monkeypatch.undo()
-        assert os.listdir(out) == ["manifest.json"]
-        assert (out / "manifest.json").read_bytes() == before
+        assert os.listdir(out) == ["model.json"]
+        assert (out / "model.json").read_bytes() == before
         loaded = load_bagged(out)
         np.testing.assert_array_equal(
             predict_bagged(loaded, features)[1], predict_bagged(old, features)[1]

@@ -22,6 +22,8 @@ from semgkit.gbdt import (
     train,
 )
 from semgkit.gbdt import io as gbdt_io
+from semgkit.gbdt.binning import apply_bins
+from semgkit.transfer import TransferConfig, warm_start
 
 
 def split_blobs(make_blobs, holdout=0.25, **kwargs):
@@ -204,6 +206,25 @@ class TestPrediction:
         again = predict_raw(model, features[:5], n_rounds=8)
         np.testing.assert_array_equal(full, again)
 
+    def test_raw_is_init_score_plus_tree_sum(self, make_blobs):
+        # leaf values carry the learning rate, so a model, trained or warm
+        # started at another rate, scores as its priors plus its trees
+        features, labels = make_blobs(n_per_class=60, seed=28)
+        trained = train(features[:120], labels[:120],
+                        params=TrainParams(max_rounds=5, learning_rate=0.3))
+        warmed = warm_start(trained, features[120:], labels[120:],
+                            cfg=TransferConfig(learning_rate=0.07, max_rounds=3))
+        probe = features[::7]
+        for model in (trained, warmed):
+            codes = apply_bins(probe, model.bin_edges)
+            for n in range(model.n_rounds + 1):
+                want = np.tile(model.init_score, (probe.shape[0], 1))
+                for rnd in model.trees[:n]:
+                    for c, tree in enumerate(rnd):
+                        want[:, c] += tree.predict_binned(codes)
+                np.testing.assert_array_equal(predict_raw(model, probe, n), want)
+        assert warmed.n_rounds == trained.n_rounds + 3
+
     def test_proba_rows_normalized(self, make_blobs):
         features, labels = make_blobs(n_per_class=60, seed=14)
         model = train(features, labels, params=TrainParams(max_rounds=5))
@@ -257,13 +278,13 @@ class TestModelIO:
         assert clone.best_iteration == model.best_iteration
         np.testing.assert_array_equal(clone.classes, model.classes)
 
-    @pytest.mark.parametrize("version", [99, 2, 1])
+    @pytest.mark.parametrize("version", [99, 3, 2, 1])
     def test_bad_version_rejected(self, make_blobs, version):
         features, labels = make_blobs(n_per_class=40, seed=20)
         model = train(features, labels, params=TrainParams(max_rounds=2))
         doc = model_to_dict(model)
         doc["format_version"] = version
-        with pytest.raises(ModelFormatError, match=f"format_version {version}; expected 3"):
+        with pytest.raises(ModelFormatError, match=f"format_version {version}; expected 4"):
             model_from_dict(doc)
 
     def test_version_2_file_rejected(self, make_blobs, tmp_path):
@@ -271,7 +292,7 @@ class TestModelIO:
         model = train(features, labels, params=TrainParams(max_rounds=2))
         path = tmp_path / "model.json"
         save_model(model, path)
-        path.write_text(path.read_text().replace('"format_version":3', '"format_version":2'))
+        path.write_text(path.read_text().replace('"format_version":4', '"format_version":2'))
         with pytest.raises(ModelFormatError, match="format_version 2"):
             load_model(path)
 
@@ -282,7 +303,7 @@ class TestModelIO:
         assert sorted(model_to_dict(model)) == [
             "best_iteration", "bin_edges", "class_weights", "classes",
             "format_version", "history", "init_score", "model_type",
-            "params", "round_scales", "trees",
+            "params", "trees",
         ]
 
     def test_missing_key_rejected(self, make_blobs):

@@ -1,6 +1,7 @@
 """Run-level tests: metrics, config parsing, report files, modes, CLI."""
 import json
 import os
+import shutil
 from dataclasses import replace
 
 import numpy as np
@@ -350,6 +351,14 @@ def trained_run(tmp_path_factory):
     return config, result
 
 
+@pytest.fixture(scope="module")
+def bagged_run(tmp_path_factory):
+    out = tmp_path_factory.mktemp("train_bagged")
+    config = replace(tiny_config(out), use_ensemble=True, ensemble_k=3)
+    result = run_pipeline(config, mode="train")
+    return config, result
+
+
 class TestRunModes:
     def test_train_mode_artifacts(self, trained_run):
         config, result = trained_run
@@ -438,6 +447,52 @@ class TestRunModes:
         with pytest.raises(PipelineError, match="single boosted model") as err:
             run_pipeline(config, mode="transfer")
         assert err.value.stage == "load_model"
+
+    def test_transfer_rejects_bagged_base(self, bagged_run, tmp_path):
+        _, result = bagged_run
+        config = tiny_config(tmp_path)
+        config.transfer_base_model = os.path.join(result["model_dir"], "plan_1")
+        with pytest.raises(PipelineError, match="bagged_ensemble") as err:
+            run_pipeline(config, mode="transfer")
+        assert err.value.stage == "load_model"
+
+    def test_evaluate_rejects_version_3_bagged_plan(self, bagged_run, tmp_path):
+        # a v3 bagged plan dir held its ensemble in manifest.json
+        config, result = bagged_run
+        model_dir = tmp_path / "model"
+        shutil.copytree(result["model_dir"], model_dir)
+        for i in (1, 2, 3):
+            plan_dir = model_dir / f"plan_{i}"
+            doc = json.loads((plan_dir / "model.json").read_text())
+            doc["format_version"] = 3
+            for body in doc["member_bodies"]:
+                body["round_scales"] = [body["params"]["learning_rate"]] * len(body["trees"])
+            (plan_dir / "manifest.json").write_text(json.dumps(doc))
+            (plan_dir / "model.json").unlink()
+        eval_config = replace(config, out_dir=str(tmp_path), model_dir=str(model_dir))
+        with pytest.raises(PipelineError) as err:
+            run_pipeline(eval_config, mode="evaluate")
+        assert err.value.stage == "load_model"
+
+    @pytest.mark.parametrize("first_bagged", [True, False])
+    def test_switching_model_kind_leaves_one_layout(self, tmp_path, first_bagged):
+        # bagged then single, or single then bagged, into one out: each run
+        # leaves only its own files, and evaluate scores what it trained
+        out = tmp_path / "out"
+        for bagged in (first_bagged, not first_bagged):
+            config = replace(tiny_config(out, seed=3), use_ensemble=bagged, ensemble_k=3)
+            result = run_pipeline(config, mode="train")
+            for i in (1, 2, 3):
+                plan_dir = os.path.join(result["model_dir"], f"plan_{i}")
+                assert sorted(os.listdir(plan_dir)) == ["model.json", "standardization.json"]
+            eval_out = tmp_path / f"eval_{bagged}"
+            rerun = run_pipeline(replace(config, out_dir=str(eval_out),
+                                         model_dir=result["model_dir"]),
+                                 mode="evaluate")
+            assert (
+                open(rerun["files"]["metrics"], "rb").read()
+                == open(result["files"]["metrics"], "rb").read()
+            )
 
     def test_tune_mode(self, tmp_path):
         config = replace(tiny_config(tmp_path), hpo_trials=3)

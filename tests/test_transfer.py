@@ -81,14 +81,26 @@ class TestWarmStart:
                 )
 
     def test_new_rounds_use_transfer_rate(self, base_setup):
+        # the new trees' leaf values carry cfg.learning_rate: the same first
+        # new round at twice the rate has twice the values (powers of two,
+        # so the ratio is exact)
         base, draw = base_setup
         target_x, target_y = draw(30, seed=5)
-        cfg = TransferConfig(learning_rate=0.033, max_rounds=3)
-        warm = warm_start(base, target_x, target_y, cfg=cfg)
         n_base = base.best_iteration
-        assert warm.round_scales[:n_base] == base.round_scales[:n_base]
-        assert warm.round_scales[n_base:] == [0.033] * 3
-        assert warm.best_iteration == n_base + 3  # no validation set given
+        slow, fast = (
+            warm_start(base, target_x, target_y,
+                       cfg=TransferConfig(learning_rate=rate, max_rounds=1))
+            for rate in (0.25, 0.5)
+        )
+        for warm in (slow, fast):
+            assert warm.n_rounds == warm.best_iteration == n_base + 1  # no validation set
+        for a, b in zip(slow.trees[n_base], fast.trees[n_base]):
+            np.testing.assert_array_equal(a.feature, b.feature)
+            np.testing.assert_array_equal(a.threshold, b.threshold)
+            np.testing.assert_array_equal(a.left, b.left)
+            np.testing.assert_array_equal(a.right, b.right)
+            np.testing.assert_array_equal(b.value, 2.0 * a.value)
+            assert np.any(a.value != 0.0)
 
     def test_labels_outside_base_classes_rejected(self, base_setup):
         base, draw = base_setup
@@ -120,7 +132,6 @@ class TestWarmStart:
         for r in range(n_base):
             for c in range(3):
                 assert warm.trees[r][c] is base.trees[r][c]
-        assert warm.round_scales[:n_base] == base.round_scales[:n_base]
         np.testing.assert_array_equal(
             predict_raw(warm, target_x, n_rounds=n_base),
             predict_raw(base, target_x, n_base),
