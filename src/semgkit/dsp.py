@@ -3,7 +3,9 @@
 Filters are designed as cascades of biquad sections (analog Butterworth
 prototype mapped through the bilinear transform with frequency pre-warping,
 plus single-biquad notches) and applied causally by default; a zero-phase
-mode runs the cascade forward and then time-reversed.
+mode runs the cascade forward and then time-reversed. Sections are kept in
+scipy's second-order-sections layout, so scipy.signal.sosfilt runs them as
+they are.
 """
 from __future__ import annotations
 
@@ -25,16 +27,18 @@ class SecondOrderSections:
 
     Parameters
     ----------
-    sections : ndarray, shape (n_sections, 5)
-        Rows of (b0, b1, b2, a1, a2) with a0 normalized to 1.
+    sections : ndarray, shape (n_sections, 6)
+        scipy's layout: rows of (b0, b1, b2, a0, a1, a2) with a0 = 1.
     """
 
     sections: np.ndarray
 
     def __post_init__(self) -> None:
         arr = np.atleast_2d(np.asarray(self.sections, dtype=np.float64))
-        if arr.size == 0 or arr.shape[1] != 5:
-            raise ValueError("sections must be a non-empty (n, 5) array")
+        if arr.size == 0 or arr.shape[1] != 6:
+            raise ValueError("sections must be a non-empty (n, 6) array")
+        if np.any(arr[:, 3] != 1.0):
+            raise ValueError("every section must have a0 = 1")
         object.__setattr__(self, "sections", arr)
 
     @property
@@ -44,17 +48,12 @@ class SecondOrderSections:
     def poles(self) -> np.ndarray:
         """Roots of every section denominator, concatenated."""
         out = []
-        for _, _, _, a1, a2 in self.sections:
-            out.extend(np.roots([1.0, a1, a2]))
+        for section in self.sections:
+            out.extend(np.roots(section[3:]))
         return np.asarray(out, dtype=np.complex128)
 
     def is_stable(self) -> bool:
         return bool(np.all(np.abs(self.poles()) < 1.0))
-
-    def _scipy_sos(self) -> np.ndarray:
-        b = self.sections[:, :3].copy()
-        a = self.sections[:, 3:]
-        return np.hstack([b, np.ones((self.n_sections, 1)), a])
 
 
 def cascade(*filters: SecondOrderSections) -> SecondOrderSections:
@@ -95,7 +94,7 @@ def design_bandpass(
         raise ValueError("order must be >= 1")
     sos = _sig.butter(order, [low_hz, high_hz], btype="bandpass",
                       fs=sample_rate, output="sos")
-    out = SecondOrderSections(np.hstack([sos[:, :3], sos[:, 4:]]))
+    out = SecondOrderSections(sos)
     if not out.is_stable():
         raise ValueError("designed bandpass is unstable")
     return out
@@ -121,9 +120,7 @@ def design_notch(
     if quality <= 0.0:
         raise ValueError("quality must be > 0")
     b, a = _sig.iirnotch(f0_hz, quality, fs=sample_rate)
-    b = b / a[0]
-    a = a / a[0]
-    out = SecondOrderSections(np.array([[b[0], b[1], b[2], a[1], a[2]]]))
+    out = SecondOrderSections(np.concatenate([b, a]) / a[0])
     if not out.is_stable():
         raise ValueError("designed notch is unstable")
     return out
@@ -146,9 +143,9 @@ def filter_channels(
     x = np.asarray(channels, dtype=np.float64)
     if x.ndim == 0 or x.shape[-1] == 0:
         raise ValueError("channels must have a non-empty last axis")
-    y = _sig.sosfilt(sos._scipy_sos(), x, axis=-1)
+    y = _sig.sosfilt(sos.sections, x, axis=-1)
     if zero_phase:
-        y = _sig.sosfilt(sos._scipy_sos(), y[..., ::-1], axis=-1)[..., ::-1]
+        y = _sig.sosfilt(sos.sections, y[..., ::-1], axis=-1)[..., ::-1]
     return y
 
 
@@ -169,7 +166,7 @@ def frequency_response(
     z1 = np.exp(-1j * 2.0 * np.pi * f / sample_rate)
     z2 = z1 * z1
     h = np.ones(f.shape, dtype=np.complex128)
-    for b0, b1, b2, a1, a2 in sos.sections:
+    for b0, b1, b2, _, a1, a2 in sos.sections:
         h = h * (b0 + b1 * z1 + b2 * z2) / (1.0 + a1 * z1 + a2 * z2)
     return np.abs(h)
 

@@ -19,7 +19,7 @@ from typing import List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .gbdt.binning import BinnedMatrix, apply_bins, bin_features
-from .gbdt.booster import BoostedModel, TrainParams, _fit, _scores
+from .gbdt.booster import BoostedModel, TrainParams, _checked_rows, _fit, _scores
 from .gbdt.io import ModelFormatError, member_from_dict, member_to_dict, new_document
 from .gbdt.io import open_document, read_document, write_document
 from .gbdt.objective import LossSpec, softmax
@@ -104,10 +104,7 @@ def train_bagged(
     by seed-sequence spawning so the members differ but the whole ensemble
     is reproducible.
     """
-    features = np.asarray(features, dtype=np.float64)
-    labels = np.asarray(labels)
-    if features.ndim != 2 or labels.shape != (features.shape[0],):
-        raise ValueError("features must be 2-D with one label per row")
+    features, labels = _checked_rows(features, labels)
     assignment = stratified_kfold(labels, k=k, seed=params.seed)
     children = np.random.SeedSequence(params.seed).spawn(k)
     binned = bin_features(features, params.max_bins)

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence, Tuple
 
 import numpy as np
@@ -41,7 +42,7 @@ class BinnedMatrix:
     def n_bins(self, feature: int) -> int:
         return len(self.edges[feature]) + 1
 
-    @property
+    @cached_property
     def max_width(self) -> int:
         """Largest bin count over all features; sizes tree histograms."""
         return max((len(e) + 1 for e in self.edges), default=2)
@@ -76,10 +77,7 @@ def apply_bins(features: np.ndarray, edges: Sequence[np.ndarray]) -> np.ndarray:
     """Map raw features to bin codes using stored edges."""
     x = np.asarray(features, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != len(edges):
-        raise ValueError(
-            f"feature dimension {x.shape[1] if x.ndim == 2 else None} "
-            f"does not match {len(edges)} edge arrays"
-        )
+        raise ValueError(f"features of shape {x.shape} do not match {len(edges)} edge arrays")
     codes = np.empty(x.shape, dtype=np.uint8)
     for j, e in enumerate(edges):
         codes[:, j] = np.searchsorted(e, x[:, j], side="left").astype(np.uint8)

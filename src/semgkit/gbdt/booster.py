@@ -168,6 +168,27 @@ def _class_priors(encoded: np.ndarray, n_classes: int) -> np.ndarray:
     return np.log(counts / counts.sum())
 
 
+def _checked_rows(
+    features: np.ndarray, labels: np.ndarray, width: Optional[int] = None
+) -> Tuple[np.ndarray, np.ndarray]:
+    """A row set as (C-contiguous float64 features, labels), checked.
+
+    Features must be 2-D with at least one row, labels 1-D with one entry
+    per row, and, when width is given, the features width columns wide.
+    """
+    x = np.ascontiguousarray(features, dtype=np.float64)
+    y = np.asarray(labels)
+    if x.ndim != 2 or x.shape[0] < 1:
+        raise ValueError("features must be a 2-D array with at least one row")
+    if y.shape != (x.shape[0],):
+        raise ValueError("labels must be 1-D with one entry per row")
+    if width is not None and x.shape[1] != width:
+        raise ValueError(
+            f"feature width {x.shape[1]} does not match the model width {width}"
+        )
+    return x, y
+
+
 def _valid_rows(
     valid_features: Optional[np.ndarray],
     valid_labels: Optional[np.ndarray],
@@ -178,12 +199,7 @@ def _valid_rows(
         raise ValueError("valid_features and valid_labels must come together")
     if valid_features is None:
         return None
-    vfeat = np.ascontiguousarray(valid_features, dtype=np.float64)
-    vlabels = np.asarray(valid_labels)
-    if vfeat.ndim != 2 or vfeat.shape[1] != len(bin_edges):
-        raise ValueError("valid_features must match the training width")
-    if vlabels.shape != (vfeat.shape[0],):
-        raise ValueError("valid_labels must be 1-D with one entry per row")
+    vfeat, vlabels = _checked_rows(valid_features, valid_labels, len(bin_edges))
     return apply_bins(vfeat, bin_edges), vlabels
 
 
@@ -218,7 +234,6 @@ def _boost(
     """
     params = start.params
     class_weights = start.class_weights
-    binned = BinnedMatrix(codes, start.bin_edges)
     n, n_classes = codes.shape[0], start.n_classes
     rng = np.random.default_rng(params.seed)
     scored = codes if valid is None else np.concatenate([codes, valid[0]])
@@ -239,19 +254,18 @@ def _boost(
             break
         grad, hess = grad_hess(raw, encoded, class_weights)
 
+        # this round's rows and their histogram weights
         if params.goss_enabled:
-            idx, mult = goss_sample(grad, params.top_rate, params.other_rate, rng)
-            sub_binned = BinnedMatrix(binned.codes[idx], binned.edges)
-            sub_grad = grad[idx] * mult[:, None]
-            sub_hess = hess[idx] * mult[:, None]
+            idx, weight = goss_sample(grad, params.top_rate, params.other_rate, rng)
         elif params.bagging_fraction < 1.0:
             n_keep = max(1, int(round(params.bagging_fraction * n)))
             idx = np.sort(rng.choice(n, size=n_keep, replace=False))
-            sub_binned = BinnedMatrix(binned.codes[idx], binned.edges)
-            sub_grad = grad[idx]
-            sub_hess = hess[idx]
+            weight = np.ones(n_keep)
         else:
-            sub_binned, sub_grad, sub_hess = binned, grad, hess
+            idx, weight = np.arange(n), np.ones(n)
+        sub_binned = BinnedMatrix(codes[idx], start.bin_edges)
+        sub_grad = grad[idx] * weight[:, None]
+        sub_hess = hess[idx] * weight[:, None]
 
         round_trees: List[Tree] = []
         for c in range(n_classes):
@@ -294,12 +308,7 @@ def train(
     accuracy reaches 1.0 (before round 1 if the priors already score 1.0);
     in the latter case the model ends at best_iteration.
     """
-    features = np.ascontiguousarray(train_features, dtype=np.float64)
-    if features.ndim != 2 or features.shape[0] < 1:
-        raise ValueError("train_features must be a 2-D array with rows")
-    labels = np.asarray(train_labels)
-    if labels.shape != (features.shape[0],):
-        raise ValueError("train_labels must be 1-D with one entry per row")
+    features, labels = _checked_rows(train_features, train_labels)
     binned = bin_features(features, params.max_bins)
     valid = _valid_rows(valid_features, valid_labels, binned.edges)
     return _fit(binned, labels, valid, params, loss)
@@ -339,9 +348,6 @@ def predict_raw(
     Extending a model by more rounds reproduces its prefix scores bit for
     bit (see _scores).
     """
-    features = np.ascontiguousarray(features, dtype=np.float64)
-    if features.ndim != 2:
-        raise ValueError("features must be a 2-D array")
     if n_rounds is None:
         n_rounds = model.best_iteration
     if n_rounds < 0 or n_rounds > model.n_rounds:

@@ -22,6 +22,7 @@ import numpy as np
 
 from .dataset import (
     Recording,
+    SplitPlan,
     SyntheticSpec,
     Window,
     generate_synthetic,
@@ -435,6 +436,11 @@ def _prepare_windows(
             )
         else:
             recording = generate_synthetic(spec)
+        if recording.sample_rate != config.features.sample_rate:
+            raise ValueError(
+                f"features.sample_rate {config.features.sample_rate} Hz does not "
+                f"match the recording's {recording.sample_rate} Hz"
+            )
     with _stage("filter", timings):
         recording = _filter_recording(config, recording)
     with _stage("segment", timings):
@@ -465,6 +471,16 @@ def _filter_recording(config: PipelineConfig, recording: Recording) -> Recording
         cascade(*chain), recording.channels, zero_phase=config.zero_phase
     )
     return replace(recording, channels=channels)
+
+
+def _plan_sides(
+    windows: Sequence[Window], plan: SplitPlan, number: int
+) -> Tuple[List[Window], List[Window]]:
+    """(train, test) windows of CV plan number; neither side may be empty."""
+    train_w, test_w = split_by_repetition(windows, plan)
+    if not train_w or not test_w:
+        raise ValueError(f"plan {number} leaves an empty train or test side")
+    return train_w, test_w
 
 
 def _standardized_features(
@@ -541,9 +557,7 @@ def _run_train(config: PipelineConfig, timings: Dict[str, float]) -> Dict:
 
     for i, plan in enumerate(plans, start=1):
         with _stage("standardize", timings):
-            train_w, test_w = split_by_repetition(windows, plan)
-            if not train_w or not test_w:
-                raise ValueError(f"plan {i} leaves an empty train or test side")
+            train_w, test_w = _plan_sides(windows, plan, i)
             stats = compute_stats(train_w)
         with _stage("features", timings):
             X_train, y_train = _standardized_features(train_w, stats, config.features)
@@ -634,8 +648,8 @@ def _run_tune(config: PipelineConfig, timings: Dict[str, float]) -> Dict:
 
     with _stage("features", timings):
         plan_data = []
-        for plan in plans:
-            train_w, test_w = split_by_repetition(windows, plan)
+        for i, plan in enumerate(plans, start=1):
+            train_w, test_w = _plan_sides(windows, plan, i)
             stats = compute_stats(train_w)
             plan_data.append(
                 _standardized_features(train_w, stats, config.features)

@@ -10,7 +10,7 @@ base model instead of the class priors.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -21,6 +21,7 @@ from .gbdt.booster import (
     BoostedModel,
     TrainParams,
     _boost,
+    _checked_rows,
     _encode_labels,
     _per_class_recall,
     _valid_rows,
@@ -38,22 +39,13 @@ class TransferConfig:
     early_stop_rounds: int = 30
 
     def __post_init__(self) -> None:
-        if self.learning_rate <= 0.0:
-            raise ValueError("learning_rate must be positive")
-        if self.max_rounds < 1:
-            raise ValueError("max_rounds must be at least 1")
-        if self.early_stop_rounds < 0:
-            raise ValueError("early_stop_rounds must be non-negative")
+        # every field is a TrainParams field, checked by TrainParams' rules
+        TrainParams(**asdict(self))
 
 
 def _phase_params(base: BoostedModel, cfg: TransferConfig, seed: Optional[int]) -> TrainParams:
-    return replace(
-        base.params,
-        learning_rate=cfg.learning_rate,
-        max_rounds=cfg.max_rounds,
-        early_stop_rounds=cfg.early_stop_rounds,
-        seed=base.params.seed if seed is None else int(seed),
-    )
+    seed = base.params.seed if seed is None else int(seed)
+    return replace(base.params, **asdict(cfg), seed=seed)
 
 
 def warm_start(
@@ -79,15 +71,9 @@ def warm_start(
     base rounds plus the best number of new rounds. Target labels outside
     the base class set are a domain error.
     """
-    features = np.ascontiguousarray(target_train_features, dtype=np.float64)
-    labels = np.asarray(target_train_labels)
-    if features.ndim != 2 or labels.shape != (features.shape[0],):
-        raise ValueError("target features must be 2-D with one label per row")
-    if features.shape[1] != len(base.bin_edges):
-        raise ValueError(
-            f"target feature width {features.shape[1]} does not match the "
-            f"base model width {len(base.bin_edges)}"
-        )
+    features, labels = _checked_rows(
+        target_train_features, target_train_labels, len(base.bin_edges)
+    )
     _, encoded = _encode_labels(labels, base.classes)
     valid = _valid_rows(target_valid_features, target_valid_labels, base.bin_edges)
     if loss is None:
@@ -157,10 +143,9 @@ def transfer_report(
     by both arms, trains both, and scores per-class recall and overall
     accuracy on the held-out test quarter.
     """
-    features = np.asarray(target_features, dtype=np.float64)
-    labels = np.asarray(target_labels)
-    if features.ndim != 2 or labels.shape != (features.shape[0],):
-        raise ValueError("target features must be 2-D with one label per row")
+    features, labels = _checked_rows(
+        target_features, target_labels, len(base.bin_edges)
+    )
     classes = base.classes
     n_classes = base.n_classes
     n_seeds = len(seeds)

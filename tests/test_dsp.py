@@ -10,6 +10,7 @@ from scipy import signal as sp_signal
 from semgkit.dsp import (
     ChannelStats,
     DegenerateChannelError,
+    SecondOrderSections,
     cascade,
     compute_stats,
     design_bandpass,
@@ -26,7 +27,7 @@ FS = 2000.0
 def naive_sosfilt(sections: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Direct-form II transposed biquad cascade, one sample at a time."""
     y = x.astype(np.float64).copy()
-    for b0, b1, b2, a1, a2 in sections:
+    for b0, b1, b2, _, a1, a2 in sections:
         out = np.empty_like(y)
         z1 = 0.0
         z2 = 0.0
@@ -107,6 +108,18 @@ class TestDesign:
         with pytest.raises(ValueError):
             design_notch(74.0, -1.0, FS)
 
+    def test_sections_use_scipy_layout(self):
+        sos = design_bandpass(20.0, 200.0, order=3, sample_rate=FS)
+        np.testing.assert_array_equal(
+            sos.sections,
+            sp_signal.butter(3, [20.0, 200.0], btype="bandpass", fs=FS, output="sos"),
+        )
+        assert np.all(design_notch(74.0, 30.0, FS).sections[:, 3] == 1.0)
+        with pytest.raises(ValueError, match=r"\(n, 6\)"):
+            SecondOrderSections(sos.sections[:, 1:])
+        with pytest.raises(ValueError, match="a0 = 1"):
+            SecondOrderSections(2.0 * sos.sections)
+
     def test_cascade_response_is_product(self):
         bp = design_bandpass(20.0, 200.0, 5, FS)
         nt = design_notch(74.0, 30.0, FS)
@@ -151,8 +164,8 @@ class TestApply:
         x = rng.standard_normal(512)
         sos = design_bandpass(20.0, 200.0, order=4, sample_rate=FS)
         got = filter_channels(sos, x, zero_phase=True)
-        fwd = sp_signal.sosfilt(sos._scipy_sos(), x)
-        want = sp_signal.sosfilt(sos._scipy_sos(), fwd[::-1])[::-1]
+        fwd = sp_signal.sosfilt(sos.sections, x)
+        want = sp_signal.sosfilt(sos.sections, fwd[::-1])[::-1]
         np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-12)
 
     def test_zero_phase_removes_delay(self):

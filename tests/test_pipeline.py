@@ -8,11 +8,19 @@ import numpy as np
 import pytest
 
 from semgkit.cli import _rewrite_mode_flag, main
-from semgkit.dataset import SyntheticSpec, load_recording
+from semgkit.dataset import SyntheticSpec, load_recording, make_cv_plans
+from semgkit.dsp import compute_stats
 from semgkit.gbdt import TrainParams
+from semgkit.gbdt.booster import detect_hard_classes
 from semgkit.pipeline import (
     PipelineConfig,
     PipelineError,
+    _effective,
+    _holdout_fit,
+    _load_plan_model,
+    _plan_sides,
+    _prepare_windows,
+    _standardized_features,
     default_config,
     emit_report,
     evaluate,
@@ -532,6 +540,100 @@ class TestRunModes:
         for record in records:
             assert record["status"] == "ok"
             assert "bagging_fraction" not in record["params"]
+
+    def test_tune_names_an_empty_plan_side(self, tmp_path):
+        # with 2 repetitions plan 3 tests on repetitions 4 and 6, which
+        # do not exist
+        config = replace(
+            tiny_config(tmp_path),
+            synthetic=replace(TINY_SPEC, repetitions=2),
+            hpo_fast=False,
+            hpo_trials=1,
+        )
+        with pytest.raises(PipelineError, match="plan 3 leaves an empty train or test side"):
+            run_pipeline(config, mode="tune")
+
+    def test_features_rate_must_match_recording(self, tmp_path):
+        # band powers of a 1 kHz recording read at 2 kHz would cover the
+        # wrong frequencies
+        config = replace(
+            tiny_config(tmp_path), synthetic=replace(TINY_SPEC, sample_rate=1000.0)
+        )
+        with pytest.raises(
+            PipelineError, match="2000.0 Hz does not match the recording's 1000.0 Hz"
+        ) as err:
+            run_pipeline(config, mode="train")
+        assert err.value.stage == "load"
+
+    @pytest.mark.parametrize("use_ensemble", [False, True])
+    def test_auto_hard_classes(self, tmp_path, use_ensemble):
+        # each plan's loss flags what detect_hard_classes finds on that
+        # plan's training rows, and a rerun is byte-identical
+        config = replace(
+            tiny_config(tmp_path / "a"),
+            synthetic=replace(TINY_SPEC, snr_db=-20.0),
+            auto_hard_classes=True,
+            use_ensemble=use_ensemble,
+            ensemble_k=3,
+        )
+        result = run_pipeline(config, mode="train")
+        rerun = run_pipeline(replace(config, out_dir=str(tmp_path / "b")), mode="train")
+        for name in ("metrics", "per_movement", "confusion"):
+            assert (
+                open(rerun["files"][name], "rb").read()
+                == open(result["files"][name], "rb").read()
+            )
+        spec, params = _effective(config)
+        windows = _prepare_windows(config, {}, spec)
+        for i, plan in enumerate(make_cv_plans(), start=1):
+            plan_dir = os.path.join(result["model_dir"], f"plan_{i}")
+            for name in ("model.json", "standardization.json"):
+                assert (
+                    open(os.path.join(plan_dir, name), "rb").read()
+                    == open(os.path.join(rerun["model_dir"], f"plan_{i}", name), "rb").read()
+                )
+            train_w, _ = _plan_sides(windows, plan, i)
+            X, y = _standardized_features(train_w, compute_stats(train_w), config.features)
+            detected = _holdout_fit(detect_hard_classes, X, y, params)
+            assert detected
+            model = _load_plan_model(plan_dir)
+            for member in model.members if use_ensemble else [model]:
+                weighted = {
+                    int(c) for c, w in zip(member.classes, member.class_weights) if w != 1.0
+                }
+                assert weighted == detected
+
+    def test_transfer_from_model_file(self, trained_run, tmp_path):
+        # a plan's model.json names the same base as its directory
+        config, result = trained_run
+        plan_dir = os.path.join(result["model_dir"], "plan_1")
+        reports = []
+        for k, base in enumerate((plan_dir, os.path.join(plan_dir, "model.json"))):
+            transfer_config = replace(
+                config,
+                out_dir=str(tmp_path / str(k)),
+                transfer_base_model=base,
+                transfer_seeds=(0,),
+                transfer=TransferConfig(learning_rate=0.2, max_rounds=4, early_stop_rounds=2),
+            )
+            out = run_pipeline(transfer_config, mode="transfer")
+            reports.append(open(out["files"]["transfer_report"], "rb").read())
+        assert reports[0] == reports[1]
+
+    def test_transfer_needs_stats_beside_model_file(self, trained_run, tmp_path):
+        _, result = trained_run
+        lone = tmp_path / "lone"
+        lone.mkdir()
+        shutil.copy(
+            os.path.join(result["model_dir"], "plan_1", "model.json"), lone / "model.json"
+        )
+        config = tiny_config(tmp_path / "out")
+        config.transfer_base_model = str(lone / "model.json")
+        with pytest.raises(
+            PipelineError, match="no standardization.json beside the base model"
+        ) as err:
+            run_pipeline(config, mode="transfer")
+        assert err.value.stage == "load_model"
 
     def test_bad_data_path_fails_in_load_stage(self, tmp_path):
         config = tiny_config(tmp_path)

@@ -6,6 +6,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from semgkit.ensemble import train_bagged
 from semgkit.gbdt import TrainParams, load_model, predict_raw, save_model, train
 from semgkit.transfer import (
     TransferConfig,
@@ -111,7 +112,7 @@ class TestWarmStart:
     def test_width_mismatch_rejected(self, base_setup):
         base, draw = base_setup
         target_x, target_y = draw(20, seed=7)
-        with pytest.raises(ValueError, match="does not match the base model width"):
+        with pytest.raises(ValueError, match="does not match the model width"):
             warm_start(base, target_x[:, :5], target_y)
 
     def test_truncated_base_keeps_best_prefix(self, base_setup):
@@ -298,3 +299,45 @@ class TestTransferReport:
             TransferConfig(learning_rate=0.0)
         with pytest.raises(ValueError):
             TransferConfig(max_rounds=0)
+        with pytest.raises(ValueError, match="learning_rate must be positive"):
+            TransferConfig(learning_rate=float("nan"))
+
+
+ROWS_2D = "features must be a 2-D array with at least one row"
+LABELS_1D = "labels must be 1-D with one entry per row"
+WIDTH = "does not match the model width"
+
+
+def _row_set_call(entry, base, x_ok, y_ok):
+    """The named entry point as a call on the row set under test."""
+    params, cfg = TrainParams(max_rounds=1), TransferConfig(max_rounds=1)
+    return {
+        "train": lambda x, y: train(x, y, params=params),
+        "train valid rows": lambda x, y: train(x_ok, y_ok, x, y, params=params),
+        "train_bagged": lambda x, y: train_bagged(x, y, params=params, k=2),
+        "warm_start": lambda x, y: warm_start(base, x, y, cfg=cfg),
+        "transfer_report": lambda x, y: transfer_report(x, y, base, cfg=cfg, seeds=(0,)),
+    }[entry]
+
+
+class TestRowChecks:
+    @pytest.mark.parametrize(
+        "entry",
+        ["train", "train valid rows", "train_bagged", "warm_start", "transfer_report"],
+    )
+    def test_one_message_set(self, base_setup, entry):
+        base, draw = base_setup
+        x, y = draw(8, seed=30)
+        call = _row_set_call(entry, base, x, y)
+        bad = [
+            (x[:, 0], y, ROWS_2D),
+            (x[:0], y[:0], ROWS_2D),
+            (x, y[:, None], LABELS_1D),
+            (x, y[:-1], LABELS_1D),
+        ]
+        if entry not in ("train", "train_bagged"):  # the two without a model width
+            bad.append((x[:, :5], y, WIDTH))
+        for features, labels, message in bad:
+            with pytest.raises(ValueError, match=message):
+                call(features, labels)
+        call(x, y)
