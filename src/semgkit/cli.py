@@ -15,10 +15,10 @@ from dataclasses import replace
 from typing import List, Optional, Sequence
 
 from .dataset import generate_synthetic, save_recording
-from .gbdt.io import write_atomic
 from .pipeline import (
     PipelineConfig,
     PipelineError,
+    _write_table,
     default_config,
     load_config,
     run_pipeline,
@@ -88,12 +88,11 @@ def _cmd_report(args: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
             return 1
-    os.makedirs(out_dir, exist_ok=True)
-    lines = ["movement," + ",".join(names)]
-    for i, movement in enumerate(movements):
-        lines.append(movement + "," + ",".join(t[i][1] for t in tables))
-    path = os.path.join(out_dir, "comparison.csv")
-    write_atomic(path, "\n".join(lines) + "\n")
+    path = _write_table(
+        os.path.join(out_dir, "comparison.csv"),
+        ["movement"] + names,
+        [[m] + [t[i][1] for t in tables] for i, m in enumerate(movements)],
+    )
     print(f"wrote {path}")
     return 0
 

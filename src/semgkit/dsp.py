@@ -47,10 +47,7 @@ class SecondOrderSections:
 
     def poles(self) -> np.ndarray:
         """Roots of every section denominator, concatenated."""
-        out = []
-        for section in self.sections:
-            out.extend(np.roots(section[3:]))
-        return np.asarray(out, dtype=np.complex128)
+        return _sig.sos2zpk(self.sections)[1]
 
     def is_stable(self) -> bool:
         return bool(np.all(np.abs(self.poles()) < 1.0))
@@ -156,19 +153,15 @@ def frequency_response(
 ) -> np.ndarray:
     """|H(e^{jw})| at the given frequencies.
 
-    The response is the product of the section responses, evaluated at
-    z = exp(j*2*pi*f/sample_rate).
+    The response is the product of the section responses, as
+    scipy.signal.sosfreqz evaluates it.
     """
     f = np.asarray(freqs_hz, dtype=np.float64)
     nyq = sample_rate / 2.0
     if f.size and (f.min() < 0.0 or f.max() > nyq):
         raise ValueError(f"frequencies must lie in [0, {nyq}]")
-    z1 = np.exp(-1j * 2.0 * np.pi * f / sample_rate)
-    z2 = z1 * z1
-    h = np.ones(f.shape, dtype=np.complex128)
-    for b0, b1, b2, _, a1, a2 in sos.sections:
-        h = h * (b0 + b1 * z1 + b2 * z2) / (1.0 + a1 * z1 + a2 * z2)
-    return np.abs(h)
+    _, h = _sig.sosfreqz(sos.sections, worN=f, fs=sample_rate)
+    return np.abs(h).reshape(f.shape)
 
 
 @dataclass(frozen=True)

@@ -52,8 +52,8 @@ class TrainParams:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.learning_rate:
-            raise ValueError("learning_rate must be positive")
+        if not 0.0 < self.learning_rate < np.inf:
+            raise ValueError("learning_rate must be positive and finite")
         if self.num_leaves < 2:
             raise ValueError("num_leaves must be at least 2")
         if self.max_rounds < 1:
@@ -173,13 +173,18 @@ def _checked_rows(
 ) -> Tuple[np.ndarray, np.ndarray]:
     """A row set as (C-contiguous float64 features, labels), checked.
 
-    Features must be 2-D with at least one row, labels 1-D with one entry
-    per row, and, when width is given, the features width columns wide.
+    Features must be finite and 2-D with at least one row and one column,
+    labels 1-D with one entry per row, and, when width is given, the
+    features width columns wide.
     """
     x = np.ascontiguousarray(features, dtype=np.float64)
     y = np.asarray(labels)
-    if x.ndim != 2 or x.shape[0] < 1:
-        raise ValueError("features must be a 2-D array with at least one row")
+    if x.ndim != 2 or x.shape[0] < 1 or x.shape[1] < 1:
+        raise ValueError(
+            "features must be a 2-D array with at least one row and one column"
+        )
+    if not np.isfinite(x).all():
+        raise ValueError("features must be finite: no NaN or infinity")
     if y.shape != (x.shape[0],):
         raise ValueError("labels must be 1-D with one entry per row")
     if width is not None and x.shape[1] != width:

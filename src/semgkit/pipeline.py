@@ -16,7 +16,7 @@ import os
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -56,7 +56,7 @@ from .gbdt.booster import (
     detect_hard_classes,
     train,
 )
-from .gbdt.io import load_model, model_from_dict, read_document, save_model
+from .gbdt.io import model_from_dict, read_document, save_model
 from .gbdt.io import write_atomic, write_document
 from .gbdt.objective import LossSpec
 from .hpo import default_space, optimize
@@ -100,10 +100,28 @@ class Metrics:
     macro_recall: float
     macro_f1: float
 
-    @property
-    def per_class_accuracy(self) -> np.ndarray:
-        """Per-class accuracy is the per-class recall."""
-        return self.per_class_recall
+
+def _confusion_metrics(confusion: np.ndarray) -> Metrics:
+    """Metrics of a confusion matrix whose rows are the true classes."""
+    n_classes = confusion.shape[0]
+    diag = np.diag(confusion).astype(np.float64)
+    rowsum = confusion.sum(axis=1).astype(np.float64)
+    colsum = confusion.sum(axis=0).astype(np.float64)
+    zeros = np.zeros(n_classes)
+    precision = np.divide(diag, colsum, out=zeros.copy(), where=colsum > 0)
+    recall = np.divide(diag, rowsum, out=zeros.copy(), where=rowsum > 0)
+    pr = precision + recall
+    f1 = np.divide(2.0 * precision * recall, pr, out=zeros.copy(), where=pr > 0)
+    return Metrics(
+        confusion=confusion,
+        accuracy=float(diag.sum() / confusion.sum()),
+        per_class_precision=precision,
+        per_class_recall=recall,
+        per_class_f1=f1,
+        macro_precision=float(precision.mean()),
+        macro_recall=float(recall.mean()),
+        macro_f1=float(f1.mean()),
+    )
 
 
 def evaluate(
@@ -128,24 +146,7 @@ def evaluate(
             raise ValueError(f"{name} labels must lie in 0..{n_classes - 1}")
     confusion = np.zeros((n_classes, n_classes), dtype=np.int64)
     np.add.at(confusion, (true, pred), 1)
-    diag = np.diag(confusion).astype(np.float64)
-    rowsum = confusion.sum(axis=1).astype(np.float64)
-    colsum = confusion.sum(axis=0).astype(np.float64)
-    zeros = np.zeros(n_classes)
-    precision = np.divide(diag, colsum, out=zeros.copy(), where=colsum > 0)
-    recall = np.divide(diag, rowsum, out=zeros.copy(), where=rowsum > 0)
-    pr = precision + recall
-    f1 = np.divide(2.0 * precision * recall, pr, out=zeros.copy(), where=pr > 0)
-    return Metrics(
-        confusion=confusion,
-        accuracy=float(diag.sum() / confusion.sum()),
-        per_class_precision=precision,
-        per_class_recall=recall,
-        per_class_f1=f1,
-        macro_precision=float(precision.mean()),
-        macro_recall=float(recall.mean()),
-        macro_f1=float(f1.mean()),
-    )
+    return _confusion_metrics(confusion)
 
 
 # ----------------------------------------------------------- configuration
@@ -338,8 +339,21 @@ def load_config(path: Union[str, os.PathLike]) -> PipelineConfig:
 # ------------------------------------------------------------- file output
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
+def _write_table(
+    path: str, header: Sequence[str], rows: Iterable[Sequence[object]]
+) -> str:
+    """Write a CSV table atomically, creating its directory; return its path.
+
+    Float cells are written as repr(float), so they read back exactly;
+    any other cell by str.
+    """
+    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+    lines = [",".join(header)]
+    for row in rows:
+        cells = (repr(float(v)) if isinstance(v, float) else str(v) for v in row)
+        lines.append(",".join(cells))
+    write_atomic(path, "\n".join(lines) + "\n")
+    return path
 
 
 def emit_report(
@@ -358,60 +372,32 @@ def emit_report(
     """
     if not plan_metrics:
         raise ValueError("at least one plan result is required")
-    out_dir = str(out_dir)
-    os.makedirs(out_dir, exist_ok=True)
     class_ids = [int(c) for c in class_ids]
-
-    lines = ["plan,accuracy,macro_precision,macro_recall,macro_f1"]
-    for i, m in enumerate(plan_metrics, start=1):
-        lines.append(
-            f"{i},{_fmt(m.accuracy)},{_fmt(m.macro_precision)},"
-            f"{_fmt(m.macro_recall)},{_fmt(m.macro_f1)}"
-        )
-    means = [
-        float(np.mean([m.accuracy for m in plan_metrics])),
-        float(np.mean([m.macro_precision for m in plan_metrics])),
-        float(np.mean([m.macro_recall for m in plan_metrics])),
-        float(np.mean([m.macro_f1 for m in plan_metrics])),
-    ]
-    lines.append("mean," + ",".join(_fmt(v) for v in means))
-    metrics_path = os.path.join(out_dir, "metrics.csv")
-    write_atomic(metrics_path, "\n".join(lines) + "\n")
-
-    pooled = np.zeros_like(plan_metrics[0].confusion)
-    for m in plan_metrics:
-        pooled = pooled + m.confusion
-    diag = np.diag(pooled).astype(np.float64)
-    rowsum = pooled.sum(axis=1).astype(np.float64)
-    per_class = np.divide(
-        diag, rowsum, out=np.zeros(len(class_ids)), where=rowsum > 0
-    )
-    lines = ["movement,accuracy"]
-    for cls, acc in zip(class_ids, per_class):
-        lines.append(f"{cls},{_fmt(acc)}")
-    lines.append(f"mean,{_fmt(float(per_class.mean()))}")
-    per_movement_path = os.path.join(out_dir, "per_movement.csv")
-    write_atomic(per_movement_path, "\n".join(lines) + "\n")
-
-    header = "true," + ",".join(f"pred_{c}" for c in class_ids)
-    lines = [header]
-    for cls, row in zip(class_ids, pooled):
-        lines.append(f"{cls}," + ",".join(str(int(v)) for v in row))
-    confusion_path = os.path.join(out_dir, "confusion.csv")
-    write_atomic(confusion_path, "\n".join(lines) + "\n")
-
-    summary_path = os.path.join(out_dir, "summary.csv")
-    write_atomic(
-        summary_path,
-        "accuracy,macro_precision,macro_recall,macro_f1,train_seconds\n"
-        + ",".join(_fmt(v) for v in means)
-        + f",{_fmt(train_seconds)}\n",
-    )
+    names = ["accuracy", "macro_precision", "macro_recall", "macro_f1"]
+    scores = [[getattr(m, name) for name in names] for m in plan_metrics]
+    means = [float(np.mean(column)) for column in zip(*scores)]
+    pooled = _confusion_metrics(sum(m.confusion for m in plan_metrics))
     return {
-        "metrics": metrics_path,
-        "per_movement": per_movement_path,
-        "confusion": confusion_path,
-        "summary": summary_path,
+        "metrics": _write_table(
+            os.path.join(out_dir, "metrics.csv"),
+            ["plan"] + names,
+            [[i] + row for i, row in enumerate(scores, start=1)] + [["mean"] + means],
+        ),
+        "per_movement": _write_table(
+            os.path.join(out_dir, "per_movement.csv"),
+            ["movement", "accuracy"],
+            [*zip(class_ids, pooled.per_class_recall), ("mean", pooled.macro_recall)],
+        ),
+        "confusion": _write_table(
+            os.path.join(out_dir, "confusion.csv"),
+            ["true"] + [f"pred_{c}" for c in class_ids],
+            [[cls] + list(row) for cls, row in zip(class_ids, pooled.confusion)],
+        ),
+        "summary": _write_table(
+            os.path.join(out_dir, "summary.csv"),
+            names + ["train_seconds"],
+            [means + [float(train_seconds)]],
+        ),
     }
 
 
@@ -494,6 +480,26 @@ def _standardized_features(
     return X, labels
 
 
+def _plan_rows(
+    config: PipelineConfig,
+    windows: Sequence[Window],
+    plan: SplitPlan,
+    number: int,
+    timings: Dict[str, float],
+) -> Tuple[ChannelStats, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(stats, X_train, y_train, X_test, y_test) of CV plan number.
+
+    Both sides are standardized with the stats of the train side.
+    """
+    with _stage("standardize", timings):
+        train_w, test_w = _plan_sides(windows, plan, number)
+        stats = compute_stats(train_w)
+    with _stage("features", timings):
+        train_rows = _standardized_features(train_w, stats, config.features)
+        test_rows = _standardized_features(test_w, stats, config.features)
+    return (stats, *train_rows, *test_rows)
+
+
 def _holdout_fit(
     fit: Callable[..., object],
     X: np.ndarray,
@@ -534,14 +540,63 @@ def _score_plan(
     )
 
 
-def _save_stats(stats: ChannelStats, directory: str) -> None:
+def _save_plan(
+    plan_dir: str, model: Union[BaggedModel, BoostedModel], stats: ChannelStats
+) -> None:
+    """Write a plan directory: model.json and standardization.json."""
+    os.makedirs(plan_dir, exist_ok=True)
+    if isinstance(model, BaggedModel):
+        save_bagged(model, plan_dir)
+    else:
+        save_model(model, os.path.join(plan_dir, "model.json"))
     doc = {"mean": stats.mean.tolist(), "std": stats.std.tolist()}
-    write_document(os.path.join(directory, "standardization.json"), doc)
+    write_document(os.path.join(plan_dir, "standardization.json"), doc)
 
 
-def _load_stats(directory: str) -> ChannelStats:
-    doc = read_document(os.path.join(directory, "standardization.json"))
-    return ChannelStats(np.asarray(doc["mean"]), np.asarray(doc["std"]))
+def _load_plan(path: str) -> Tuple[Union[BaggedModel, BoostedModel], ChannelStats]:
+    """The model and stats saved by _save_plan.
+
+    path is a plan directory or its model.json; the model is bagged or
+    single by its model_type, and standardization.json must sit beside it.
+    """
+    model_file = os.path.join(path, "model.json") if os.path.isdir(path) else path
+    doc = read_document(model_file)
+    if isinstance(doc, dict) and doc.get("model_type") == BAGGED_TYPE:
+        model: Union[BaggedModel, BoostedModel] = bagged_from_dict(doc)
+    else:
+        model = model_from_dict(doc)
+    directory = os.path.dirname(model_file) or "."
+    stats_file = os.path.join(directory, "standardization.json")
+    if not os.path.exists(stats_file):
+        raise ValueError(
+            f"no standardization.json beside the base model in {directory}"
+        )
+    doc = read_document(stats_file)
+    return model, ChannelStats(np.asarray(doc["mean"]), np.asarray(doc["std"]))
+
+
+def _report(
+    mode: str,
+    config: PipelineConfig,
+    plan_metrics: Sequence[Metrics],
+    class_ids: np.ndarray,
+    timings: Dict[str, float],
+) -> Dict:
+    """Write the report files of a train or evaluate run; return its result.
+
+    summary.csv's train_seconds is the run's train stage time, 0.0 when
+    the run trained nothing.
+    """
+    with _stage("report", timings):
+        paths = emit_report(
+            plan_metrics, class_ids, config.out_dir, timings.get("train", 0.0)
+        )
+    return {
+        "mode": mode,
+        "mean_accuracy": float(np.mean([m.accuracy for m in plan_metrics])),
+        "plan_accuracies": [m.accuracy for m in plan_metrics],
+        "files": paths,
+    }
 
 
 # -------------------------------------------------------------- run modes
@@ -551,17 +606,13 @@ def _run_train(config: PipelineConfig, timings: Dict[str, float]) -> Dict:
     spec, params = _effective(config)
     windows = _prepare_windows(config, timings, spec)
     class_ids = np.unique([w.label for w in windows])
-    plans = make_cv_plans()
     plan_metrics: List[Metrics] = []
     model_root = config.resolved_model_dir()
 
-    for i, plan in enumerate(plans, start=1):
-        with _stage("standardize", timings):
-            train_w, test_w = _plan_sides(windows, plan, i)
-            stats = compute_stats(train_w)
-        with _stage("features", timings):
-            X_train, y_train = _standardized_features(train_w, stats, config.features)
-            X_test, y_test = _standardized_features(test_w, stats, config.features)
+    for i, plan in enumerate(make_cv_plans(), start=1):
+        stats, X_train, y_train, X_test, y_test = _plan_rows(
+            config, windows, plan, i, timings
+        )
         with _stage("train", timings):
             loss = _loss_for_plan(config, params, X_train, y_train)
             if config.use_ensemble:
@@ -572,35 +623,14 @@ def _run_train(config: PipelineConfig, timings: Dict[str, float]) -> Dict:
                 model = _holdout_fit(train, X_train, y_train, params, loss=loss)
             pred = model.predict_label(X_test)
         with _stage("save", timings):
-            plan_dir = os.path.join(model_root, f"plan_{i}")
-            os.makedirs(plan_dir, exist_ok=True)
-            if isinstance(model, BaggedModel):
-                save_bagged(model, plan_dir)
-            else:
-                save_model(model, os.path.join(plan_dir, "model.json"))
-            _save_stats(stats, plan_dir)
+            _save_plan(os.path.join(model_root, f"plan_{i}"), model, stats)
         with _stage("evaluate", timings):
             plan_metrics.append(_score_plan(pred, y_test, class_ids))
 
-    with _stage("report", timings):
-        paths = emit_report(
-            plan_metrics, class_ids, config.out_dir, timings.get("train", 0.0)
-        )
     return {
-        "mode": "train",
-        "mean_accuracy": float(np.mean([m.accuracy for m in plan_metrics])),
-        "plan_accuracies": [m.accuracy for m in plan_metrics],
-        "files": paths,
+        **_report("train", config, plan_metrics, class_ids, timings),
         "model_dir": model_root,
     }
-
-
-def _load_plan_model(plan_dir: str) -> Union[BaggedModel, BoostedModel]:
-    """The model in plan_dir/model.json, bagged or single by its model_type."""
-    doc = read_document(os.path.join(plan_dir, "model.json"))
-    if isinstance(doc, dict) and doc.get("model_type") == BAGGED_TYPE:
-        return bagged_from_dict(doc)
-    return model_from_dict(doc)
 
 
 def _run_evaluate(config: PipelineConfig, timings: Dict[str, float]) -> Dict:
@@ -610,33 +640,19 @@ def _run_evaluate(config: PipelineConfig, timings: Dict[str, float]) -> Dict:
         raise PipelineError("load", f"model directory not found: {model_root}")
     windows = _prepare_windows(config, timings, spec)
     class_ids = np.unique([w.label for w in windows])
-    plans = make_cv_plans()
     plan_metrics: List[Metrics] = []
 
-    for i, plan in enumerate(plans, start=1):
-        plan_dir = os.path.join(model_root, f"plan_{i}")
+    for i, plan in enumerate(make_cv_plans(), start=1):
         with _stage("load_model", timings):
-            if not os.path.isdir(plan_dir):
-                raise ValueError(f"missing saved plan directory: {plan_dir}")
-            model = _load_plan_model(plan_dir)
-            stats = _load_stats(plan_dir)
+            model, stats = _load_plan(os.path.join(model_root, f"plan_{i}"))
         with _stage("features", timings):
-            _, test_w = split_by_repetition(windows, plan)
-            if not test_w:
-                raise ValueError(f"plan {i} has no test windows")
+            _, test_w = _plan_sides(windows, plan, i)
             X_test, y_test = _standardized_features(test_w, stats, config.features)
         with _stage("evaluate", timings):
             pred = model.predict_label(X_test)
             plan_metrics.append(_score_plan(pred, y_test, class_ids))
 
-    with _stage("report", timings):
-        paths = emit_report(plan_metrics, class_ids, config.out_dir, 0.0)
-    return {
-        "mode": "evaluate",
-        "mean_accuracy": float(np.mean([m.accuracy for m in plan_metrics])),
-        "plan_accuracies": [m.accuracy for m in plan_metrics],
-        "files": paths,
-    }
+    return _report("evaluate", config, plan_metrics, class_ids, timings)
 
 
 def _run_tune(config: PipelineConfig, timings: Dict[str, float]) -> Dict:
@@ -645,16 +661,10 @@ def _run_tune(config: PipelineConfig, timings: Dict[str, float]) -> Dict:
     plans = make_cv_plans()
     if config.hpo_fast:
         plans = plans[:1]
-
-    with _stage("features", timings):
-        plan_data = []
-        for i, plan in enumerate(plans, start=1):
-            train_w, test_w = _plan_sides(windows, plan, i)
-            stats = compute_stats(train_w)
-            plan_data.append(
-                _standardized_features(train_w, stats, config.features)
-                + _standardized_features(test_w, stats, config.features)
-            )
+    plan_data = [
+        _plan_rows(config, windows, plan, i, timings)[1:]
+        for i, plan in enumerate(plans, start=1)
+    ]
 
     base_loss = LossSpec(gain=config.loss_gain, hard_classes=config.hard_classes)
     space = default_space()
@@ -692,23 +702,16 @@ def _run_tune(config: PipelineConfig, timings: Dict[str, float]) -> Dict:
 
 
 def _resolve_base_model(path: str) -> Tuple[BoostedModel, ChannelStats]:
-    if os.path.isdir(path):
-        model_file = os.path.join(path, "model.json")
-        if not os.path.exists(model_file):
-            raise ValueError(
-                "transfer needs a single boosted model: expected model.json "
-                f"inside {path}"
-            )
-        stats_dir = path
-    else:
-        model_file = path
-        stats_dir = os.path.dirname(path) or "."
-    model = load_model(model_file)
-    if not os.path.exists(os.path.join(stats_dir, "standardization.json")):
+    """The transfer base saved at path, which must be a single boosted model."""
+    try:
+        model, stats = _load_plan(path)
+    except FileNotFoundError as exc:
+        raise ValueError(f"transfer needs a single boosted model: {exc}") from exc
+    if not isinstance(model, BoostedModel):
         raise ValueError(
-            f"no standardization.json beside the base model in {stats_dir}"
+            f"transfer needs a single boosted model, not a {BAGGED_TYPE}: {path}"
         )
-    return model, _load_stats(stats_dir)
+    return model, stats
 
 
 def _run_transfer(config: PipelineConfig, timings: Dict[str, float]) -> Dict:
@@ -760,16 +763,11 @@ def write_transfer_csv(
     report: TransferReport, out_dir: Union[str, os.PathLike]
 ) -> str:
     """Per-class before/after table plus a mean row."""
-    out_dir = str(out_dir)
-    os.makedirs(out_dir, exist_ok=True)
-    lines = ["movement,before_accuracy,after_accuracy"]
-    for cls, before, after in report.per_class_rows():
-        lines.append(f"{cls},{_fmt(before)},{_fmt(after)}")
-    before_mean, after_mean = report.mean_row()
-    lines.append(f"mean,{_fmt(before_mean)},{_fmt(after_mean)}")
-    path = os.path.join(out_dir, "transfer_report.csv")
-    write_atomic(path, "\n".join(lines) + "\n")
-    return path
+    return _write_table(
+        os.path.join(out_dir, "transfer_report.csv"),
+        ["movement", "before_accuracy", "after_accuracy"],
+        report.per_class_rows() + [("mean",) + report.mean_row()],
+    )
 
 
 MODES = ("train", "evaluate", "tune", "transfer")

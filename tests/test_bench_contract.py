@@ -8,7 +8,8 @@ is, without importing the benchmark package.
 bench/worker.py also reads the model files a train run leaves:
 ensemble.load_bagged on each plan directory of a bagged run, and
 gbdt.io.load_model on plan_1/model.json of a single-model run. A change of
-layout must keep both working.
+layout must keep both working. On transfer it collects each run's
+TransferReport by replacing pipeline.transfer_report.
 """
 from __future__ import annotations
 
@@ -69,3 +70,30 @@ def test_train_files_load_as_the_worker_reads_them(tmp_path, bagged):
     else:
         for plan_dir in plan_dirs:
             assert isinstance(gbdt_io.load_model(plan_dir / "model.json"), BoostedModel)
+
+
+def test_transfer_mode_calls_the_module_global_transfer_report(tmp_path, monkeypatch):
+    config = replace(
+        pipeline.default_config(),
+        synthetic=SyntheticSpec(n_classes=3, repetitions=6, hold_duration=0.8,
+                                rest_duration=0.25),
+        params=TrainParams(num_leaves=4, max_rounds=2, min_data_in_leaf=5, max_bins=15),
+        use_ensemble=False,
+        out_dir=str(tmp_path / "base"),
+    )
+    base = pipeline.run_pipeline(config, mode="train")
+    reports = []
+    report_fn = pipeline.transfer_report
+
+    def keep_report(*args, **kwargs):
+        reports.append(report_fn(*args, **kwargs))
+        return reports[-1]
+
+    monkeypatch.setattr(pipeline, "transfer_report", keep_report)
+    result = pipeline.run_pipeline(
+        replace(config, out_dir=str(tmp_path / "transfer"), transfer_seeds=(0,),
+                transfer_base_model=str(Path(base["model_dir"]) / "plan_1")),
+        mode="transfer",
+    )
+    assert len(reports) == 1
+    assert reports[0].mean_row() == (result["before_mean"], result["after_mean"])

@@ -115,6 +115,8 @@ class TestTraining:
     def test_params_validation(self):
         with pytest.raises(ValueError):
             TrainParams(learning_rate=0.0)
+        with pytest.raises(ValueError, match="positive and finite"):
+            TrainParams(learning_rate=float("inf"))
         with pytest.raises(ValueError):
             TrainParams(num_leaves=1)
         with pytest.raises(ValueError):

@@ -9,7 +9,6 @@ import pytest
 
 from semgkit.cli import _rewrite_mode_flag, main
 from semgkit.dataset import SyntheticSpec, load_recording, make_cv_plans
-from semgkit.dsp import compute_stats
 from semgkit.gbdt import TrainParams
 from semgkit.gbdt.booster import detect_hard_classes
 from semgkit.pipeline import (
@@ -17,17 +16,17 @@ from semgkit.pipeline import (
     PipelineError,
     _effective,
     _holdout_fit,
-    _load_plan_model,
-    _plan_sides,
+    _load_plan,
+    _plan_rows,
     _prepare_windows,
-    _standardized_features,
     default_config,
     emit_report,
     evaluate,
     load_config,
     run_pipeline,
+    write_transfer_csv,
 )
-from semgkit.transfer import TransferConfig
+from semgkit.transfer import TransferConfig, TransferReport
 
 
 class TestEvaluate:
@@ -66,10 +65,6 @@ class TestEvaluate:
         assert m.per_class_recall[1] == 0.0  # no true samples: 0/0
         assert m.per_class_f1.sum() == 0.0
         assert m.accuracy == 0.0
-
-    def test_per_class_accuracy_is_recall(self):
-        m = evaluate([0, 1, 1, 1], [0, 0, 1, 1], 2)
-        assert np.array_equal(m.per_class_accuracy, m.per_class_recall)
 
     def test_macro_scores_are_unweighted_means(self):
         rng = np.random.default_rng(3)
@@ -330,6 +325,42 @@ class TestEmitReport:
     def test_empty_plan_list_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="at least one plan"):
             emit_report([], [0], tmp_path)
+
+    def test_exact_bytes(self, tmp_path, two_plans):
+        paths = emit_report(two_plans, [1, 5], tmp_path, train_seconds=12.25)
+        third = "0.6666666666666666"  # accuracy and macro_f1 of both plans
+        expected = {
+            "metrics": "plan,accuracy,macro_precision,macro_recall,macro_f1\n"
+            f"1,{third},0.75,0.75,{third}\n2,{third},0.75,0.75,{third}\n"
+            f"mean,{third},0.75,0.75,{third}\n",
+            "per_movement": f"movement,accuracy\n1,{third}\n5,{third}\nmean,{third}\n",
+            "confusion": "true,pred_1,pred_5\n1,2,1\n5,1,2\n",
+            "summary": "accuracy,macro_precision,macro_recall,macro_f1,train_seconds\n"
+            f"{third},0.75,0.75,{third},12.25\n",
+        }
+        for name, text in expected.items():
+            assert open(paths[name], "rb").read() == text.encode()
+
+
+class TestTransferCsv:
+    def test_exact_bytes_with_an_absent_class(self, tmp_path):
+        # class 4 is absent from every seed's test split: its row is nan
+        # and the mean row skips it
+        nan = np.nan
+        report = TransferReport(
+            classes=np.array([1, 4, 7]),
+            seeds=(0, 1),
+            before_per_class=np.array([[0.5, nan, 1.0], [0.25, nan, 0.75]]),
+            after_per_class=np.array([[1.0, nan, 0.5], [0.75, nan, 1.0]]),
+            before_accuracy=np.array([0.6, 0.4]),
+            after_accuracy=np.array([0.7, 0.9]),
+        )
+        with pytest.warns(RuntimeWarning, match="Mean of empty slice"):
+            path = write_transfer_csv(report, tmp_path / "out")
+        assert open(path, "rb").read() == (
+            b"movement,before_accuracy,after_accuracy\n"
+            b"1,0.375,0.875\n4,nan,nan\n7,0.875,0.75\nmean,0.625,0.8125\n"
+        )
 
 
 TINY_SPEC = SyntheticSpec(
@@ -592,11 +623,10 @@ class TestRunModes:
                     open(os.path.join(plan_dir, name), "rb").read()
                     == open(os.path.join(rerun["model_dir"], f"plan_{i}", name), "rb").read()
                 )
-            train_w, _ = _plan_sides(windows, plan, i)
-            X, y = _standardized_features(train_w, compute_stats(train_w), config.features)
+            _, X, y, _, _ = _plan_rows(config, windows, plan, i, {})
             detected = _holdout_fit(detect_hard_classes, X, y, params)
             assert detected
-            model = _load_plan_model(plan_dir)
+            model, _ = _load_plan(plan_dir)
             for member in model.members if use_ensemble else [model]:
                 weighted = {
                     int(c) for c, w in zip(member.classes, member.class_weights) if w != 1.0
@@ -737,10 +767,9 @@ class TestCli:
             "report", str(tmp_path / "run_x"), str(tmp_path / "run_y"),
             "--out", str(out),
         ]) == 0
-        rows = read_rows(out / "comparison.csv")
-        assert rows[0] == ["movement", "run_x", "run_y"]
-        assert rows[1] == ["1", "0.5", "0.75"]
-        assert rows[3] == ["mean", "0.4", "0.4"]
+        assert (out / "comparison.csv").read_bytes() == (
+            b"movement,run_x,run_y\n1,0.5,0.75\n2,0.25,0.25\nmean,0.4,0.4\n"
+        )
 
     def test_report_missing_table_fails(self, tmp_path, capsys):
         (tmp_path / "empty").mkdir()

@@ -299,13 +299,15 @@ class TestTransferReport:
             TransferConfig(learning_rate=0.0)
         with pytest.raises(ValueError):
             TransferConfig(max_rounds=0)
-        with pytest.raises(ValueError, match="learning_rate must be positive"):
-            TransferConfig(learning_rate=float("nan"))
+        for rate in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="positive and finite"):
+                TransferConfig(learning_rate=rate)
 
 
 ROWS_2D = "features must be a 2-D array with at least one row"
 LABELS_1D = "labels must be 1-D with one entry per row"
 WIDTH = "does not match the model width"
+FINITE = "features must be finite"
 
 
 def _row_set_call(entry, base, x_ok, y_ok):
@@ -329,9 +331,13 @@ class TestRowChecks:
         base, draw = base_setup
         x, y = draw(8, seed=30)
         call = _row_set_call(entry, base, x, y)
+        x_nan = x.copy()
+        x_nan[3, 2] = np.nan
         bad = [
             (x[:, 0], y, ROWS_2D),
             (x[:0], y[:0], ROWS_2D),
+            (x[:, :0], y, ROWS_2D),
+            (x_nan, y, FINITE),
             (x, y[:, None], LABELS_1D),
             (x, y[:-1], LABELS_1D),
         ]
