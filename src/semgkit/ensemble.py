@@ -141,18 +141,23 @@ def predict_bagged(
     return labels, probs
 
 
-def save_bagged(model: BaggedModel, directory: Union[str, os.PathLike]) -> None:
-    """Write the ensemble to directory/model.json in one atomic write."""
-    os.makedirs(directory, exist_ok=True)
+def bagged_to_dict(model: BaggedModel) -> dict:
+    """JSON-ready ensemble: the shared edges once and one body per member."""
     doc = new_document(MODEL_TYPE, model.members[0].bin_edges)
     doc["seed"] = int(model.seed)
     doc["fold_assignment"] = model.fold_assignment.tolist()
     doc["member_bodies"] = [member_to_dict(m) for m in model.members]
-    write_document(os.path.join(directory, "model.json"), doc)
+    return doc
+
+
+def save_bagged(model: BaggedModel, directory: Union[str, os.PathLike]) -> None:
+    """Write the ensemble to directory/model.json in one atomic write."""
+    os.makedirs(directory, exist_ok=True)
+    write_document(os.path.join(directory, "model.json"), bagged_to_dict(model))
 
 
 def bagged_from_dict(doc: dict) -> BaggedModel:
-    """Ensemble from a document written by save_bagged."""
+    """Ensemble from a document written by bagged_to_dict."""
     edges = open_document(doc, MODEL_TYPE)
     if not {"member_bodies", "seed", "fold_assignment"} <= doc.keys():
         raise ModelFormatError("document lacks member_bodies, seed or fold_assignment")

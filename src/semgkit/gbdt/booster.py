@@ -160,14 +160,6 @@ class _EarlyStopping:
         return self.accuracy[self.best_round] >= 1.0 or since_best >= self.patience
 
 
-def _class_priors(encoded: np.ndarray, n_classes: int) -> np.ndarray:
-    counts = np.bincount(encoded, minlength=n_classes).astype(np.float64)
-    if (counts == 0).any():
-        missing = np.flatnonzero(counts == 0).tolist()
-        raise ValueError(f"training labels missing classes at positions {missing}")
-    return np.log(counts / counts.sum())
-
-
 def _checked_rows(
     features: np.ndarray, labels: np.ndarray, width: Optional[int] = None
 ) -> Tuple[np.ndarray, np.ndarray]:
@@ -333,9 +325,11 @@ def _fit(
         raise ValueError("training needs at least two classes")
     if loss is None:
         loss = LossSpec()
+    # classes come from these labels, so every count is positive
+    counts = np.bincount(encoded).astype(np.float64)
     start = BoostedModel(
         classes=classes,
-        init_score=_class_priors(encoded, n_classes),
+        init_score=np.log(counts / counts.sum()),
         trees=[],
         bin_edges=binned.edges,
         class_weights=loss.weights_for(labels, classes),

@@ -4,10 +4,11 @@ A model document holds a header (format_version, model_type), the bin
 edges and a member body: every other model field. Leaf values include
 the learning rate, so a model is its init scores plus a sum of trees.
 A plan saves one model.json: a single model's holds one body, a bagged
-ensemble's (ensemble.save_bagged) the edges its members share once and
-one body per member. Floats keep repr-level precision, so a round trip
-reproduces predictions bit for bit. Other format versions, earlier ones
-included, are rejected. Files are replaced atomically (write_atomic).
+ensemble's (ensemble.bagged_to_dict) the shared edges once and a body
+per member; readers ignore the standardization key the pipeline adds.
+Floats keep repr-level precision, so a round trip reproduces predictions
+bit for bit. Other format versions, earlier ones included, are rejected.
+Files are replaced atomically (write_atomic).
 """
 from __future__ import annotations
 

@@ -44,7 +44,7 @@ from .ensemble import (
     MODEL_TYPE as BAGGED_TYPE,
     BaggedModel,
     bagged_from_dict,
-    save_bagged,
+    bagged_to_dict,
     stratified_kfold,
     train_bagged,
 )
@@ -56,7 +56,7 @@ from .gbdt.booster import (
     detect_hard_classes,
     train,
 )
-from .gbdt.io import model_from_dict, read_document, save_model
+from .gbdt.io import model_from_dict, model_to_dict, read_document
 from .gbdt.io import write_atomic, write_document
 from .gbdt.objective import LossSpec
 from .hpo import default_space, optimize
@@ -543,36 +543,28 @@ def _score_plan(
 def _save_plan(
     plan_dir: str, model: Union[BaggedModel, BoostedModel], stats: ChannelStats
 ) -> None:
-    """Write a plan directory: model.json and standardization.json."""
-    os.makedirs(plan_dir, exist_ok=True)
+    """Write plan_dir/model.json: the model's document plus its standardization."""
     if isinstance(model, BaggedModel):
-        save_bagged(model, plan_dir)
+        doc = bagged_to_dict(model)
     else:
-        save_model(model, os.path.join(plan_dir, "model.json"))
-    doc = {"mean": stats.mean.tolist(), "std": stats.std.tolist()}
-    write_document(os.path.join(plan_dir, "standardization.json"), doc)
+        doc = model_to_dict(model)
+    doc["standardization"] = {"mean": stats.mean.tolist(), "std": stats.std.tolist()}
+    os.makedirs(plan_dir, exist_ok=True)
+    write_document(os.path.join(plan_dir, "model.json"), doc)
 
 
 def _load_plan(path: str) -> Tuple[Union[BaggedModel, BoostedModel], ChannelStats]:
-    """The model and stats saved by _save_plan.
-
-    path is a plan directory or its model.json; the model is bagged or
-    single by its model_type, and standardization.json must sit beside it.
-    """
+    """The model and stats saved by _save_plan; path is a plan dir or its model.json."""
     model_file = os.path.join(path, "model.json") if os.path.isdir(path) else path
     doc = read_document(model_file)
     if isinstance(doc, dict) and doc.get("model_type") == BAGGED_TYPE:
         model: Union[BaggedModel, BoostedModel] = bagged_from_dict(doc)
     else:
         model = model_from_dict(doc)
-    directory = os.path.dirname(model_file) or "."
-    stats_file = os.path.join(directory, "standardization.json")
-    if not os.path.exists(stats_file):
-        raise ValueError(
-            f"no standardization.json beside the base model in {directory}"
-        )
-    doc = read_document(stats_file)
-    return model, ChannelStats(np.asarray(doc["mean"]), np.asarray(doc["std"]))
+    if "standardization" not in doc:
+        raise ValueError(f"{model_file} holds no standardization: not a saved plan")
+    stats = doc["standardization"]
+    return model, ChannelStats(np.asarray(stats["mean"]), np.asarray(stats["std"]))
 
 
 def _report(

@@ -105,10 +105,16 @@ class TransferReport:
     after_accuracy: np.ndarray
 
     def per_class_rows(self) -> List[Tuple[int, float, float]]:
-        """(class, mean before, mean after) per class, seed-averaged."""
+        """(class, mean before, mean after) per class, seed-averaged.
+
+        Means skip NaN seeds by np.nanmean's arithmetic, without its
+        empty-slice warning: a class NaN in every seed stays NaN.
+        """
         with np.errstate(invalid="ignore"):
-            before = np.nanmean(self.before_per_class, axis=0)
-            after = np.nanmean(self.after_per_class, axis=0)
+            before, after = (
+                np.nansum(r, axis=0) / np.sum(~np.isnan(r), axis=0)
+                for r in (self.before_per_class, self.after_per_class)
+            )
         return [
             (int(c), float(b), float(a))
             for c, b, a in zip(self.classes, before, after)
@@ -143,6 +149,8 @@ def transfer_report(
     by both arms, trains both, and scores per-class recall and overall
     accuracy on the held-out test quarter.
     """
+    if not seeds:
+        raise ValueError("seeds must name at least one seed")
     features, labels = _checked_rows(
         target_features, target_labels, len(base.bin_edges)
     )

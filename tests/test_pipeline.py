@@ -9,7 +9,7 @@ import pytest
 
 from semgkit.cli import _rewrite_mode_flag, main
 from semgkit.dataset import SyntheticSpec, load_recording, make_cv_plans
-from semgkit.gbdt import TrainParams
+from semgkit.gbdt import TrainParams, save_model
 from semgkit.gbdt.booster import detect_hard_classes
 from semgkit.pipeline import (
     PipelineConfig,
@@ -355,8 +355,7 @@ class TestTransferCsv:
             before_accuracy=np.array([0.6, 0.4]),
             after_accuracy=np.array([0.7, 0.9]),
         )
-        with pytest.warns(RuntimeWarning, match="Mean of empty slice"):
-            path = write_transfer_csv(report, tmp_path / "out")
+        path = write_transfer_csv(report, tmp_path / "out")
         assert open(path, "rb").read() == (
             b"movement,before_accuracy,after_accuracy\n"
             b"1,0.375,0.875\n4,nan,nan\n7,0.875,0.75\nmean,0.625,0.8125\n"
@@ -410,8 +409,7 @@ class TestRunModes:
             assert os.path.exists(result["files"][name])
         for i in (1, 2, 3):
             plan_dir = os.path.join(result["model_dir"], f"plan_{i}")
-            assert os.path.exists(os.path.join(plan_dir, "model.json"))
-            assert os.path.exists(os.path.join(plan_dir, "standardization.json"))
+            assert sorted(os.listdir(plan_dir)) == ["model.json"]
         assert "train" in result["timings"]
         rows = read_rows(result["files"]["per_movement"])
         assert [r[0] for r in rows[1:]] == ["1", "2", "3", "mean"]
@@ -523,7 +521,7 @@ class TestRunModes:
             result = run_pipeline(config, mode="train")
             for i in (1, 2, 3):
                 plan_dir = os.path.join(result["model_dir"], f"plan_{i}")
-                assert sorted(os.listdir(plan_dir)) == ["model.json", "standardization.json"]
+                assert sorted(os.listdir(plan_dir)) == ["model.json"]
             eval_out = tmp_path / f"eval_{bagged}"
             rerun = run_pipeline(replace(config, out_dir=str(eval_out),
                                          model_dir=result["model_dir"]),
@@ -618,11 +616,11 @@ class TestRunModes:
         windows = _prepare_windows(config, {}, spec)
         for i, plan in enumerate(make_cv_plans(), start=1):
             plan_dir = os.path.join(result["model_dir"], f"plan_{i}")
-            for name in ("model.json", "standardization.json"):
-                assert (
-                    open(os.path.join(plan_dir, name), "rb").read()
-                    == open(os.path.join(rerun["model_dir"], f"plan_{i}", name), "rb").read()
-                )
+            assert sorted(os.listdir(plan_dir)) == ["model.json"]
+            assert (
+                open(os.path.join(plan_dir, "model.json"), "rb").read()
+                == open(os.path.join(rerun["model_dir"], f"plan_{i}", "model.json"), "rb").read()
+            )
             _, X, y, _, _ = _plan_rows(config, windows, plan, i, {})
             detected = _holdout_fit(detect_hard_classes, X, y, params)
             assert detected
@@ -634,11 +632,16 @@ class TestRunModes:
                 assert weighted == detected
 
     def test_transfer_from_model_file(self, trained_run, tmp_path):
-        # a plan's model.json names the same base as its directory
+        # a plan's model.json names the same base as its directory, and a
+        # lone copy of it is a complete base: it carries the plan's stats
         config, result = trained_run
         plan_dir = os.path.join(result["model_dir"], "plan_1")
+        lone = tmp_path / "lone"
+        lone.mkdir()
+        shutil.copy(os.path.join(plan_dir, "model.json"), lone / "model.json")
         reports = []
-        for k, base in enumerate((plan_dir, os.path.join(plan_dir, "model.json"))):
+        bases = (plan_dir, os.path.join(plan_dir, "model.json"), str(lone / "model.json"))
+        for k, base in enumerate(bases):
             transfer_config = replace(
                 config,
                 out_dir=str(tmp_path / str(k)),
@@ -648,22 +651,31 @@ class TestRunModes:
             )
             out = run_pipeline(transfer_config, mode="transfer")
             reports.append(open(out["files"]["transfer_report"], "rb").read())
-        assert reports[0] == reports[1]
+        assert reports[0] == reports[1] == reports[2]
 
-    def test_transfer_needs_stats_beside_model_file(self, trained_run, tmp_path):
+    def test_transfer_rejects_a_bare_saved_model(self, trained_run, tmp_path):
+        # save_model writes a model without a plan's standardization
         _, result = trained_run
-        lone = tmp_path / "lone"
-        lone.mkdir()
-        shutil.copy(
-            os.path.join(result["model_dir"], "plan_1", "model.json"), lone / "model.json"
-        )
+        model, _ = _load_plan(os.path.join(result["model_dir"], "plan_1"))
+        save_model(model, tmp_path / "bare.json")
         config = tiny_config(tmp_path / "out")
-        config.transfer_base_model = str(lone / "model.json")
-        with pytest.raises(
-            PipelineError, match="no standardization.json beside the base model"
-        ) as err:
+        config.transfer_base_model = str(tmp_path / "bare.json")
+        with pytest.raises(PipelineError, match="standardization") as err:
             run_pipeline(config, mode="transfer")
         assert err.value.stage == "load_model"
+
+    def test_transfer_rejects_empty_seeds(self, trained_run, tmp_path):
+        config, result = trained_run
+        transfer_config = replace(
+            config,
+            out_dir=str(tmp_path),
+            transfer_base_model=os.path.join(result["model_dir"], "plan_1"),
+            transfer_seeds=(),
+        )
+        with pytest.raises(PipelineError, match="at least one seed") as err:
+            run_pipeline(transfer_config, mode="transfer")
+        assert err.value.stage == "transfer"
+        assert not os.path.exists(tmp_path / "transfer_report.csv")
 
     def test_bad_data_path_fails_in_load_stage(self, tmp_path):
         config = tiny_config(tmp_path)

@@ -294,6 +294,12 @@ class TestTransferReport:
         pred = scratch.predict_label(target_x[test_mask])
         assert report.before_accuracy[0] == np.mean(pred == target_y[test_mask])
 
+    def test_empty_seed_list_rejected(self, base_setup):
+        base, draw = base_setup
+        target_x, target_y = draw(32, seed=11)
+        with pytest.raises(ValueError, match="seeds must name at least one seed"):
+            transfer_report(target_x, target_y, base, seeds=())
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             TransferConfig(learning_rate=0.0)
