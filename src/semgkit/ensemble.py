@@ -104,26 +104,41 @@ def train_bagged(
     by seed-sequence spawning so the members differ but the whole ensemble
     is reproducible.
     """
+    assignment, jobs = _member_jobs(features, labels, params, loss, k)
+    members = [_fit(*job) for job in jobs]
+    return BaggedModel(members=members, fold_assignment=assignment, seed=params.seed)
+
+
+def _member_jobs(
+    features: np.ndarray,
+    labels: np.ndarray,
+    params: TrainParams,
+    loss: Optional[LossSpec],
+    k: int,
+) -> Tuple[np.ndarray, List[tuple]]:
+    """(fold assignment, each member's booster._fit arguments) of train_bagged.
+
+    The members' fits are independent of each other, so they may run in
+    any order or process.
+    """
     features, labels = _checked_rows(features, labels)
     assignment = stratified_kfold(labels, k=k, seed=params.seed)
     children = np.random.SeedSequence(params.seed).spawn(k)
     binned = bin_features(features, params.max_bins)
-    members: List[BoostedModel] = []
+    jobs = []
     for j in range(k):
         hold = assignment == j
         member_params = replace(
             params, seed=int(children[j].generate_state(1)[0])
         )
-        members.append(
-            _fit(
-                BinnedMatrix(binned.codes[~hold], binned.edges),
-                labels[~hold],
-                (binned.codes[hold], labels[hold]),
-                member_params,
-                loss,
-            )
-        )
-    return BaggedModel(members=members, fold_assignment=assignment, seed=params.seed)
+        jobs.append((
+            BinnedMatrix(binned.codes[~hold], binned.edges),
+            labels[~hold],
+            (binned.codes[hold], labels[hold]),
+            member_params,
+            loss,
+        ))
+    return assignment, jobs
 
 
 def predict_bagged(

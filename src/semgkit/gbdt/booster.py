@@ -305,10 +305,25 @@ def train(
     accuracy reaches 1.0 (before round 1 if the priors already score 1.0);
     in the latter case the model ends at best_iteration.
     """
+    return _fit(*_train_args(
+        train_features, train_labels, valid_features, valid_labels, params, loss
+    ))
+
+
+def _train_args(
+    train_features: np.ndarray,
+    train_labels: np.ndarray,
+    valid_features: Optional[np.ndarray] = None,
+    valid_labels: Optional[np.ndarray] = None,
+    params: TrainParams = TrainParams(),
+    loss: Optional[LossSpec] = None,
+) -> Tuple[BinnedMatrix, np.ndarray, Optional[Tuple[np.ndarray, np.ndarray]],
+           TrainParams, Optional[LossSpec]]:
+    """The _fit arguments of train: checked rows, binned, and the valid rows."""
     features, labels = _checked_rows(train_features, train_labels)
     binned = bin_features(features, params.max_bins)
     valid = _valid_rows(valid_features, valid_labels, binned.edges)
-    return _fit(binned, labels, valid, params, loss)
+    return binned, labels, valid, params, loss
 
 
 def _fit(

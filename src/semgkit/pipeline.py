@@ -8,12 +8,21 @@ by default), evaluate on the held-out repetitions, and average across
 plans. Every stochastic component derives its seed from the single run
 seed, so a rerun with the same config reproduces models and metric files
 byte for byte; wall-clock timing is reported separately in summary.csv.
+
+train makes every plan's feature rows, and then fits every plan's models
+(each bagged member, or the single model), in one pool of at most
+min(CPUs, fits) worker processes; tune makes its plans' rows the same way.
+The jobs are independent and their results are collected in submission
+order, so the outputs are byte-identical to a serial run. Prediction,
+saving and evaluation stay in the calling process, in plan order.
 """
 from __future__ import annotations
 
 import configparser
+import multiprocessing
 import os
 import time
+from concurrent.futures import Executor, ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
@@ -45,14 +54,16 @@ from .ensemble import (
     BaggedModel,
     bagged_from_dict,
     bagged_to_dict,
+    _member_jobs,
     stratified_kfold,
-    train_bagged,
 )
 from .features import FeatureConfig, extract_matrix
 from .gbdt.booster import (
     BoostedModel,
     TrainParams,
     _encode_labels,
+    _fit,
+    _train_args,
     detect_hard_classes,
     train,
 )
@@ -480,24 +491,87 @@ def _standardized_features(
     return X, labels
 
 
+# Feature rows are made in jobs of at most this many windows, small enough
+# that the last job leaves the other workers idle only briefly.
+_CHUNK_WINDOWS = 64
+
+# The windows a pool worker makes feature rows from; set only in workers,
+# by _worker_pool's initializer.
+_POOL_WINDOWS: Sequence[Window] = ()
+
+
+def _hold_windows(windows: Sequence[Window]) -> None:
+    global _POOL_WINDOWS
+    _POOL_WINDOWS = windows
+
+
+def _feature_chunk(
+    positions: Sequence[int], stats: ChannelStats, cfg: FeatureConfig
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Pool job: feature rows of the worker's windows at positions."""
+    return _standardized_features([_POOL_WINDOWS[i] for i in positions], stats, cfg)
+
+
+@contextmanager
+def _worker_pool(windows: Sequence[Window], n_jobs: int):
+    """A process pool of min(CPUs, n_jobs) workers that hold windows.
+
+    Workers are forked, so they inherit windows instead of unpickling a
+    copy, and the parent never builds a pickle of them. On exit, jobs not
+    yet started are cancelled and the workers are joined, also when the
+    body raised.
+    """
+    pool = ProcessPoolExecutor(
+        min(len(os.sched_getaffinity(0)), n_jobs),
+        mp_context=multiprocessing.get_context("fork"),
+        initializer=_hold_windows,
+        initargs=(windows,),
+    )
+    try:
+        yield pool
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
 def _plan_rows(
     config: PipelineConfig,
     windows: Sequence[Window],
-    plan: SplitPlan,
-    number: int,
+    plans: Sequence[SplitPlan],
     timings: Dict[str, float],
-) -> Tuple[ChannelStats, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(stats, X_train, y_train, X_test, y_test) of CV plan number.
+    pool: Executor,
+) -> List[Tuple[ChannelStats, np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
+    """(stats, X_train, y_train, X_test, y_test) of each plan, numbered from 1.
 
-    Both sides are standardized with the stats of the train side.
+    Both sides of a plan are standardized with the stats of its train
+    side. The rows are made in pool, whose workers hold windows, in jobs
+    of at most _CHUNK_WINDOWS windows.
     """
+    position = {id(w): i for i, w in enumerate(windows)}
     with _stage("standardize", timings):
-        train_w, test_w = _plan_sides(windows, plan, number)
-        stats = compute_stats(train_w)
+        sides = []
+        for number, plan in enumerate(plans, start=1):
+            train_w, test_w = _plan_sides(windows, plan, number)
+            sides.append((compute_stats(train_w), train_w, test_w))
     with _stage("features", timings):
-        train_rows = _standardized_features(train_w, stats, config.features)
-        test_rows = _standardized_features(test_w, stats, config.features)
-    return (stats, *train_rows, *test_rows)
+        side_jobs = [
+            [
+                pool.submit(
+                    _feature_chunk,
+                    [position[id(w)] for w in side[k:k + _CHUNK_WINDOWS]],
+                    stats,
+                    config.features,
+                )
+                for k in range(0, len(side), _CHUNK_WINDOWS)
+            ]
+            for stats, train_w, test_w in sides
+            for side in (train_w, test_w)
+        ]
+        rows = []
+        for jobs in side_jobs:
+            parts = [job.result() for job in jobs]
+            rows.append(np.vstack([X for X, _ in parts]))
+            rows.append(np.concatenate([y for _, y in parts]))
+    return [(stats, *rows[4 * p:4 * p + 4]) for p, (stats, _, _) in enumerate(sides)]
 
 
 def _holdout_fit(
@@ -564,7 +638,18 @@ def _load_plan(path: str) -> Tuple[Union[BaggedModel, BoostedModel], ChannelStat
     if "standardization" not in doc:
         raise ValueError(f"{model_file} holds no standardization: not a saved plan")
     stats = doc["standardization"]
-    return model, ChannelStats(np.asarray(stats["mean"]), np.asarray(stats["std"]))
+    if not isinstance(stats, dict):
+        raise ValueError(f"{model_file}: standardization must map mean and std to lists")
+    for key in ("mean", "std"):
+        value = stats.get(key)
+        if not isinstance(value, list) or not all(
+            isinstance(v, (int, float)) and not isinstance(v, bool) for v in value
+        ):
+            raise ValueError(f"{model_file}: standardization.{key} must be a list of numbers")
+    try:
+        return model, ChannelStats(stats["mean"], stats["std"])
+    except ValueError as exc:
+        raise ValueError(f"{model_file}: standardization: {exc}") from exc
 
 
 def _report(
@@ -598,26 +683,41 @@ def _run_train(config: PipelineConfig, timings: Dict[str, float]) -> Dict:
     spec, params = _effective(config)
     windows = _prepare_windows(config, timings, spec)
     class_ids = np.unique([w.label for w in windows])
+    plans = make_cv_plans()
     plan_metrics: List[Metrics] = []
     model_root = config.resolved_model_dir()
+    k = config.ensemble_k if config.use_ensemble else 1
 
-    for i, plan in enumerate(make_cv_plans(), start=1):
-        stats, X_train, y_train, X_test, y_test = _plan_rows(
-            config, windows, plan, i, timings
-        )
+    with _worker_pool(windows, len(plans) * k) as pool:
+        plan_rows = _plan_rows(config, windows, plans, timings, pool)
+        fits = []
         with _stage("train", timings):
-            loss = _loss_for_plan(config, params, X_train, y_train)
-            if config.use_ensemble:
-                model: Union[BaggedModel, BoostedModel] = train_bagged(
-                    X_train, y_train, params=params, loss=loss, k=config.ensemble_k
-                )
-            else:
-                model = _holdout_fit(train, X_train, y_train, params, loss=loss)
-            pred = model.predict_label(X_test)
-        with _stage("save", timings):
-            _save_plan(os.path.join(model_root, f"plan_{i}"), model, stats)
-        with _stage("evaluate", timings):
-            plan_metrics.append(_score_plan(pred, y_test, class_ids))
+            for _, X_train, y_train, _, _ in plan_rows:
+                loss = _loss_for_plan(config, params, X_train, y_train)
+                if config.use_ensemble:
+                    assignment, jobs = _member_jobs(X_train, y_train, params, loss, k)
+                else:
+                    assignment = None
+                    jobs = [_holdout_fit(_train_args, X_train, y_train, params, loss=loss)]
+                fits.append((assignment, [pool.submit(_fit, *job) for job in jobs]))
+
+        for i, ((stats, _, _, X_test, y_test), (assignment, futures)) in enumerate(
+            zip(plan_rows, fits), start=1
+        ):
+            with _stage("train", timings):
+                if assignment is None:
+                    model: Union[BaggedModel, BoostedModel] = futures[0].result()
+                else:
+                    model = BaggedModel(
+                        members=[f.result() for f in futures],
+                        fold_assignment=assignment,
+                        seed=params.seed,
+                    )
+                pred = model.predict_label(X_test)
+            with _stage("save", timings):
+                _save_plan(os.path.join(model_root, f"plan_{i}"), model, stats)
+            with _stage("evaluate", timings):
+                plan_metrics.append(_score_plan(pred, y_test, class_ids))
 
     return {
         **_report("train", config, plan_metrics, class_ids, timings),
@@ -653,10 +753,11 @@ def _run_tune(config: PipelineConfig, timings: Dict[str, float]) -> Dict:
     plans = make_cv_plans()
     if config.hpo_fast:
         plans = plans[:1]
-    plan_data = [
-        _plan_rows(config, windows, plan, i, timings)[1:]
-        for i, plan in enumerate(plans, start=1)
-    ]
+    # every plan side is at least one feature job
+    with _worker_pool(windows, 2 * len(plans)) as pool:
+        plan_data = [
+            rows[1:] for rows in _plan_rows(config, windows, plans, timings, pool)
+        ]
 
     base_loss = LossSpec(gain=config.loss_gain, hard_classes=config.hard_classes)
     space = default_space()

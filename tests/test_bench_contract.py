@@ -5,6 +5,10 @@ Tree.predict_binned with getattr, so renaming one of them would make every
 traced benchmark run fail. The tracer module is loaded from its file as it
 is, without importing the benchmark package.
 
+A traced train must still run its jobs in worker processes: only private
+module-level functions are sent to them, never a name the tracer replaced
+with a wrapper, which cannot be pickled.
+
 bench/worker.py also reads the model files a train run leaves:
 ensemble.load_bagged on each plan directory of a bagged run, and
 gbdt.io.load_model on plan_1/model.json of a single-model run. A change of
@@ -15,6 +19,10 @@ from __future__ import annotations
 
 import importlib
 import importlib.util
+import os
+import signal
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -25,7 +33,8 @@ from semgkit.dataset import SyntheticSpec
 from semgkit.gbdt import BoostedModel, TrainParams
 from semgkit.gbdt import io as gbdt_io
 
-TRACING_PATH = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
+ROOT = Path(__file__).resolve().parent.parent
+TRACING_PATH = ROOT / "bench" / "tracing.py"
 
 
 def _load_tracing():
@@ -97,3 +106,69 @@ def test_transfer_mode_calls_the_module_global_transfer_report(tmp_path, monkeyp
     )
     assert len(reports) == 1
     assert reports[0].mean_row() == (result["before_mean"], result["after_mean"])
+
+
+# Runs cli.main train, traced as bench/worker.py traces it when argv[3] is
+# "1", and prints the number of spans recorded.
+TRAIN_SCRIPT = """
+import importlib.util, sys
+spec = importlib.util.spec_from_file_location("bench_tracing", sys.argv[1])
+tracing = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(tracing)
+tracer = tracing.Tracer()
+if sys.argv[3] == "1":
+    tracer.install()
+    tracer.active = True
+import semgkit.cli
+rc = semgkit.cli.main(["train", "--config", sys.argv[2], "--out", sys.argv[4]])
+print(rc, len(tracer.spans), file=sys.stderr)
+"""
+
+TRAIN_INI = """
+[data]
+n_classes = 3
+hold_duration = 0.8
+rest_duration = 0.25
+[train]
+num_leaves = 4
+max_rounds = 3
+min_data_in_leaf = 5
+max_bins = 15
+[ensemble]
+k = 3
+[run]
+seed = 4
+"""
+
+
+def test_traced_train_runs_its_pool_and_writes_the_same_model(tmp_path):
+    ini = tmp_path / "train.ini"
+    ini.write_text(TRAIN_INI)
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    models = []
+    for traced in ("0", "1"):
+        out = tmp_path / f"traced{traced}"
+        # A job that cannot be pickled can leave the pool waiting forever,
+        # so a run that overstays is killed with its workers.
+        run = subprocess.Popen(
+            [sys.executable, "-c", TRAIN_SCRIPT, str(TRACING_PATH), str(ini), traced,
+             str(out)],
+            env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
+            start_new_session=True,
+        )
+        try:
+            _, stderr = run.communicate(timeout=120)
+        except subprocess.TimeoutExpired:
+            os.killpg(run.pid, signal.SIGKILL)
+            run.communicate()
+            pytest.fail(f"train with traced={traced} did not finish in 120 s")
+        assert run.returncode == 0, stderr
+        rc, spans = stderr.split()[-2:]
+        assert rc == "0"
+        assert (int(spans) > 0) == (traced == "1")
+        models.append({
+            path.relative_to(out): path.read_bytes()
+            for path in sorted((out / "model").rglob("*")) if path.is_file()
+        })
+    assert len(models[0]) == 3
+    assert models[0] == models[1]

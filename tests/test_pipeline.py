@@ -1,5 +1,6 @@
 """Run-level tests: metrics, config parsing, report files, modes, CLI."""
 import json
+import multiprocessing
 import os
 import shutil
 from dataclasses import replace
@@ -7,9 +8,17 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from semgkit import pipeline
 from semgkit.cli import _rewrite_mode_flag, main
-from semgkit.dataset import SyntheticSpec, load_recording, make_cv_plans
-from semgkit.gbdt import TrainParams, save_model
+from semgkit.dataset import (
+    SyntheticSpec,
+    generate_synthetic,
+    load_recording,
+    make_cv_plans,
+    save_recording,
+)
+from semgkit.ensemble import train_bagged
+from semgkit.gbdt import LossSpec, TrainParams, save_model
 from semgkit.gbdt.booster import detect_hard_classes
 from semgkit.pipeline import (
     PipelineConfig,
@@ -19,6 +28,8 @@ from semgkit.pipeline import (
     _load_plan,
     _plan_rows,
     _prepare_windows,
+    _save_plan,
+    _worker_pool,
     default_config,
     emit_report,
     evaluate,
@@ -614,14 +625,15 @@ class TestRunModes:
             )
         spec, params = _effective(config)
         windows = _prepare_windows(config, {}, spec)
-        for i, plan in enumerate(make_cv_plans(), start=1):
+        with _worker_pool(windows, 1) as pool:
+            plan_rows = _plan_rows(config, windows, make_cv_plans(), {}, pool)
+        for i, (_, X, y, _, _) in enumerate(plan_rows, start=1):
             plan_dir = os.path.join(result["model_dir"], f"plan_{i}")
             assert sorted(os.listdir(plan_dir)) == ["model.json"]
             assert (
                 open(os.path.join(plan_dir, "model.json"), "rb").read()
                 == open(os.path.join(rerun["model_dir"], f"plan_{i}", "model.json"), "rb").read()
             )
-            _, X, y, _, _ = _plan_rows(config, windows, plan, i, {})
             detected = _holdout_fit(detect_hard_classes, X, y, params)
             assert detected
             model, _ = _load_plan(plan_dir)
@@ -664,6 +676,38 @@ class TestRunModes:
             run_pipeline(config, mode="transfer")
         assert err.value.stage == "load_model"
 
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda s: s.pop("mean"), "standardization.mean must be a list of numbers"),
+            (lambda s: s.update(std="1.0"), "standardization.std must be a list of numbers"),
+            (lambda s: s.update(std=[1.0]),
+             "standardization: mean and std must be 1-D arrays of equal length"),
+            (None, "standardization must map mean and std to lists"),
+        ],
+        ids=["missing-mean", "string-std", "short-std", "list"],
+    )
+    def test_malformed_standardization_names_file_and_key(
+        self, trained_run, tmp_path, edit, message
+    ):
+        _, result = trained_run
+        doc = json.loads(
+            open(os.path.join(result["model_dir"], "plan_1", "model.json")).read()
+        )
+        stats = doc["standardization"]
+        if edit is None:
+            doc["standardization"] = [stats["mean"], stats["std"]]
+        else:
+            edit(stats)
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc))
+        config = tiny_config(tmp_path / "out")
+        config.transfer_base_model = str(path)
+        with pytest.raises(PipelineError) as err:
+            run_pipeline(config, mode="transfer")
+        assert err.value.stage == "load_model"
+        assert str(err.value) == f"[load_model] {path}: {message}"
+
     def test_transfer_rejects_empty_seeds(self, trained_run, tmp_path):
         config, result = trained_run
         transfer_config = replace(
@@ -687,6 +731,81 @@ class TestRunModes:
     def test_unknown_mode_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="mode must be one of"):
             run_pipeline(tiny_config(tmp_path), mode="predict")
+
+
+RUN_FILES = ("metrics.csv", "per_movement.csv", "confusion.csv") + tuple(
+    f"model/plan_{i}/model.json" for i in (1, 2, 3)
+)
+
+
+def run_bytes(out_dir):
+    return {name: (out_dir / name).read_bytes() for name in RUN_FILES}
+
+
+class TestWorkerPool:
+    """train runs its feature rows and fits in min(CPUs, fits) worker processes."""
+
+    @pytest.fixture
+    def pool_sizes(self, monkeypatch):
+        sizes = []
+        pool_class = pipeline.ProcessPoolExecutor
+
+        def counted(max_workers, **kwargs):
+            sizes.append(max_workers)
+            return pool_class(max_workers, **kwargs)
+
+        monkeypatch.setattr(pipeline, "ProcessPoolExecutor", counted)
+        return sizes
+
+    @pytest.mark.parametrize("use_ensemble", [True, False], ids=["bagged", "single"])
+    def test_any_worker_count_gives_the_same_files(
+        self, tmp_path, monkeypatch, pool_sizes, use_ensemble
+    ):
+        config = replace(tiny_config(tmp_path), use_ensemble=use_ensemble, ensemble_k=3)
+        outputs = []
+        for cpus in (1, 2, 4):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid, n=cpus: set(range(n)))
+            out = tmp_path / f"cpus{cpus}"
+            run_pipeline(replace(config, out_dir=str(out)), mode="train")
+            outputs.append(run_bytes(out))
+            assert multiprocessing.active_children() == []
+        assert outputs[0] == outputs[1] == outputs[2]
+        fits = 3 * (3 if use_ensemble else 1)
+        assert pool_sizes == [min(cpus, fits) for cpus in (1, 2, 4)]
+
+    def test_saved_members_equal_train_bagged(self, bagged_run, tmp_path):
+        config, result = bagged_run
+        spec, params = _effective(config)
+        windows = _prepare_windows(config, {}, spec)
+        with _worker_pool(windows, 1) as pool:
+            plan_rows = _plan_rows(config, windows, make_cv_plans(), {}, pool)
+        loss = LossSpec(gain=config.loss_gain, hard_classes=config.hard_classes)
+        for i, (stats, X, y, _, _) in enumerate(plan_rows, start=1):
+            model = train_bagged(X, y, params=params, loss=loss, k=config.ensemble_k)
+            _save_plan(str(tmp_path / f"plan_{i}"), model, stats)
+            assert (tmp_path / f"plan_{i}" / "model.json").read_bytes() == open(
+                os.path.join(result["model_dir"], f"plan_{i}", "model.json"), "rb"
+            ).read()
+
+    @pytest.mark.parametrize("use_ensemble", [True, False], ids=["bagged", "single"])
+    def test_one_class_train_side_fails_in_train_stage(self, tmp_path, use_ensemble):
+        # classes 2 and 3 are held only in repetitions 1 and 3, which plan 1
+        # tests on, so plan 1 trains on class 1 alone; holds of 4 windows
+        # give every class of plans 2 and 3 a sample in each of 5 folds
+        recording = generate_synthetic(replace(TINY_SPEC, hold_duration=1.2, seed=5))
+        stimulus = recording.stimulus.copy()
+        stimulus[(stimulus > 1) & ~np.isin(recording.repetition, (1, 3))] = 0
+        csv = tmp_path / "recording.csv"
+        save_recording(replace(recording, stimulus=stimulus), csv)
+        config = replace(
+            tiny_config(tmp_path / "out"), data_path=str(csv),
+            use_ensemble=use_ensemble, ensemble_k=3,
+        )
+        with pytest.raises(PipelineError) as err:
+            run_pipeline(config, mode="train")
+        assert str(err.value) == "[train] training needs at least two classes"
+        assert err.value.stage == "train"
+        assert multiprocessing.active_children() == []
 
 
 CLI_INI = """
