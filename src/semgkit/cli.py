@@ -146,10 +146,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if command == "report":
             return _cmd_report(args)
         return _cmd_pipeline(args, command)
-    except PipelineError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (OSError, ValueError) as exc:
+    except (PipelineError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

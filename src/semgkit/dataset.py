@@ -363,9 +363,6 @@ def segment(
         label = int(recording.stimulus[start])
         if label == 0 and not include_rest:
             continue
-        run_len = end - start
-        if run_len < window_len:
-            continue
         for off in range(start, end - window_len + 1, step):
             windows.append(
                 Window(

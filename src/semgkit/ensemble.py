@@ -14,7 +14,7 @@ from __future__ import annotations
 import os
 import warnings
 from dataclasses import dataclass, replace
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -94,7 +94,7 @@ def train_bagged(
     features: np.ndarray,
     labels: np.ndarray,
     params: TrainParams = TrainParams(),
-    loss: Optional[LossSpec] = None,
+    loss: LossSpec = LossSpec(),
     k: int = 5,
 ) -> BaggedModel:
     """Train k members on complementary stratified folds.
@@ -113,7 +113,7 @@ def _member_jobs(
     features: np.ndarray,
     labels: np.ndarray,
     params: TrainParams,
-    loss: Optional[LossSpec],
+    loss: LossSpec,
     k: int,
 ) -> Tuple[np.ndarray, List[tuple]]:
     """(fold assignment, each member's booster._fit arguments) of train_bagged.

@@ -28,7 +28,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .binning import BinnedMatrix, apply_bins, bin_features
+from .binning import MAX_BINS_LIMIT, BinnedMatrix, apply_bins, bin_features
 from .objective import LossSpec, grad_hess, softmax, weighted_cross_entropy
 from .sampling import goss_sample
 from .tree import Tree, grow_tree
@@ -70,8 +70,8 @@ class TrainParams:
             raise ValueError("top_rate must be in [0, 1]")
         if self.other_rate < 0.0 or self.top_rate + self.other_rate > 1.0 + 1e-12:
             raise ValueError("top_rate + other_rate must not exceed 1")
-        if self.max_bins < 2 or self.max_bins > 255:
-            raise ValueError("max_bins must be in [2, 255]")
+        if not 2 <= self.max_bins <= MAX_BINS_LIMIT:
+            raise ValueError(f"max_bins must be in [2, {MAX_BINS_LIMIT}]")
         if self.early_stop_rounds < 0:
             raise ValueError("early_stop_rounds must be non-negative")
 
@@ -293,7 +293,7 @@ def train(
     valid_features: Optional[np.ndarray] = None,
     valid_labels: Optional[np.ndarray] = None,
     params: TrainParams = TrainParams(),
-    loss: Optional[LossSpec] = None,
+    loss: LossSpec = LossSpec(),
 ) -> BoostedModel:
     """Fit a boosted model; early stop on validation accuracy if given.
 
@@ -316,9 +316,9 @@ def _train_args(
     valid_features: Optional[np.ndarray] = None,
     valid_labels: Optional[np.ndarray] = None,
     params: TrainParams = TrainParams(),
-    loss: Optional[LossSpec] = None,
+    loss: LossSpec = LossSpec(),
 ) -> Tuple[BinnedMatrix, np.ndarray, Optional[Tuple[np.ndarray, np.ndarray]],
-           TrainParams, Optional[LossSpec]]:
+           TrainParams, LossSpec]:
     """The _fit arguments of train: checked rows, binned, and the valid rows."""
     features, labels = _checked_rows(train_features, train_labels)
     binned = bin_features(features, params.max_bins)
@@ -331,15 +331,13 @@ def _fit(
     labels: np.ndarray,
     valid: Optional[Tuple[np.ndarray, np.ndarray]],
     params: TrainParams,
-    loss: Optional[LossSpec],
+    loss: LossSpec,
 ) -> BoostedModel:
     """train on binned rows; valid is (bin codes, labels) or None."""
     classes, encoded = _encode_labels(labels)
     n_classes = classes.shape[0]
     if n_classes < 2:
         raise ValueError("training needs at least two classes")
-    if loss is None:
-        loss = LossSpec()
     # classes come from these labels, so every count is positive
     counts = np.bincount(encoded).astype(np.float64)
     start = BoostedModel(

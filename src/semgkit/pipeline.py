@@ -194,9 +194,8 @@ class PipelineConfig:
             early_stop_rounds=15,
         )
     )
-    loss_gain: float = 1.5
-    hard_classes: Tuple[int, ...] = ()
-    auto_hard_classes: bool = False
+    loss: LossSpec = field(default_factory=LossSpec)
+    auto_hard_classes: bool = False  # train only: detect each plan's hard classes
     use_ensemble: bool = True
     ensemble_k: int = 5
     hpo_trials: int = 30
@@ -218,12 +217,9 @@ def default_config() -> PipelineConfig:
     return PipelineConfig()
 
 
-def _parse_int_list(text: str) -> Tuple[int, ...]:
-    return tuple(int(tok) for tok in text.replace(",", " ").split())
-
-
-def _parse_float_list(text: str) -> Tuple[float, ...]:
-    return tuple(float(tok) for tok in text.replace(",", " ").split())
+def _list_of(parse: Callable[[str], object]) -> Callable[[str], Tuple]:
+    """Values separated by commas or whitespace, each read by parse."""
+    return lambda text: tuple(parse(tok) for tok in text.replace(",", " ").split())
 
 
 def _parse_bool(text: str) -> bool:
@@ -257,7 +253,7 @@ _INI_KEYS: Dict[str, Dict[str, Tuple[Tuple[str, ...], Callable[[str], object]]]]
         "low_hz": (("bandpass_low_hz",), float),
         "high_hz": (("bandpass_high_hz",), float),
         "order": (("bandpass_order",), int),
-        "notch_hz": (("notch_hz",), _parse_float_list),
+        "notch_hz": (("notch_hz",), _list_of(float)),
         "quality": (("notch_quality",), float),
         "zero_phase": (("zero_phase",), _parse_bool),
     },
@@ -284,8 +280,8 @@ _INI_KEYS: Dict[str, Dict[str, Tuple[Tuple[str, ...], Callable[[str], object]]]]
         "early_stop_rounds": (("params.early_stop_rounds",), int),
     },
     "loss": {
-        "gain": (("loss_gain",), float),
-        "hard_classes": (("hard_classes",), _parse_int_list),
+        "gain": (("loss.gain",), float),
+        "hard_classes": (("loss.hard_classes",), _list_of(int)),
         "auto": (("auto_hard_classes",), _parse_bool),
     },
     "ensemble": {
@@ -302,7 +298,7 @@ _INI_KEYS: Dict[str, Dict[str, Tuple[Tuple[str, ...], Callable[[str], object]]]]
         "learning_rate": (("transfer.learning_rate",), float),
         "max_rounds": (("transfer.max_rounds",), int),
         "early_stop_rounds": (("transfer.early_stop_rounds",), int),
-        "seeds": (("transfer_seeds",), _parse_int_list),
+        "seeds": (("transfer_seeds",), _list_of(int)),
     },
     "run": {
         "out": (("out_dir",), str),
@@ -319,7 +315,11 @@ def load_config(path: Union[str, os.PathLike]) -> PipelineConfig:
     [features], [train], [loss], [ensemble], [hpo], [transfer], [run].
     """
     cp = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
-    read = cp.read(path)
+    try:
+        read = cp.read(path)
+    except configparser.Error as exc:
+        # configparser's messages may span lines; an error prints as one
+        raise ValueError(f"config file {path}: {' '.join(str(exc).split())}") from exc
     if not read:
         raise FileNotFoundError(f"config file not found: {path}")
 
@@ -336,7 +336,10 @@ def load_config(path: Union[str, os.PathLike]) -> PipelineConfig:
             )
         for key in cp[section]:
             targets, parse = keys[key]
-            value = parse(cp.get(section, key).strip())
+            try:
+                value = parse(cp.get(section, key).strip())
+            except (ValueError, configparser.Error) as exc:
+                raise ValueError(f"[{section}] {key}: {exc}") from exc
             for target in targets:
                 owner, _, name = target.rpartition(".")
                 (nested.setdefault(owner, {}) if owner else top)[name] = value
@@ -598,9 +601,9 @@ def _loss_for_plan(
     y: np.ndarray,
 ) -> LossSpec:
     if not config.auto_hard_classes:
-        return LossSpec(gain=config.loss_gain, hard_classes=config.hard_classes)
+        return config.loss
     detected = _holdout_fit(detect_hard_classes, X, y, params)
-    return LossSpec(gain=config.loss_gain, hard_classes=detected)
+    return replace(config.loss, hard_classes=detected)
 
 
 def _score_plan(
@@ -680,13 +683,15 @@ def _report(
 
 
 def _run_train(config: PipelineConfig, timings: Dict[str, float]) -> Dict:
+    k = config.ensemble_k if config.use_ensemble else 1
+    if config.use_ensemble and k < 2:
+        raise PipelineError("train", f"config [ensemble] k must be at least 2, not {k}")
     spec, params = _effective(config)
     windows = _prepare_windows(config, timings, spec)
     class_ids = np.unique([w.label for w in windows])
     plans = make_cv_plans()
     plan_metrics: List[Metrics] = []
     model_root = config.resolved_model_dir()
-    k = config.ensemble_k if config.use_ensemble else 1
 
     with _worker_pool(windows, len(plans) * k) as pool:
         plan_rows = _plan_rows(config, windows, plans, timings, pool)
@@ -759,7 +764,6 @@ def _run_tune(config: PipelineConfig, timings: Dict[str, float]) -> Dict:
             rows[1:] for rows in _plan_rows(config, windows, plans, timings, pool)
         ]
 
-    base_loss = LossSpec(gain=config.loss_gain, hard_classes=config.hard_classes)
     space = default_space()
     if params.goss_enabled:
         # GOSS is the row sampler then, and bagging_fraction is never read
@@ -769,7 +773,7 @@ def _run_tune(config: PipelineConfig, timings: Dict[str, float]) -> Dict:
         trial_params = replace(params, **point)
         accs = []
         for X_train, y_train, X_test, y_test in plan_data:
-            model = _holdout_fit(train, X_train, y_train, trial_params, loss=base_loss)
+            model = _holdout_fit(train, X_train, y_train, trial_params, loss=config.loss)
             accs.append(float(np.mean(model.predict_label(X_test) == y_test)))
         return float(np.mean(accs))
 
@@ -839,7 +843,7 @@ def _run_transfer(config: PipelineConfig, timings: Dict[str, float]) -> Dict:
             X, y, base,
             cfg=config.transfer,
             seeds=config.transfer_seeds,
-            loss=LossSpec(gain=config.loss_gain, hard_classes=config.hard_classes),
+            loss=config.loss,
         )
     with _stage("report", timings):
         path = write_transfer_csv(report, config.out_dir)

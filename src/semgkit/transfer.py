@@ -55,7 +55,7 @@ def warm_start(
     target_valid_features: Optional[np.ndarray] = None,
     target_valid_labels: Optional[np.ndarray] = None,
     cfg: TransferConfig = TransferConfig(),
-    loss: Optional[LossSpec] = None,
+    loss: LossSpec = LossSpec(),
     seed: Optional[int] = None,
 ) -> BoostedModel:
     """Continue boosting from the base model on target data.
@@ -76,9 +76,6 @@ def warm_start(
     )
     _, encoded = _encode_labels(labels, base.classes)
     valid = _valid_rows(target_valid_features, target_valid_labels, base.bin_edges)
-    if loss is None:
-        loss = LossSpec()
-
     start = replace(
         base,
         class_weights=loss.weights_for(labels, base.classes),
@@ -141,7 +138,7 @@ def transfer_report(
     base: BoostedModel,
     cfg: TransferConfig = TransferConfig(),
     seeds: Tuple[int, ...] = (0, 1, 2, 3, 4),
-    loss: Optional[LossSpec] = None,
+    loss: LossSpec = LossSpec(),
 ) -> TransferReport:
     """Paired scratch-versus-warm-start comparison on target data.
 

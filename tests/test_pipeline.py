@@ -199,8 +199,7 @@ class TestLoadConfig:
             bagging_fraction=0.9, top_rate=0.3, other_rate=0.2, max_bins=127,
             early_stop_rounds=5,
         )
-        assert cfg.loss_gain == 2.0
-        assert cfg.hard_classes == (1, 3)
+        assert cfg.loss == LossSpec(gain=2.0, hard_classes=frozenset({1, 3}))
         assert cfg.auto_hard_classes is True
         assert cfg.use_ensemble is False
         assert cfg.ensemble_k == 3
@@ -258,6 +257,15 @@ class TestLoadConfig:
     def test_missing_file(self, tmp_path):
         with pytest.raises(FileNotFoundError, match="config file not found"):
             load_config(tmp_path / "nope.ini")
+
+    @pytest.mark.parametrize("gain", ["0", "-1"])
+    def test_bad_gain_rejected_when_read(self, tmp_path, gain):
+        path = tmp_path / "loss.ini"
+        path.write_text(f"[loss]\ngain = {gain}\n")
+        with pytest.raises(ValueError, match="gain must be > 0"):
+            load_config(path)
+        with pytest.raises(ValueError, match="gain must be > 0"):
+            PipelineConfig(loss=LossSpec(gain=float(gain)))
 
 
 def read_rows(path):
@@ -732,6 +740,18 @@ class TestRunModes:
         with pytest.raises(ValueError, match="mode must be one of"):
             run_pipeline(tiny_config(tmp_path), mode="predict")
 
+    @pytest.mark.parametrize("k", [-1, 0, 1])
+    def test_ensemble_k_below_two_fails_before_data_work(self, tmp_path, monkeypatch, k):
+        monkeypatch.setattr(
+            pipeline, "_prepare_windows", lambda *args: pytest.fail("data work began")
+        )
+        config = replace(tiny_config(tmp_path), use_ensemble=True, ensemble_k=k)
+        with pytest.raises(PipelineError) as err:
+            run_pipeline(config, mode="train")
+        assert err.value.stage == "train"
+        assert str(err.value) == f"[train] config [ensemble] k must be at least 2, not {k}"
+        assert not os.path.exists(config.resolved_model_dir())
+
 
 RUN_FILES = ("metrics.csv", "per_movement.csv", "confusion.csv") + tuple(
     f"model/plan_{i}/model.json" for i in (1, 2, 3)
@@ -779,9 +799,10 @@ class TestWorkerPool:
         windows = _prepare_windows(config, {}, spec)
         with _worker_pool(windows, 1) as pool:
             plan_rows = _plan_rows(config, windows, make_cv_plans(), {}, pool)
-        loss = LossSpec(gain=config.loss_gain, hard_classes=config.hard_classes)
         for i, (stats, X, y, _, _) in enumerate(plan_rows, start=1):
-            model = train_bagged(X, y, params=params, loss=loss, k=config.ensemble_k)
+            model = train_bagged(
+                X, y, params=params, loss=config.loss, k=config.ensemble_k
+            )
             _save_plan(str(tmp_path / f"plan_{i}"), model, stats)
             assert (tmp_path / f"plan_{i}" / "model.json").read_bytes() == open(
                 os.path.join(result["model_dir"], f"plan_{i}", "model.json"), "rb"
@@ -885,6 +906,55 @@ class TestCli:
         assert capsys.readouterr().err.startswith("error:")
         assert main(["train", "--config", str(tmp_path / "missing.ini")]) == 1
         assert "config file not found" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("mode", ["train", "tune", "transfer"])
+    @pytest.mark.parametrize("gain", ["0", "-1"])
+    def test_bad_gain_fails_before_any_output(self, tmp_path, capsys, mode, gain):
+        out = tmp_path / "out"
+        ini = write_cli_ini(tmp_path, out, extra=f"\n[loss]\ngain = {gain}\n")
+        assert main([mode, "--config", ini]) == 1
+        assert capsys.readouterr().err == "error: gain must be > 0\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            (
+                "[ensemble]\nk = 3\nk = 4\n",
+                "option 'k' in section 'ensemble' already exists",
+            ),
+            ("n_classes = 3\n[data]\n", "File contains no section headers."),
+        ],
+        ids=["duplicate_key", "no_section"],
+    )
+    def test_unreadable_config_names_the_file(self, tmp_path, capsys, text, message):
+        bad = tmp_path / "bad.ini"
+        bad.write_text(text)
+        assert main(["train", "--config", str(bad), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: config file {bad}: ")
+        assert message in err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "section, key, value, message",
+        [
+            ("data", "n_classes", "abc", "invalid literal for int() with base 10: 'abc'"),
+            ("filter", "low_hz", "low", "could not convert string to float: 'low'"),
+            ("window", "include_rest", "maybe", "Not a boolean: maybe"),
+            ("loss", "hard_classes", "1 two", "invalid literal for int() with base 10: 'two'"),
+        ],
+        ids=["int", "float", "bool", "int_list"],
+    )
+    def test_unparsable_value_names_section_and_key(
+        self, tmp_path, capsys, section, key, value, message
+    ):
+        bad = tmp_path / "bad.ini"
+        bad.write_text(f"[{section}]\n{key} = {value}\n")
+        assert main(["train", "--config", str(bad), "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == f"error: [{section}] {key}: {message}\n"
+        assert not (tmp_path / "out").exists()
 
     def test_report_merges_runs(self, tmp_path, capsys):
         for name, acc in (("run_x", "0.5"), ("run_y", "0.75")):
