@@ -5,7 +5,10 @@ single model's plan 1 each write files that must stay byte-identical
 across any change that claims not to alter numerics (a faster kernel, a
 different order of independent jobs, work moved to other processes). So
 do the weighted-loss runs below, read from INI files, and the feature
-rows of their plans. PINNED was recorded from the serial pipeline, before
+rows of their plans. The two tiny trains also pin every member's tree
+arrays and best_iteration and every member's raw scores of the plan's
+test rows: a change that moves feature values by rounding alone may move
+bin edges, and so model.json, but must leave these as they are. PINNED was recorded from the serial pipeline, before
 training ran in worker processes. All digests were recorded with the
 numpy and scipy versions in RECORDED_WITH; other versions may round
 differently, so the test skips under them. A change that alters numerics
@@ -25,7 +28,14 @@ import scipy
 from semgkit import pipeline
 from semgkit.dataset import SyntheticSpec
 from semgkit.gbdt import TrainParams
-from semgkit.pipeline import PipelineConfig, _plan_rows, load_config, run_pipeline
+from semgkit.ensemble import BaggedModel
+from semgkit.pipeline import (
+    PipelineConfig,
+    _load_plan,
+    _plan_rows,
+    load_config,
+    run_pipeline,
+)
 from semgkit.transfer import TransferConfig
 
 RECORDED_WITH = {"numpy": "2.4.6", "scipy": "1.17.1"}
@@ -69,6 +79,41 @@ PINNED = {
     },
 }
 
+# per plan of the bagged and single trains: "trees" hashes every member's
+# feature, threshold, left, right and value arrays, round by round and class
+# by class, and its best_iteration; "raw_test" hashes every member's raw
+# scores of the plan's test rows, as _plan_rows makes them
+PINNED_TREES = {
+    "bagged": {
+        "plan_1/trees":
+            "9b61a1a8e9152f3476832c997fb2fe8d188dff3ea0fc71bc7c04c03aa25f022b",
+        "plan_1/raw_test":
+            "eaaeb0ad9771b648ed62a8818b75f347c9f18a398fa8a917d36fbb02f70b7010",
+        "plan_2/trees":
+            "05e21284c09a84b30161e153ba4c408075cebc9e267932d729264fea069028ab",
+        "plan_2/raw_test":
+            "7dc5e8899bbf84d12f11cd58b54c575e2e06d46f5ae058006bf5afd54f930fba",
+        "plan_3/trees":
+            "abb057606b43e473a042daf86c194e1fa6a317fd17c2f1875b4db751625b105b",
+        "plan_3/raw_test":
+            "15db5adc6214241ffa696834302c1ac2359e2cb4aadfb08edb113da44f3edcf8",
+    },
+    "single": {
+        "plan_1/trees":
+            "fb2c961f0f2d4467148e7fcdbafe037f84315752e6d3e6f98011051b72665069",
+        "plan_1/raw_test":
+            "1164933781c6ff2c4ad09a6d8f6c627d705f3addaabf4419da63106a1307eb4b",
+        "plan_2/trees":
+            "84cbf41ba52387601050d8f6ca68f63f712a9c7df88675af1b46f5f03a86b0e7",
+        "plan_2/raw_test":
+            "4261c1d1629b1fc0853c63ceda9ecbea28563e9285702469137c694c8119296b",
+        "plan_3/trees":
+            "0334d681afb966ba67d0a5f1842bf9f7bfb870384909c7fa92b9fb3b3ed94785",
+        "plan_3/raw_test":
+            "60eac1c81230c36970175c9f0d7719a43d8ec41c9db291e57c53342ef7c526f1",
+    },
+}
+
 pytestmark = pytest.mark.skipif(
     {"numpy": np.__version__, "scipy": scipy.__version__} != RECORDED_WITH,
     reason=f"digests were recorded with {RECORDED_WITH}",
@@ -79,14 +124,46 @@ def _digests(out: Path, names) -> dict:
     return {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in names}
 
 
+def _tree_digests(model_dir: Path, plan_rows) -> dict:
+    """The "trees" and "raw_test" digests of each saved plan under model_dir."""
+    digests = {}
+    for number, (_, _, _, X_test, _) in enumerate(plan_rows, start=1):
+        model, _ = _load_plan(str(model_dir / f"plan_{number}"))
+        members = model.members if isinstance(model, BaggedModel) else [model]
+        trees, raw = hashlib.sha256(), hashlib.sha256()
+        for member in members:
+            trees.update(np.int64(member.best_iteration).tobytes())
+            for tree in (t for round_trees in member.trees for t in round_trees):
+                for array in (tree.feature, tree.threshold, tree.left, tree.right,
+                              tree.value):
+                    trees.update(array.tobytes())
+            raw.update(member.predict_raw(X_test).tobytes())
+        digests[f"plan_{number}/trees"] = trees.hexdigest()
+        digests[f"plan_{number}/raw_test"] = raw.hexdigest()
+    return digests
+
+
 @pytest.fixture(scope="module")
 def outputs(tmp_path_factory):
     root = tmp_path_factory.mktemp("pinned")
     config = PipelineConfig(synthetic=SPEC, params=PARAMS, ensemble_k=3, seed=11)
-    run_pipeline(replace(config, out_dir=str(root / "bagged")), mode="train")
-    run_pipeline(
-        replace(config, use_ensemble=False, out_dir=str(root / "single")), mode="train"
-    )
+    made = []
+
+    def recording_plan_rows(*args):
+        made.append(_plan_rows(*args))
+        return made[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pipeline, "_plan_rows", recording_plan_rows)
+        run_pipeline(replace(config, out_dir=str(root / "bagged")), mode="train")
+        run_pipeline(
+            replace(config, use_ensemble=False, out_dir=str(root / "single")),
+            mode="train",
+        )
+    trees = {
+        run: _tree_digests(root / run / "model", rows)
+        for run, rows in zip(("bagged", "single"), made)
+    }
     run_pipeline(
         replace(
             config,
@@ -98,12 +175,18 @@ def outputs(tmp_path_factory):
         ),
         mode="transfer",
     )
-    return {run: _digests(root / run, files) for run, files in PINNED.items()}
+    files = {run: _digests(root / run, names) for run, names in PINNED.items()}
+    return files, trees
 
 
 @pytest.mark.parametrize("run", sorted(PINNED))
 def test_outputs_match_the_pinned_digests(outputs, run):
-    assert outputs[run] == PINNED[run]
+    assert outputs[0][run] == PINNED[run]
+
+
+@pytest.mark.parametrize("run", sorted(PINNED_TREES))
+def test_trees_and_raw_scores_match_the_pinned_digests(outputs, run):
+    assert outputs[1][run] == PINNED_TREES[run]
 
 
 # Weighted-loss runs, configured through load_config so the [loss] keys
