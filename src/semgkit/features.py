@@ -9,6 +9,14 @@ is 72 + 120 + 144 = 336 values.
 
 time_domain, stft_psd, band_power and analytic_phase work along the last
 axis of a (..., n_samples) input: one call takes a channel or a window.
+
+extract_standardized gives a filtered window's rows under several channel
+standardizations (x - m) / s at once. Its FFT work runs once per window:
+the Hann-windowed segment spectra S and the analytic signal z are linear
+in x, so the standardized spectra are (S - m W) / s, with W the window's
+DFT, and the standardized analytic signal is (z - m) / s, because the
+analytic filter keeps DC at gain 1. extract_features is its call with one
+identity standardization, so every feature has one implementation.
 """
 from __future__ import annotations
 
@@ -16,6 +24,8 @@ from dataclasses import dataclass
 from typing import Iterable, List, Sequence, Tuple
 
 import numpy as np
+
+from .dsp import ChannelStats
 
 TIME_DOMAIN_ORDER: Tuple[str, ...] = ("mean", "var", "mav", "zcr", "rms", "wl")
 N_BANDS = 10
@@ -99,16 +109,23 @@ def stft_psd(
     sum of |S|^2 over all segment positions. Bin b corresponds to
     frequency b * sample_rate / seg_len.
     """
-    x = np.asarray(channel, dtype=np.float64)
+    return _power(_segment_spectra(np.asarray(channel, dtype=np.float64), seg_len, hop))
+
+
+def _segment_spectra(x: np.ndarray, seg_len: int, hop: int) -> np.ndarray:
+    """Hann-windowed DFTs of stft_psd's segments, shape (..., n_segments, seg_len)."""
     if x.ndim < 1:
         raise ValueError("channel must have a sample axis")
     if seg_len > x.shape[-1]:
         raise ValueError(f"seg_len {seg_len} exceeds signal length {x.shape[-1]}")
     if hop < 1:
         raise ValueError("hop must be >= 1")
-    window = _hann(seg_len)
     segments = np.lib.stride_tricks.sliding_window_view(x, seg_len, axis=-1)[..., ::hop, :]
-    spectra = np.fft.fft(segments * window, axis=-1)
+    return np.fft.fft(segments * _hann(seg_len), axis=-1)
+
+
+def _power(spectra: np.ndarray) -> np.ndarray:
+    """Per-bin sum of |S|^2 over the segment axis of _segment_spectra."""
     return (spectra.real ** 2 + spectra.imag ** 2).sum(axis=-2)
 
 
@@ -151,8 +168,13 @@ def analytic_phase(channel: np.typing.ArrayLike) -> np.ndarray:
     x = np.asarray(channel, dtype=np.float64)
     if x.ndim < 1 or x.shape[-1] < 4:
         raise ValueError("channel must have at least 4 samples on its last axis")
+    z = _analytic_signal(x)
+    return np.arctan2(z.imag, z.real)
+
+
+def _analytic_signal(x: np.ndarray) -> np.ndarray:
+    """The discrete analytic signal of analytic_phase along the last axis."""
     n = x.shape[-1]
-    spectrum = np.fft.fft(x)
     gain = np.zeros(n)
     gain[0] = 1.0
     if n % 2 == 0:
@@ -160,8 +182,14 @@ def analytic_phase(channel: np.typing.ArrayLike) -> np.ndarray:
         gain[1:n // 2] = 2.0
     else:
         gain[1:(n + 1) // 2] = 2.0
-    z = np.fft.ifft(spectrum * gain)
-    return np.arctan2(z.imag, z.real)
+    return np.fft.ifft(np.fft.fft(x) * gain)
+
+
+def _unit_phasors(z: np.ndarray) -> np.ndarray:
+    """z / |z|, the phasor of z's phase; 1 where z is 0, as atan2 gives phase 0."""
+    magnitude = np.abs(z)
+    with np.errstate(invalid="ignore"):  # a non-finite z stays non-finite
+        return np.divide(z, magnitude, out=np.ones_like(z), where=magnitude != 0)
 
 
 def plv(phase_m: Sequence[float], phase_n: Sequence[float]) -> float:
@@ -179,13 +207,18 @@ def plv_matrix(window_data: np.ndarray) -> np.ndarray:
     data = np.asarray(window_data, dtype=np.float64)
     if data.ndim != 2:
         raise ValueError("window_data must be (n_channels, n_samples)")
-    phasors = np.exp(1j * analytic_phase(data))
-    coupling = phasors @ phasors.conj().T / data.shape[1]
+    return _plv_matrices(_unit_phasors(_analytic_signal(data)))
+
+
+def _plv_matrices(phasors: np.ndarray) -> np.ndarray:
+    """PLV matrices of (..., n_channels, n_samples) unit phasors."""
+    coupling = phasors @ phasors.conj().swapaxes(-1, -2) / phasors.shape[-1]
     matrix = np.minimum(np.abs(coupling), 1.0)
     # exact symmetry and unit diagonal by construction
     upper = np.triu(matrix, k=1)
-    matrix = upper + upper.T
-    np.fill_diagonal(matrix, 1.0)
+    matrix = upper + upper.swapaxes(-1, -2)
+    diagonal = np.arange(matrix.shape[-1])
+    matrix[..., diagonal, diagonal] = 1.0
     return matrix
 
 
@@ -201,6 +234,13 @@ def feature_names(n_channels: int = 12) -> List[str]:
     return names
 
 
+def _window_data(window) -> np.ndarray:
+    data = np.asarray(getattr(window, "data", window), dtype=np.float64)
+    if data.ndim != 2:
+        raise ValueError("window data must be (n_channels, n_samples)")
+    return data
+
+
 def extract_features(window, cfg: FeatureConfig = FeatureConfig()) -> np.ndarray:
     """Assemble the fixed-order feature vector of one window.
 
@@ -208,21 +248,59 @@ def extract_features(window, cfg: FeatureConfig = FeatureConfig()) -> np.ndarray
     expected to be filtered and standardized already. Raises
     FeatureExtractionError if any value comes out non-finite.
     """
-    data = np.asarray(getattr(window, "data", window), dtype=np.float64)
-    if data.ndim != 2:
-        raise ValueError("window data must be (n_channels, n_samples)")
-    psd = stft_psd(data, cfg.sample_rate, cfg.stft_seg_len, cfg.stft_hop)
-    vector = np.concatenate([
-        time_domain(data).to_array().ravel(),
-        band_power(psd, cfg.sample_rate, cfg.stft_seg_len).ravel(),
-        plv_matrix(data).ravel(),
-    ])
-    if not np.all(np.isfinite(vector)):
-        bad = int(np.flatnonzero(~np.isfinite(vector))[0])
+    n_channels = _window_data(window).shape[0]
+    identity = ChannelStats(np.zeros(n_channels), np.ones(n_channels))
+    return extract_standardized(window, [identity], cfg)[0]
+
+
+def extract_standardized(
+    window,
+    stats: Sequence[ChannelStats],
+    cfg: FeatureConfig = FeatureConfig(),
+) -> np.ndarray:
+    """Feature vectors of one filtered window under each channel standardization.
+
+    Accepts a Window or a bare (n_channels, n_samples) array, not yet
+    standardized. Row i of the (len(stats), n_features) result is
+    extract_features(standardize(stats[i], window), cfg): its time-domain
+    block bit for bit, its band powers and PLVs to rounding, because the
+    segment spectra and the analytic signal are computed once, from the
+    window as given (see the module docstring). Raises
+    FeatureExtractionError if any value comes out non-finite.
+    """
+    data = _window_data(window)
+    n_channels = data.shape[0]
+    if not stats:
+        raise ValueError("at least one ChannelStats is required")
+    if any(st.mean.shape != (n_channels,) for st in stats):
+        raise ValueError(f"every ChannelStats must cover the window's {n_channels} channels")
+    mean = np.stack([st.mean for st in stats])[:, :, None]
+    std = np.stack([st.std for st in stats])[:, :, None]
+    seg_len = cfg.stft_seg_len
+
+    spectra = _segment_spectra(data, seg_len, cfg.stft_hop)
+    psd = np.repeat(_power(spectra)[None], len(stats), axis=0)
+    # The periodic Hann window's DFT W is seg_len/2 at bin 0, -seg_len/4 at
+    # bins 1 and seg_len-1 and 0 elsewhere, so only those bins move with m:
+    # sum |S - m W|^2 = psd + m W (n_segments m W - 2 sum Re S), exactly
+    # psd at m = 0.
+    edge = [0, 1, seg_len - 1]
+    mw = mean * np.array([seg_len / 2.0, -seg_len / 4.0, -seg_len / 4.0])
+    psd[..., edge] += mw * (spectra.shape[-2] * mw - 2.0 * spectra[..., edge].real.sum(axis=-2))
+    psd /= std * std
+    phasors = _unit_phasors(_analytic_signal(data) - mean)
+
+    rows = np.concatenate([
+        time_domain((data - mean) / std).to_array().reshape(len(stats), -1),
+        band_power(psd, cfg.sample_rate, seg_len).reshape(len(stats), -1),
+        _plv_matrices(phasors).reshape(len(stats), -1),
+    ], axis=1)
+    if not np.all(np.isfinite(rows)):
+        bad = int(np.flatnonzero(~np.isfinite(rows))[0]) % rows.shape[1]
         raise FeatureExtractionError(
-            f"non-finite feature {feature_names(data.shape[0])[bad]} (index {bad})"
+            f"non-finite feature {feature_names(n_channels)[bad]} (index {bad})"
         )
-    return vector
+    return rows
 
 
 def extract_matrix(

@@ -31,7 +31,7 @@ import numpy as np
 from .binning import MAX_BINS_LIMIT, BinnedMatrix, apply_bins, bin_features
 from .objective import LossSpec, grad_hess, softmax, weighted_cross_entropy
 from .sampling import goss_sample
-from .tree import Tree, grow_tree
+from .tree import Tree, column_twins, grow_tree
 
 
 @dataclass(frozen=True)
@@ -233,6 +233,8 @@ def _boost(
     class_weights = start.class_weights
     n, n_classes = codes.shape[0], start.n_classes
     rng = np.random.default_rng(params.seed)
+    # columns that can never win a split on these rows, listed once per fit
+    twins = column_twins(codes)
     scored = codes if valid is None else np.concatenate([codes, valid[0]])
     all_raw = _scores(start, scored, start.best_iteration)
     raw, vraw = all_raw[:n], all_raw[n:]
@@ -266,7 +268,9 @@ def _boost(
 
         round_trees: List[Tree] = []
         for c in range(n_classes):
-            tree = grow_tree(sub_binned, sub_grad[:, c], sub_hess[:, c], params, rng)
+            tree = grow_tree(
+                sub_binned, sub_grad[:, c], sub_hess[:, c], params, rng, twins
+            )
             tree = replace(tree, value=params.learning_rate * tree.value)
             round_trees.append(tree)
             all_raw[:, c] += tree.predict_binned(scored)

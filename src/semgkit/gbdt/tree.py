@@ -13,6 +13,13 @@ histograms are derived by subtracting the smaller child's histogram from
 the parent's. Histograms are stacked (gradient, Hessian, count) in one
 array sized to the widest feature, and the split scan reuses
 preallocated buffers; both matter for training speed.
+
+Columns that can never win a split get no histogram and no scan (as
+LightGBM drops single-bin features when it builds a Dataset). A column
+constant on the rows has all its rows in one bin, so every cut leaves a
+side empty. A column whose codes equal those of an earlier column has the
+same histogram, and the first-occurrence argmax of the scan picks the
+earlier one. column_twins lists both kinds once per row set.
 """
 from __future__ import annotations
 
@@ -154,17 +161,34 @@ def _best_split(
     return gain, feat, cut
 
 
+def column_twins(codes: np.ndarray) -> np.ndarray:
+    """Per column of a bin-code matrix: -1 if it is constant, else the lowest
+    index of a column with the same codes (its own index if none is lower)."""
+    _, first, group = np.unique(
+        codes.T, axis=0, return_index=True, return_inverse=True
+    )
+    twins = first[group.ravel()]
+    twins[(codes == codes[:1]).all(axis=0)] = -1
+    return twins
+
+
 def grow_tree(
     binned: BinnedMatrix,
     grad: np.ndarray,
     hess: np.ndarray,
     params,
     rng: np.random.Generator,
+    twins: Optional[np.ndarray] = None,
 ) -> Tree:
     """Grow one tree on binned rows with per-row gradient and Hessian.
 
     params supplies num_leaves, min_data_in_leaf, l2_regularization and
-    feature_fraction; the rng drives the per-tree feature subsample.
+    feature_fraction; the rng drives the per-tree feature subsample, drawn
+    from all columns. twins is column_twins of binned's codes, or of a
+    larger row set they were taken from (as _boost lists it once per fit);
+    it is computed here if not given. Of the drawn columns, a constant one
+    and one with a lower drawn twin are neither histogrammed nor scanned,
+    which leaves the tree as it would be with them.
     """
     g = np.asarray(grad, dtype=np.float64)
     h = np.asarray(hess, dtype=np.float64)
@@ -179,10 +203,14 @@ def grow_tree(
     if params.feature_fraction < 1.0:
         n_sel = max(1, _ceil_frac(params.feature_fraction, n_features))
         feat_sel = np.sort(rng.choice(n_features, size=n_sel, replace=False))
-        codes = binned.codes[:, feat_sel]
     else:
         feat_sel = np.arange(n_features)
-        codes = binned.codes
+    if twins is None:
+        twins = column_twins(binned.codes)
+    # first drawn member of each twin group, constant columns left out
+    groups, first = np.unique(twins[feat_sel], return_index=True)
+    feat_sel = feat_sel[np.sort(first[groups >= 0])]
+    codes = binned.codes[:, feat_sel]
     f_sel = codes.shape[1]
     # cell index of every (row, feature): bin code + width * feature
     flat_full = codes.astype(np.int64)

@@ -9,9 +9,10 @@ plans. Every stochastic component derives its seed from the single run
 seed, so a rerun with the same config reproduces models and metric files
 byte for byte; wall-clock timing is reported separately in summary.csv.
 
-train makes every plan's feature rows, and then fits every plan's models
-(each bagged member, or the single model), in one pool of at most
-min(CPUs, fits) worker processes; tune makes its plans' rows the same way.
+train makes every window's feature rows of all plans, and then fits every
+plan's models (each bagged member, or the single model), in one pool of at
+most min(CPUs, fits) worker processes; tune makes its plans' rows the same
+way.
 The jobs are independent and their results are collected in submission
 order, so the outputs are byte-identical to a serial run. Prediction,
 saving and evaluation stay in the calling process, in plan order.
@@ -47,7 +48,6 @@ from .dsp import (
     design_bandpass,
     design_notch,
     filter_channels,
-    standardize,
 )
 from .ensemble import (
     MODEL_TYPE as BAGGED_TYPE,
@@ -57,7 +57,7 @@ from .ensemble import (
     _member_jobs,
     stratified_kfold,
 )
-from .features import FeatureConfig, extract_matrix
+from .features import FeatureConfig, extract_standardized
 from .gbdt.booster import (
     BoostedModel,
     TrainParams,
@@ -207,6 +207,19 @@ class PipelineConfig:
     out_dir: str = "out"
     model_dir: Optional[str] = None  # default: <out_dir>/model
     seed: int = 0
+
+    def __post_init__(self) -> None:
+        # a window must hold one STFT segment; checked here, before any data work
+        if self.window_len < 1 or self.step < 1:
+            raise ValueError(
+                f"[window] length and step must be at least 1, "
+                f"not {self.window_len} and {self.step}"
+            )
+        if self.window_len < self.features.stft_seg_len:
+            raise ValueError(
+                f"[window] length {self.window_len} is shorter than "
+                f"[features] stft_seg_len {self.features.stft_seg_len}"
+            )
 
     def resolved_model_dir(self) -> str:
         return self.model_dir or os.path.join(self.out_dir, "model")
@@ -483,15 +496,15 @@ def _plan_sides(
     return train_w, test_w
 
 
-def _standardized_features(
-    windows: Sequence[Window],
-    stats: ChannelStats,
-    cfg: FeatureConfig,
-) -> Tuple[np.ndarray, np.ndarray]:
-    X, labels, _ = extract_matrix(
-        (standardize(stats, w) for w in windows), cfg
-    )
-    return X, labels
+def _window_rows(
+    windows: Sequence[Window], stats: Sequence[ChannelStats], cfg: FeatureConfig
+) -> np.ndarray:
+    """Feature rows of windows under each stats, shape (len(stats), windows, features)."""
+    return np.stack([extract_standardized(w, stats, cfg) for w in windows], axis=1)
+
+
+def _labels(windows: Sequence[Window]) -> np.ndarray:
+    return np.asarray([w.label for w in windows], dtype=np.int64)
 
 
 # Feature rows are made in jobs of at most this many windows, small enough
@@ -508,11 +521,11 @@ def _hold_windows(windows: Sequence[Window]) -> None:
     _POOL_WINDOWS = windows
 
 
-def _feature_chunk(
-    positions: Sequence[int], stats: ChannelStats, cfg: FeatureConfig
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Pool job: feature rows of the worker's windows at positions."""
-    return _standardized_features([_POOL_WINDOWS[i] for i in positions], stats, cfg)
+def _pool_rows(
+    start: int, stop: int, stats: Sequence[ChannelStats], cfg: FeatureConfig
+) -> np.ndarray:
+    """Pool job: _window_rows of the worker's windows start..stop-1."""
+    return _window_rows(_POOL_WINDOWS[start:stop], stats, cfg)
 
 
 @contextmanager
@@ -546,35 +559,33 @@ def _plan_rows(
     """(stats, X_train, y_train, X_test, y_test) of each plan, numbered from 1.
 
     Both sides of a plan are standardized with the stats of its train
-    side. The rows are made in pool, whose workers hold windows, in jobs
-    of at most _CHUNK_WINDOWS windows.
+    side. Every window sits on one side of every plan, so pool, whose
+    workers hold windows, makes each window's rows of all plans in one
+    pass, in jobs of at most _CHUNK_WINDOWS consecutive windows.
     """
-    position = {id(w): i for i, w in enumerate(windows)}
     with _stage("standardize", timings):
-        sides = []
-        for number, plan in enumerate(plans, start=1):
-            train_w, test_w = _plan_sides(windows, plan, number)
-            sides.append((compute_stats(train_w), train_w, test_w))
-    with _stage("features", timings):
-        side_jobs = [
-            [
-                pool.submit(
-                    _feature_chunk,
-                    [position[id(w)] for w in side[k:k + _CHUNK_WINDOWS]],
-                    stats,
-                    config.features,
-                )
-                for k in range(0, len(side), _CHUNK_WINDOWS)
-            ]
-            for stats, train_w, test_w in sides
-            for side in (train_w, test_w)
+        sides = [
+            _plan_sides(windows, plan, number)
+            for number, plan in enumerate(plans, start=1)
         ]
-        rows = []
-        for jobs in side_jobs:
-            parts = [job.result() for job in jobs]
-            rows.append(np.vstack([X for X, _ in parts]))
-            rows.append(np.concatenate([y for _, y in parts]))
-    return [(stats, *rows[4 * p:4 * p + 4]) for p, (stats, _, _) in enumerate(sides)]
+        stats = [compute_stats(train_w) for train_w, _ in sides]
+    with _stage("features", timings):
+        jobs = [
+            pool.submit(_pool_rows, k, k + _CHUNK_WINDOWS, stats, config.features)
+            for k in range(0, len(windows), _CHUNK_WINDOWS)
+        ]
+        rows = np.concatenate([job.result() for job in jobs], axis=1)
+        position = {id(w): i for i, w in enumerate(windows)}
+        labels = _labels(windows)
+        out = []
+        for p, (train_w, test_w) in enumerate(sides):
+            train_at = [position[id(w)] for w in train_w]
+            test_at = [position[id(w)] for w in test_w]
+            out.append((
+                stats[p], rows[p, train_at], labels[train_at],
+                rows[p, test_at], labels[test_at],
+            ))
+    return out
 
 
 def _holdout_fit(
@@ -744,10 +755,10 @@ def _run_evaluate(config: PipelineConfig, timings: Dict[str, float]) -> Dict:
             model, stats = _load_plan(os.path.join(model_root, f"plan_{i}"))
         with _stage("features", timings):
             _, test_w = _plan_sides(windows, plan, i)
-            X_test, y_test = _standardized_features(test_w, stats, config.features)
+            X_test = _window_rows(test_w, [stats], config.features)[0]
         with _stage("evaluate", timings):
             pred = model.predict_label(X_test)
-            plan_metrics.append(_score_plan(pred, y_test, class_ids))
+            plan_metrics.append(_score_plan(pred, _labels(test_w), class_ids))
 
     return _report("evaluate", config, plan_metrics, class_ids, timings)
 
@@ -758,8 +769,7 @@ def _run_tune(config: PipelineConfig, timings: Dict[str, float]) -> Dict:
     plans = make_cv_plans()
     if config.hpo_fast:
         plans = plans[:1]
-    # every plan side is at least one feature job
-    with _worker_pool(windows, 2 * len(plans)) as pool:
+    with _worker_pool(windows, -(-len(windows) // _CHUNK_WINDOWS)) as pool:
         plan_data = [
             rows[1:] for rows in _plan_rows(config, windows, plans, timings, pool)
         ]
@@ -836,11 +846,11 @@ def _run_transfer(config: PipelineConfig, timings: Dict[str, float]) -> Dict:
     windows = _prepare_windows(config, timings, spec)
 
     with _stage("features", timings):
-        X, y = _standardized_features(windows, stats, config.features)
+        X = _window_rows(windows, [stats], config.features)[0]
 
     with _stage("transfer", timings):
         report = transfer_report(
-            X, y, base,
+            X, _labels(windows), base,
             cfg=config.transfer,
             seeds=config.transfer_seeds,
             loss=config.loss,

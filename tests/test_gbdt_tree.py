@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 
 from semgkit.gbdt import BinnedMatrix, TrainParams, Tree, bin_features, grow_tree
+from semgkit.gbdt import booster, train
+from semgkit.gbdt.tree import column_twins
 
 
 def exhaustive_root_split(codes, grad, hess, min_data, l2):
@@ -204,6 +206,104 @@ class TestGrowth:
         with pytest.raises(ValueError):
             grow_tree(binned, np.zeros(4), np.ones(5), TrainParams(),
                       np.random.default_rng(0))
+
+
+
+def interleaved_copies(rng, n=240, k=6):
+    """(distinct BinnedMatrix, the same columns with constant columns and
+    copies of earlier columns interleaved, index of each distinct column in it)."""
+    codes = rng.integers(0, 8, size=(n, k)).astype(np.uint8)
+    edges = tuple(np.arange(0.5, 7.5) for _ in range(k))
+    # -1 is a constant column; ("copy", j) repeats distinct column j
+    layout = [0, -1, 1, ("copy", 0), 2, 3, -1, ("copy", 2), 4, ("copy", 4),
+              ("copy", 0), 5, -1]
+    columns, where = [], {}
+    for item in layout:
+        if item == -1:
+            columns.append(np.full(n, 3, dtype=np.uint8))
+        elif isinstance(item, tuple):
+            columns.append(codes[:, item[1]])
+        else:
+            where[item] = len(columns)
+            columns.append(codes[:, item])
+    wide = BinnedMatrix(np.stack(columns, axis=1), tuple(edges[0] for _ in columns))
+    index = np.array([where[j] for j in range(k)])
+    return BinnedMatrix(codes, edges), wide, index
+
+
+def same_tree(a: Tree, b: Tree) -> bool:
+    return all(
+        np.array_equal(getattr(a, name), getattr(b, name))
+        for name in ("feature", "threshold", "left", "right", "value")
+    )
+
+
+class TestSkippedColumns:
+    """Constant columns and copies of an earlier column are never scanned."""
+
+    def test_column_twins(self):
+        codes = np.array(
+            [[1, 1, 0, 1, 2, 1], [2, 2, 0, 2, 1, 2], [3, 3, 0, 1, 2, 3]], dtype=np.uint8
+        )
+        assert column_twins(codes).tolist() == [0, 0, -1, 3, 4, 0]
+        assert column_twins(codes[:1]).tolist() == [-1] * 6
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_tree_equals_the_tree_of_the_distinct_columns(self, seed):
+        rng = np.random.default_rng(seed)
+        distinct, wide, index = interleaved_copies(rng)
+        # dyadic gradients: every histogram sum is exact, and gains tie often
+        grad = rng.integers(-16, 17, size=distinct.n_samples) / 8.0
+        hess = rng.integers(1, 9, size=distinct.n_samples) / 8.0
+        params = TrainParams(num_leaves=8, min_data_in_leaf=5)
+        want = grow_tree(distinct, grad, hess, params, np.random.default_rng(seed))
+        got = grow_tree(wide, grad, hess, params, np.random.default_rng(seed))
+        assert (want.feature >= 0).sum() > 3
+        mapped = np.where(want.feature >= 0, index[np.maximum(want.feature, 0)], -1)
+        assert np.array_equal(got.feature, mapped)
+        assert same_tree(replace_feature(got, want.feature), want)
+
+    @pytest.mark.parametrize("fraction", [1.0, 0.5, 0.2])
+    def test_draws_and_trees_equal_a_scan_of_every_drawn_column(self, fraction):
+        # twins = arange scans every drawn column: growth without skipping
+        params = TrainParams(num_leaves=6, min_data_in_leaf=3, feature_fraction=fraction)
+        lone_copies = 0
+        for seed in range(12):
+            rng = np.random.default_rng(100 + seed)
+            _, wide, _ = interleaved_copies(rng)
+            grad = rng.normal(0.0, 1.0, size=wide.n_samples)
+            hess = rng.uniform(0.5, 1.5, size=wide.n_samples)
+            rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
+            got = grow_tree(wide, grad, hess, params, rng_a)
+            want = grow_tree(wide, grad, hess, params, rng_b,
+                             twins=np.arange(wide.n_features))
+            assert same_tree(got, want)
+            assert rng_a.random() == rng_b.random()  # the same draws were made
+            # a copy can split only when its twin was not drawn
+            twins = column_twins(wide.codes)
+            lone_copies += any(twins[f] != f for f in got.feature[got.feature >= 0])
+        assert bool(lone_copies) == (fraction < 1.0)
+
+    def test_twins_are_listed_once_per_fit(self, monkeypatch):
+        calls = []
+
+        def counted(codes):
+            calls.append(codes.shape)
+            return column_twins(codes)
+
+        monkeypatch.setattr(booster, "column_twins", counted)
+        rng = np.random.default_rng(0)
+        x = rng.standard_normal((120, 5))
+        y = (x[:, 0] > 0).astype(int) + (x[:, 1] > 0)
+        model = train(x[:90], y[:90], x[90:], y[90:],
+                      params=TrainParams(max_rounds=5, early_stop_rounds=0,
+                                         min_data_in_leaf=5))
+        assert model.n_rounds == 5
+        assert calls == [(90, 5)]
+
+
+def replace_feature(tree: Tree, feature: np.ndarray) -> Tree:
+    return Tree(feature, tree.threshold, tree.left, tree.right, tree.value)
 
 
 def all_split_gains(codes, grad, hess, min_data, l2):

@@ -8,9 +8,14 @@ do the weighted-loss runs below, read from INI files, and the feature
 rows of their plans. The two tiny trains also pin every member's tree
 arrays and best_iteration and every member's raw scores of the plan's
 test rows: a change that moves feature values by rounding alone may move
-bin edges, and so model.json, but must leave these as they are. PINNED was recorded from the serial pipeline, before
-training ran in worker processes. All digests were recorded with the
-numpy and scipy versions in RECORDED_WITH; other versions may round
+bin edges, and so model.json, but must leave these as they are.
+
+PINNED was recorded from the serial pipeline, before training ran in
+worker processes. The model.json and feature-row digests were recorded
+again when feature rows came to be made from one spectral pass per
+window: rows moved by at most 6e-14 relative, bin edges with them, and
+no tree, raw score or report file moved. All digests were recorded with
+the numpy and scipy versions in RECORDED_WITH; other versions may round
 differently, so the test skips under them. A change that alters numerics
 on purpose records new digests here and says why in CHANGES.md.
 """
@@ -55,11 +60,11 @@ PINNED = {
         "metrics.csv":
             "7f4b8833a1b16a446840d3ea8a87827573782e5bd8f3897f3d0f32e585e9f395",
         "model/plan_1/model.json":
-            "ee6ae9afa02f018bd13048c0ebe5ca77e2c743c2332ac0856605003dfe46c344",
+            "64395e86f935648ed8e63ab291d3320af6dbb818e10e1b671232c9e62a3b25f3",
         "model/plan_2/model.json":
-            "10c16484be69404c27a6f8b6447b960c0dd156810feb81d53f5dfaaeaa6eba3b",
+            "b97147c91a746af687722857c6bc2af444be10cd0f47761b603f92cddafa6d87",
         "model/plan_3/model.json":
-            "38c0c92c82cee4af9a8ad384efd9a8150fc1e94583cfce2ae285835af0f4cbda",
+            "75cce261382316de145090191659cbb55daa763aa91f19de4ce920b8fb512f3a",
     },
     "single": {
         "confusion.csv":
@@ -67,11 +72,11 @@ PINNED = {
         "metrics.csv":
             "5e9ee2d832725a07c6a1528555a0554a917bf037b414f20e186a8de70913903e",
         "model/plan_1/model.json":
-            "65844a03eed23c155a3016fee925c2e4eefdd62cd68dafdfb9858345f38ec28b",
+            "47719495b3e84415647f13719f7b3684e1c632c186e7a8444085385ca7541b0f",
         "model/plan_2/model.json":
-            "033bf60b4e02eb82b1cec8cfd9829252cc6e801f47204d599b4b37657d540a60",
+            "6170aa3a53ce8f5748d4f18604dd8f0a06dfcd81df9e3b781e5275b6cb9bd1cd",
         "model/plan_3/model.json":
-            "5ff04a6d28bbe78d3c3f3cd47fcbd8d975991d9a962b676ba303853505712c1e",
+            "9190d4b708e7beed20dd9b1cce8f15bc5f4d3068dcd022492a12845d17d81870",
     },
     "transfer": {
         "transfer_report.csv":
@@ -235,21 +240,21 @@ PINNED_WEIGHTED = {
         "metrics.csv":
             "0318280705f594c21a06ced9efadb1565b9ac2b228a84f11ce23f049b69bfbfe",
         "model/plan_1/model.json":
-            "ab31a4642ccdc0fa40e99fa8e158b740c435a7fc916cf97f017f757f95016284",
+            "91b8a556561fc1f36911cb3d32fa08e085f9c5194d5ad910c779bb144e2aa005",
         "model/plan_2/model.json":
-            "92fc77473a67af72096940114c252856971b99b96e4f8d899c44b880e4584b00",
+            "5c3bf2ef282403314ea40aa000d2dcc7529a25635ab68e7ebb2ec42b614c278f",
         "model/plan_3/model.json":
-            "26f261ca2b0983e732eb0946862fb566df952fbce083b41eff5d07a1c4643c87",
+            "de0765a58fa62acb6f4cd587ffcd3e402f7c81b38a0294f8d3cefe7482ee08fc",
     },
     "single": {
         "metrics.csv":
             "d816061e709ca28748c287850c429ce6c059c1aca343d24b9d5f346a89773e76",
         "model/plan_1/model.json":
-            "7b65ce3ad503b0c533470db46975fba7d8d9362afd4470f9dc1bdd0fcd48f7fd",
+            "90ae2828efeccaa9e79948019db569133b1fe0b8a4bf482bf7d0156a23641b0b",
         "model/plan_2/model.json":
-            "dbddc7b2166ea46cb1716718b54d06a6f864693ff664174d88c471076cc216f6",
+            "d346e9027047466d0134ccaf345ddf24a7d90b5b798159cf96978c38186283e8",
         "model/plan_3/model.json":
-            "8faa114cd95ac81339727a62c9b956737bbbdb3f13d233b677cd168294fb4aa7",
+            "6d0b00875935bb6cc967691bb2feaf3e9e5f0ca2d323b95614125afeecbf86f4",
     },
     "tune": {
         "best_params.json":
@@ -265,17 +270,17 @@ PINNED_WEIGHTED = {
 # X_train and X_test bytes of each plan's rows, as _plan_rows makes them
 PINNED_ROWS = {
     "plan_1/X_train":
-        "2bb4c3753dd11ae0c0e49c6ab658647ff0cdaea3ef0331839b7010e188b241cb",
+        "2c089049ce449817ca7467424024772a932cba1e0a087442f3f518e286074f78",
     "plan_1/X_test":
-        "a5254bfea38f5c19dba6cd8956007ecc943086b68094a062a200f5de50f3c044",
+        "bcbd78aae98d3a31316759a18eac55b28ef4667eaba1bcaf912895c208352226",
     "plan_2/X_train":
-        "0cfdb846b48e88a89845976d4d78276a309e65c57d6eaabcb7e01312803fe665",
+        "1246db98b6131dee3cb5bb9ecc2d068867222ba0476c4aef2665d38528603d9c",
     "plan_2/X_test":
-        "8e41882b4584a22e3cecd6652ea052c1f657ba8545965feb8cf6e8ad6c66745d",
+        "2a89a08244f1a0c300d3314e78763da27fc17002fbc7c2cad90684c20b9d2488",
     "plan_3/X_train":
-        "e70b8139acb4f6142c6602c68166233e97464485b500c193502dc7dbb17e8d4d",
+        "c34be4bb711e18210149bf7489c5298e77e0048f6a7cd1e103fcd39a2ad4bb5a",
     "plan_3/X_test":
-        "95bfdac95d9c087bd494284bbd92db478f81047b48d80b5f832897bbed14b219",
+        "e78b3c3d5ed7d9670d008be822494cfc7db5358dc817cb9844057a7df4c3671a",
 }
 
 

@@ -18,6 +18,7 @@ from semgkit.dataset import (
     save_recording,
 )
 from semgkit.ensemble import train_bagged
+from semgkit.features import FeatureConfig
 from semgkit.gbdt import LossSpec, TrainParams, save_model
 from semgkit.gbdt.booster import detect_hard_classes
 from semgkit.pipeline import (
@@ -257,6 +258,15 @@ class TestLoadConfig:
     def test_missing_file(self, tmp_path):
         with pytest.raises(FileNotFoundError, match="config file not found"):
             load_config(tmp_path / "nope.ini")
+
+    def test_window_shorter_than_a_segment_rejected_when_built(self):
+        with pytest.raises(ValueError, match=r"\[window\] length 255 is shorter"):
+            PipelineConfig(window_len=255)
+        with pytest.raises(ValueError, match=r"\[features\] stft_seg_len 64$"):
+            PipelineConfig(window_len=32, features=FeatureConfig(stft_seg_len=64))
+        with pytest.raises(ValueError, match="must be at least 1"):
+            PipelineConfig(step=-1)
+        assert PipelineConfig(window_len=256).window_len == 256
 
     @pytest.mark.parametrize("gain", ["0", "-1"])
     def test_bad_gain_rejected_when_read(self, tmp_path, gain):
@@ -914,6 +924,41 @@ class TestCli:
         ini = write_cli_ini(tmp_path, out, extra=f"\n[loss]\ngain = {gain}\n")
         assert main([mode, "--config", ini]) == 1
         assert capsys.readouterr().err == "error: gain must be > 0\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "extra, message",
+        [
+            (
+                "\n[window]\nlength = 200\n",
+                "[window] length 200 is shorter than [features] stft_seg_len 256",
+            ),
+            (
+                "\n[features]\nstft_seg_len = 2000\n",
+                "[window] length 1280 is shorter than [features] stft_seg_len 2000",
+            ),
+            (
+                "\n[window]\nlength = 0\n",
+                "[window] length and step must be at least 1, not 0 and 320",
+            ),
+            (
+                "\n[window]\nstep = 0\n",
+                "[window] length and step must be at least 1, not 1280 and 0",
+            ),
+        ],
+        ids=["short_window", "long_segment", "zero_length", "zero_step"],
+    )
+    @pytest.mark.parametrize("mode", ["train", "evaluate", "tune", "transfer"])
+    def test_window_without_a_segment_fails_before_any_output(
+        self, tmp_path, capsys, monkeypatch, mode, extra, message
+    ):
+        def no_data_work(*args):
+            raise AssertionError("the config error must come before any data work")
+
+        monkeypatch.setattr(pipeline, "_prepare_windows", no_data_work)
+        out = tmp_path / "out"
+        assert main([mode, "--config", write_cli_ini(tmp_path, out, extra=extra)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
     @pytest.mark.parametrize(
