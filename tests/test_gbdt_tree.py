@@ -1,6 +1,8 @@
 """Histogram tree growth against an exhaustive split-search oracle."""
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -261,7 +263,7 @@ class TestSkippedColumns:
         assert (want.feature >= 0).sum() > 3
         mapped = np.where(want.feature >= 0, index[np.maximum(want.feature, 0)], -1)
         assert np.array_equal(got.feature, mapped)
-        assert same_tree(replace_feature(got, want.feature), want)
+        assert same_tree(replace(got, feature=want.feature), want)
 
     @pytest.mark.parametrize("fraction", [1.0, 0.5, 0.2])
     def test_draws_and_trees_equal_a_scan_of_every_drawn_column(self, fraction):
@@ -300,10 +302,6 @@ class TestSkippedColumns:
                                          min_data_in_leaf=5))
         assert model.n_rounds == 5
         assert calls == [(90, 5)]
-
-
-def replace_feature(tree: Tree, feature: np.ndarray) -> Tree:
-    return Tree(feature, tree.threshold, tree.left, tree.right, tree.value)
 
 
 def all_split_gains(codes, grad, hess, min_data, l2):

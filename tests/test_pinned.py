@@ -129,6 +129,18 @@ def _digests(out: Path, names) -> dict:
     return {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in names}
 
 
+def _record_plan_rows(mp: pytest.MonkeyPatch) -> list:
+    """Make pipeline._plan_rows keep each result in the returned list."""
+    made = []
+
+    def recording_plan_rows(*args):
+        made.append(_plan_rows(*args))
+        return made[-1]
+
+    mp.setattr(pipeline, "_plan_rows", recording_plan_rows)
+    return made
+
+
 def _tree_digests(model_dir: Path, plan_rows) -> dict:
     """The "trees" and "raw_test" digests of each saved plan under model_dir."""
     digests = {}
@@ -152,14 +164,8 @@ def _tree_digests(model_dir: Path, plan_rows) -> dict:
 def outputs(tmp_path_factory):
     root = tmp_path_factory.mktemp("pinned")
     config = PipelineConfig(synthetic=SPEC, params=PARAMS, ensemble_k=3, seed=11)
-    made = []
-
-    def recording_plan_rows(*args):
-        made.append(_plan_rows(*args))
-        return made[-1]
-
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(pipeline, "_plan_rows", recording_plan_rows)
+        made = _record_plan_rows(mp)
         run_pipeline(replace(config, out_dir=str(root / "bagged")), mode="train")
         run_pipeline(
             replace(config, use_ensemble=False, out_dir=str(root / "single")),
@@ -299,13 +305,7 @@ def _weighted_config(root: Path, run: str) -> PipelineConfig:
 
 
 def test_weighted_runs_match_the_pinned_digests(tmp_path, monkeypatch):
-    made = []
-
-    def recording_plan_rows(*args):
-        made.append(_plan_rows(*args))
-        return made[-1]
-
-    monkeypatch.setattr(pipeline, "_plan_rows", recording_plan_rows)
+    made = _record_plan_rows(monkeypatch)
     for run, (mode, _) in WEIGHTED_RUNS.items():
         run_pipeline(_weighted_config(tmp_path, run), mode=mode)
     digests = {
