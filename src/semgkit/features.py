@@ -186,10 +186,17 @@ def _analytic_signal(x: np.ndarray) -> np.ndarray:
 
 
 def _unit_phasors(z: np.ndarray) -> np.ndarray:
-    """z / |z|, the phasor of z's phase; 1 where z is 0, as atan2 gives phase 0."""
+    """z / |z|, the phasor of z's phase, written over z; 1 where z is 0.
+
+    z is a complex temporary of the caller's. 1 is the phasor of phase 0,
+    the phase atan2 gives at 0.
+    """
     magnitude = np.abs(z)
-    with np.errstate(invalid="ignore"):  # a non-finite z stays non-finite
-        return np.divide(z, magnitude, out=np.ones_like(z), where=magnitude != 0)
+    # 0/0 at z = 0 is overwritten below; a non-finite z stays non-finite
+    with np.errstate(divide="ignore", invalid="ignore"):
+        z /= magnitude
+    z[magnitude == 0] = 1.0
+    return z
 
 
 def plv(phase_m: Sequence[float], phase_n: Sequence[float]) -> float:

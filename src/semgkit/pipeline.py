@@ -12,7 +12,8 @@ byte for byte; wall-clock timing is reported separately in summary.csv.
 train makes every window's feature rows of all plans, and then fits every
 plan's models (each bagged member, or the single model), in one pool of at
 most min(CPUs, fits) worker processes; tune makes its plans' rows the same
-way.
+way, and transfer makes the target's rows and then fits both arms of every
+paired seed in one pool of at most min(CPUs, jobs) workers.
 The jobs are independent and their results are collected in submission
 order, so the outputs are byte-identical to a serial run. Prediction,
 saving and evaluation stay in the calling process, in plan order.
@@ -23,7 +24,8 @@ import configparser
 import multiprocessing
 import os
 import time
-from concurrent.futures import Executor, ProcessPoolExecutor
+import weakref
+from concurrent.futures import Executor, Future, ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
@@ -528,6 +530,54 @@ def _pool_rows(
     return _window_rows(_POOL_WINDOWS[start:stop], stats, cfg)
 
 
+def _feature_jobs(windows: Sequence[Window]) -> int:
+    """The number of _pool_rows jobs that make windows' feature rows."""
+    return -(-len(windows) // _CHUNK_WINDOWS)
+
+
+def _pooled_rows(
+    pool: Executor, n_windows: int, stats: Sequence[ChannelStats], cfg: FeatureConfig
+) -> np.ndarray:
+    """_window_rows of all n_windows windows pool's workers hold, in order.
+
+    The rows are made in _feature_jobs jobs of at most _CHUNK_WINDOWS
+    consecutive windows.
+    """
+    jobs = [
+        pool.submit(_pool_rows, k, k + _CHUNK_WINDOWS, stats, cfg)
+        for k in range(0, n_windows, _CHUNK_WINDOWS)
+    ]
+    return np.concatenate([job.result() for job in jobs], axis=1)
+
+
+class _CancellingPool(Executor):
+    """A pool whose shutdown cancels jobs one future at a time.
+
+    shutdown(cancel_futures=True) cancels every job not yet started and
+    then waits for the running ones, as the process pool's own does, but
+    never hands cancel_futures on to it: on CPython 3.11 that can wait
+    forever for a job that failed to pickle, because the pool keeps such a
+    job in a copy of its table of pending jobs, which the thread that
+    pickles jobs never updates.
+    """
+
+    def __init__(self, pool: Executor) -> None:
+        self._pool = pool
+        # every submitted future that is still pending or still held by a caller
+        self._futures: "weakref.WeakSet[Future]" = weakref.WeakSet()
+
+    def submit(self, fn, /, *args, **kwargs) -> Future:
+        future = self._pool.submit(fn, *args, **kwargs)
+        self._futures.add(future)
+        return future
+
+    def shutdown(self, wait: bool = True, *, cancel_futures: bool = False) -> None:
+        if cancel_futures:
+            for future in list(self._futures):
+                future.cancel()
+        self._pool.shutdown(wait)
+
+
 @contextmanager
 def _worker_pool(windows: Sequence[Window], n_jobs: int):
     """A process pool of min(CPUs, n_jobs) workers that hold windows.
@@ -537,12 +587,12 @@ def _worker_pool(windows: Sequence[Window], n_jobs: int):
     yet started are cancelled and the workers are joined, also when the
     body raised.
     """
-    pool = ProcessPoolExecutor(
+    pool = _CancellingPool(ProcessPoolExecutor(
         min(len(os.sched_getaffinity(0)), n_jobs),
         mp_context=multiprocessing.get_context("fork"),
         initializer=_hold_windows,
         initargs=(windows,),
-    )
+    ))
     try:
         yield pool
     finally:
@@ -570,11 +620,7 @@ def _plan_rows(
         ]
         stats = [compute_stats(train_w) for train_w, _ in sides]
     with _stage("features", timings):
-        jobs = [
-            pool.submit(_pool_rows, k, k + _CHUNK_WINDOWS, stats, config.features)
-            for k in range(0, len(windows), _CHUNK_WINDOWS)
-        ]
-        rows = np.concatenate([job.result() for job in jobs], axis=1)
+        rows = _pooled_rows(pool, len(windows), stats, config.features)
         position = {id(w): i for i, w in enumerate(windows)}
         labels = _labels(windows)
         out = []
@@ -769,7 +815,7 @@ def _run_tune(config: PipelineConfig, timings: Dict[str, float]) -> Dict:
     plans = make_cv_plans()
     if config.hpo_fast:
         plans = plans[:1]
-    with _worker_pool(windows, -(-len(windows) // _CHUNK_WINDOWS)) as pool:
+    with _worker_pool(windows, _feature_jobs(windows)) as pool:
         plan_data = [
             rows[1:] for rows in _plan_rows(config, windows, plans, timings, pool)
         ]
@@ -845,16 +891,18 @@ def _run_transfer(config: PipelineConfig, timings: Dict[str, float]) -> Dict:
         spec = replace(spec, seed=target_seed, class_seed=profile)
     windows = _prepare_windows(config, timings, spec)
 
-    with _stage("features", timings):
-        X = _window_rows(windows, [stats], config.features)[0]
-
-    with _stage("transfer", timings):
-        report = transfer_report(
-            X, _labels(windows), base,
-            cfg=config.transfer,
-            seeds=config.transfer_seeds,
-            loss=config.loss,
-        )
+    n_fits = 2 * len(config.transfer_seeds)
+    with _worker_pool(windows, max(_feature_jobs(windows), n_fits)) as pool:
+        with _stage("features", timings):
+            X = _pooled_rows(pool, len(windows), [stats], config.features)[0]
+        with _stage("transfer", timings):
+            report = transfer_report(
+                X, _labels(windows), base,
+                cfg=config.transfer,
+                seeds=config.transfer_seeds,
+                loss=config.loss,
+                pool=pool,
+            )
     with _stage("report", timings):
         path = write_transfer_csv(report, config.out_dir)
     before_mean, after_mean = report.mean_row()

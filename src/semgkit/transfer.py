@@ -7,9 +7,15 @@ the target label balance. The result holds base trees plus new trees, so
 its predictions decompose exactly into base score + new-tree score.
 warm_start runs the same round loop as booster.train, started from the
 base model instead of the class priors.
+
+transfer_report's fits may run in a pool of worker processes. Only the
+private module-level round loops are sent to it, never a public name
+that a caller may have replaced with a wrapper that cannot be pickled.
 """
 from __future__ import annotations
 
+from collections import deque
+from concurrent.futures import Executor
 from dataclasses import asdict, dataclass, replace
 from typing import List, Optional, Tuple
 
@@ -23,9 +29,10 @@ from .gbdt.booster import (
     _boost,
     _checked_rows,
     _encode_labels,
+    _fit,
     _per_class_recall,
+    _train_args,
     _valid_rows,
-    train,
 )
 from .gbdt.objective import LossSpec
 
@@ -71,6 +78,28 @@ def warm_start(
     base rounds plus the best number of new rounds. Target labels outside
     the base class set are a domain error.
     """
+    return _boost(*_warm_args(
+        base, target_train_features, target_train_labels,
+        target_valid_features, target_valid_labels, cfg, loss, seed,
+    ))
+
+
+def _warm_args(
+    base: BoostedModel,
+    target_train_features: np.ndarray,
+    target_train_labels: np.ndarray,
+    target_valid_features: Optional[np.ndarray],
+    target_valid_labels: Optional[np.ndarray],
+    cfg: TransferConfig,
+    loss: LossSpec,
+    seed: Optional[int],
+) -> Tuple[BoostedModel, np.ndarray, np.ndarray, Optional[Tuple[np.ndarray, np.ndarray]]]:
+    """The booster._boost arguments of warm_start.
+
+    They are the starting model, the training rows binned with the base
+    edges, their labels encoded against the base classes, and the valid
+    rows as (bin codes, labels) or None.
+    """
     features, labels = _checked_rows(
         target_train_features, target_train_labels, len(base.bin_edges)
     )
@@ -81,7 +110,7 @@ def warm_start(
         class_weights=loss.weights_for(labels, base.classes),
         params=_phase_params(base, cfg, seed),
     )
-    return _boost(start, apply_bins(features, base.bin_edges), encoded, valid)
+    return start, apply_bins(features, base.bin_edges), encoded, valid
 
 
 @dataclass
@@ -139,12 +168,21 @@ def transfer_report(
     cfg: TransferConfig = TransferConfig(),
     seeds: Tuple[int, ...] = (0, 1, 2, 3, 4),
     loss: LossSpec = LossSpec(),
+    *,
+    pool: Optional[Executor] = None,
 ) -> TransferReport:
     """Paired scratch-versus-warm-start comparison on target data.
 
     Each seed deals the target data into train/valid/test splits shared
     by both arms, trains both, and scores per-class recall and overall
     accuracy on the held-out test quarter.
+
+    The 2 x len(seeds) fits are independent jobs. Their arguments are
+    built here, booster._train_args for the scratch arm and _warm_args for
+    the warm arm; the job is booster._fit or booster._boost on them. With a
+    pool the jobs run in its workers, otherwise here, one after another.
+    Either way the models are read in seed order, scored here and dropped,
+    so the report is the same.
     """
     if not seeds:
         raise ValueError("seeds must name at least one seed")
@@ -159,7 +197,8 @@ def transfer_report(
     before_acc = np.zeros(n_seeds)
     after_acc = np.zeros(n_seeds)
 
-    for s, seed in enumerate(seeds):
+    jobs, test_masks = [], []
+    for seed in seeds:
         rng = np.random.default_rng([int(seed), 404])
         train_mask, valid_mask, test_mask = _paired_split(labels, rng)
         args = (
@@ -168,11 +207,20 @@ def transfer_report(
             features[valid_mask],
             labels[valid_mask],
         )
-        scratch = train(*args, params=_phase_params(base, cfg, seed), loss=loss)
-        warmed = warm_start(base, *args, cfg=cfg, loss=loss, seed=int(seed))
+        params = _phase_params(base, cfg, seed)
+        jobs.append((_fit, _train_args(*args, params, loss)))
+        jobs.append((_boost, _warm_args(base, *args, cfg, loss, int(seed))))
+        test_masks.append(test_mask)
+    if pool is None:
+        models = (job(*job_args) for job, job_args in jobs)
+    else:
+        futures = deque(pool.submit(job, *job_args) for job, job_args in jobs)
+        models = (futures.popleft().result() for _ in jobs)
+
+    for s, test_mask in enumerate(test_masks):
         test_labels = labels[test_mask]
         for model, per_class, acc in (
-            (scratch, before_pc, before_acc), (warmed, after_pc, after_acc)
+            (next(models), before_pc, before_acc), (next(models), after_pc, after_acc)
         ):
             pred = model.predict_label(features[test_mask])
             acc[s] = float(np.mean(pred == test_labels))

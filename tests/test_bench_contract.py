@@ -5,9 +5,9 @@ Tree.predict_binned with getattr, so renaming one of them would make every
 traced benchmark run fail. The tracer module is loaded from its file as it
 is, without importing the benchmark package.
 
-A traced train must still run its jobs in worker processes: only private
-module-level functions are sent to them, never a name the tracer replaced
-with a wrapper, which cannot be pickled.
+A traced train or transfer must still run its jobs in worker processes:
+only private module-level functions are sent to them, never a name the
+tracer replaced with a wrapper, which cannot be pickled.
 
 bench/worker.py also reads the model files a train run leaves:
 ensemble.load_bagged on each plan directory of a bagged run, and
@@ -108,19 +108,20 @@ def test_transfer_mode_calls_the_module_global_transfer_report(tmp_path, monkeyp
     assert reports[0].mean_row() == (result["before_mean"], result["after_mean"])
 
 
-# Runs cli.main train, traced as bench/worker.py traces it when argv[3] is
-# "1", and prints the number of spans recorded.
-TRAIN_SCRIPT = """
+# Runs cli.main with argv[2] (train or transfer), traced as bench/worker.py
+# traces it when argv[4] is "1", and prints the exit code and the number of
+# spans recorded.
+TRACED_SCRIPT = """
 import importlib.util, sys
 spec = importlib.util.spec_from_file_location("bench_tracing", sys.argv[1])
 tracing = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(tracing)
 tracer = tracing.Tracer()
-if sys.argv[3] == "1":
+if sys.argv[4] == "1":
     tracer.install()
     tracer.active = True
 import semgkit.cli
-rc = semgkit.cli.main(["train", "--config", sys.argv[2], "--out", sys.argv[4]])
+rc = semgkit.cli.main([sys.argv[2], "--config", sys.argv[3], "--out", sys.argv[5]])
 print(rc, len(tracer.spans), file=sys.stderr)
 """
 
@@ -141,34 +142,58 @@ seed = 4
 """
 
 
+def _run_cli(command: str, ini: Path, traced: str, out: Path) -> None:
+    """cli.main command in a fresh process, traced or not; it must succeed."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    # A job that cannot be pickled can leave the pool waiting forever,
+    # so a run that overstays is killed with its workers.
+    run = subprocess.Popen(
+        [sys.executable, "-c", TRACED_SCRIPT, str(TRACING_PATH), command, str(ini),
+         traced, str(out)],
+        env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
+        start_new_session=True,
+    )
+    try:
+        _, stderr = run.communicate(timeout=120)
+    except subprocess.TimeoutExpired:
+        os.killpg(run.pid, signal.SIGKILL)
+        run.communicate()
+        pytest.fail(f"{command} with traced={traced} did not finish in 120 s")
+    assert run.returncode == 0, stderr
+    rc, spans = stderr.split()[-2:]
+    assert rc == "0"
+    assert (int(spans) > 0) == (traced == "1")
+
+
 def test_traced_train_runs_its_pool_and_writes_the_same_model(tmp_path):
     ini = tmp_path / "train.ini"
     ini.write_text(TRAIN_INI)
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     models = []
     for traced in ("0", "1"):
         out = tmp_path / f"traced{traced}"
-        # A job that cannot be pickled can leave the pool waiting forever,
-        # so a run that overstays is killed with its workers.
-        run = subprocess.Popen(
-            [sys.executable, "-c", TRAIN_SCRIPT, str(TRACING_PATH), str(ini), traced,
-             str(out)],
-            env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
-            start_new_session=True,
-        )
-        try:
-            _, stderr = run.communicate(timeout=120)
-        except subprocess.TimeoutExpired:
-            os.killpg(run.pid, signal.SIGKILL)
-            run.communicate()
-            pytest.fail(f"train with traced={traced} did not finish in 120 s")
-        assert run.returncode == 0, stderr
-        rc, spans = stderr.split()[-2:]
-        assert rc == "0"
-        assert (int(spans) > 0) == (traced == "1")
+        _run_cli("train", ini, traced, out)
         models.append({
             path.relative_to(out): path.read_bytes()
             for path in sorted((out / "model").rglob("*")) if path.is_file()
         })
     assert len(models[0]) == 3
     assert models[0] == models[1]
+
+
+def test_traced_transfer_runs_its_pool_and_writes_the_same_report(tmp_path):
+    ini = tmp_path / "transfer.ini"
+    ini.write_text(TRAIN_INI.replace("k = 3", "enabled = false"))
+    base = pipeline.run_pipeline(
+        replace(pipeline.load_config(ini), out_dir=str(tmp_path / "base")), mode="train"
+    )
+    ini.write_text(
+        ini.read_text()
+        + f"[transfer]\nbase_model = {Path(base['model_dir']) / 'plan_1'}\n"
+        + "max_rounds = 3\nseeds = 0 1 2\n"
+    )
+    reports = []
+    for traced in ("0", "1"):
+        out = tmp_path / f"traced{traced}"
+        _run_cli("transfer", ini, traced, out)
+        reports.append((out / "transfer_report.csv").read_bytes())
+    assert reports[0] == reports[1]

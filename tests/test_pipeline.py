@@ -3,7 +3,11 @@ import json
 import multiprocessing
 import os
 import shutil
+import signal
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -40,6 +44,7 @@ from semgkit.pipeline import (
 )
 from semgkit.transfer import TransferConfig, TransferReport
 
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 class TestEvaluate:
     def test_worked_example(self):
@@ -772,20 +777,38 @@ def run_bytes(out_dir):
     return {name: (out_dir / name).read_bytes() for name in RUN_FILES}
 
 
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """The worker count of every pool the pipeline opens, in order."""
+    sizes = []
+    pool_class = pipeline.ProcessPoolExecutor
+
+    def counted(max_workers, **kwargs):
+        sizes.append(max_workers)
+        return pool_class(max_workers, **kwargs)
+
+    monkeypatch.setattr(pipeline, "ProcessPoolExecutor", counted)
+    return sizes
+
+
+# Submits an unpicklable job three times to a 2-worker _worker_pool and
+# prints the error's type and the number of live children after the pool.
+UNPICKLABLE_SCRIPT = """
+import multiprocessing, os
+from semgkit import pipeline
+os.sched_getaffinity = lambda pid: {0, 1}
+job = lambda: None
+try:
+    with pipeline._worker_pool((), 3) as pool:
+        futures = [pool.submit(job) for _ in range(3)]
+        futures[0].result()
+except Exception as exc:
+    print(type(exc).__name__, str(exc), len(multiprocessing.active_children()))
+"""
+
+
 class TestWorkerPool:
     """train runs its feature rows and fits in min(CPUs, fits) worker processes."""
-
-    @pytest.fixture
-    def pool_sizes(self, monkeypatch):
-        sizes = []
-        pool_class = pipeline.ProcessPoolExecutor
-
-        def counted(max_workers, **kwargs):
-            sizes.append(max_workers)
-            return pool_class(max_workers, **kwargs)
-
-        monkeypatch.setattr(pipeline, "ProcessPoolExecutor", counted)
-        return sizes
 
     @pytest.mark.parametrize("use_ensemble", [True, False], ids=["bagged", "single"])
     def test_any_worker_count_gives_the_same_files(
@@ -836,6 +859,98 @@ class TestWorkerPool:
             run_pipeline(config, mode="train")
         assert str(err.value) == "[train] training needs at least two classes"
         assert err.value.stage == "train"
+        assert multiprocessing.active_children() == []
+
+    def test_unpicklable_jobs_fail_without_a_hang(self):
+        # several jobs that fail to pickle once left shutdown waiting forever,
+        # so the run gets a hard timeout and is killed with its workers
+        run = subprocess.Popen(
+            [sys.executable, "-c", UNPICKLABLE_SCRIPT],
+            env=dict(os.environ, PYTHONPATH=SRC), stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE, text=True, start_new_session=True,
+        )
+        try:
+            stdout, stderr = run.communicate(timeout=60)
+        except subprocess.TimeoutExpired:
+            os.killpg(run.pid, signal.SIGKILL)
+            run.communicate()
+            pytest.fail("_worker_pool did not return in 60 s")
+        assert run.returncode == 0, stderr
+        # the pickling error reaches the caller, and no worker outlives the pool
+        assert "pickle" in stdout
+        assert stdout.split()[-1] == "0"
+
+
+class TestTransferPool:
+    """transfer makes its rows and fits in min(CPUs, jobs) worker processes."""
+
+    SEEDS = (0, 1, 2)
+
+    @pytest.fixture
+    def transfer_config(self, trained_run, tmp_path):
+        config, result = trained_run
+        return replace(
+            config,
+            out_dir=str(tmp_path / "out"),
+            transfer_base_model=os.path.join(result["model_dir"], "plan_1"),
+            transfer_seeds=self.SEEDS,
+            transfer=TransferConfig(learning_rate=0.2, max_rounds=4, early_stop_rounds=2),
+        )
+
+    def test_any_worker_count_gives_the_same_report(
+        self, transfer_config, tmp_path, monkeypatch, pool_sizes
+    ):
+        reports = []
+        for cpus in (1, 2, 4):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid, n=cpus: set(range(n)))
+            out = run_pipeline(
+                replace(transfer_config, out_dir=str(tmp_path / f"cpus{cpus}")),
+                mode="transfer",
+            )
+            reports.append(open(out["files"]["transfer_report"], "rb").read())
+            assert multiprocessing.active_children() == []
+        assert reports[0] == reports[1] == reports[2]
+        # 36 target windows make one feature job, fewer than the 6 fits
+        windows = _prepare_windows(transfer_config, {}, _effective(transfer_config)[0])
+        assert len(windows) == 36
+        jobs = 2 * len(self.SEEDS)
+        assert pool_sizes == [min(cpus, jobs) for cpus in (1, 2, 4)]
+
+    def test_report_equals_the_serial_report(self, transfer_config, monkeypatch):
+        reports = []
+        report_fn = pipeline.transfer_report
+
+        def serial_too(*args, pool, **kwargs):
+            reports.append(report_fn(*args, **kwargs))
+            reports.append(report_fn(*args, pool=pool, **kwargs))
+            return reports[-1]
+
+        monkeypatch.setattr(pipeline, "transfer_report", serial_too)
+        run_pipeline(transfer_config, mode="transfer")
+        serial, pooled = reports
+        for name in ("before_per_class", "after_per_class", "before_accuracy",
+                     "after_accuracy"):
+            np.testing.assert_array_equal(getattr(serial, name), getattr(pooled, name))
+
+    def test_target_class_outside_the_base_fails_in_transfer_stage(
+        self, transfer_config
+    ):
+        config = replace(transfer_config, synthetic=replace(TINY_SPEC, n_classes=4))
+        with pytest.raises(PipelineError) as err:
+            run_pipeline(config, mode="transfer")
+        assert str(err.value) == "[transfer] labels outside the model classes: [4]"
+        assert multiprocessing.active_children() == []
+
+    def test_failing_fit_job_fails_in_transfer_stage(self, transfer_config, tmp_path):
+        # a target of class 1 alone: each scratch fit, run in a worker, has
+        # one class to train on
+        recording = generate_synthetic(replace(TINY_SPEC, seed=6))
+        stimulus = np.where(recording.stimulus > 1, 0, recording.stimulus)
+        csv = tmp_path / "target.csv"
+        save_recording(replace(recording, stimulus=stimulus), csv)
+        with pytest.raises(PipelineError) as err:
+            run_pipeline(replace(transfer_config, data_path=str(csv)), mode="transfer")
+        assert str(err.value) == "[transfer] training needs at least two classes"
         assert multiprocessing.active_children() == []
 
 

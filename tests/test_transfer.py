@@ -2,6 +2,8 @@
 from __future__ import annotations
 
 import dataclasses
+import pickle
+from concurrent.futures import Executor, Future
 
 import numpy as np
 import pytest
@@ -237,6 +239,19 @@ class TestPairedSplit:
             np.testing.assert_array_equal(x, y)
 
 
+class InlineExecutor(Executor):
+    """Runs each job at once in this process and keeps the submitted functions."""
+
+    def __init__(self) -> None:
+        self.submitted = []
+
+    def submit(self, fn, /, *args, **kwargs):
+        self.submitted.append(fn)
+        future = Future()
+        future.set_result(fn(*args, **kwargs))
+        return future
+
+
 class TestTransferReport:
     def test_report_layout(self, base_setup):
         base, draw = base_setup
@@ -293,6 +308,26 @@ class TestTransferReport:
         )
         pred = scratch.predict_label(target_x[test_mask])
         assert report.before_accuracy[0] == np.mean(pred == target_y[test_mask])
+
+    def test_pool_jobs_are_private_module_functions(self, base_setup):
+        # a caller may replace public names with wrappers that cannot be
+        # pickled, so only private module-level functions are submitted
+        base, draw = base_setup
+        target_x, target_y = draw(32, seed=12)
+        pool = InlineExecutor()
+        report = transfer_report(
+            target_x, target_y, base, cfg=TransferConfig(max_rounds=3), seeds=(0, 1),
+            pool=pool,
+        )
+        names = [f"{fn.__module__}.{fn.__qualname__}" for fn in pool.submitted]
+        assert names == ["semgkit.gbdt.booster._fit", "semgkit.gbdt.booster._boost"] * 2
+        for fn in pool.submitted:
+            assert pickle.loads(pickle.dumps(fn)) is fn
+        serial = transfer_report(
+            target_x, target_y, base, cfg=TransferConfig(max_rounds=3), seeds=(0, 1)
+        )
+        np.testing.assert_array_equal(report.after_per_class, serial.after_per_class)
+        np.testing.assert_array_equal(report.before_per_class, serial.before_per_class)
 
     def test_empty_seed_list_rejected(self, base_setup):
         base, draw = base_setup
