@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import warnings
 from dataclasses import dataclass
+from itertools import islice
 from pathlib import Path
 from typing import List, Optional, Sequence, Tuple
 
@@ -172,8 +173,8 @@ def load_recording(
     """Read a recording from the documented CSV layout.
 
     The header must be exactly ``ch1,...,ch12,stimulus,repetition``; each
-    following row is one sample. Values are floating-point volts for the
-    channels and integers for stimulus and repetition.
+    following row is one sample. Values are finite floating-point volts
+    for the channels and integers for stimulus and repetition.
     """
     path = Path(path)
     with path.open("r", encoding="utf-8", newline="") as handle:
@@ -199,13 +200,21 @@ def load_recording(
         raise RecordingFormatError(
             f"expected {len(CSV_COLUMNS)} columns, got {table.shape[1]}"
         )
+    rows, cols = np.nonzero(~np.isfinite(table))
+    if rows.size:
+        row, col = int(rows[0]), int(cols[0])
+        value = float(table[row, col])
+        raise RecordingParseError(
+            f"line {_data_line(path, row)}: non-finite {CSV_COLUMNS[col]} value {value!r}"
+        )
     stim = table[:, 12]
     rep = table[:, 13]
     for name, col in (("stimulus", stim), ("repetition", rep)):
         if not np.all(col == np.round(col)):
             bad = int(np.flatnonzero(col != np.round(col))[0])
             raise RecordingParseError(
-                f"line {bad + 2}: non-integer {name} value {col[bad]!r}"
+                f"line {_data_line(path, bad)}: non-integer {name} value "
+                f"{float(col[bad])!r}"
             )
     return Recording(
         subject_id=subject_id,
@@ -214,6 +223,17 @@ def load_recording(
         stimulus=stim.astype(np.int64),
         repetition=rep.astype(np.int64),
     )
+
+
+def _data_line(path: Path, row: int) -> int:
+    """The file line of data row row, counting the header and the lines
+    np.loadtxt skips: empty ones and those that hold only a '#' comment."""
+    with path.open("r", encoding="utf-8", newline="") as handle:
+        handle.readline()
+        lines = (
+            n for n, text in enumerate(handle, 2) if text.split("#")[0].rstrip("\r\n")
+        )
+        return next(islice(lines, row, None))
 
 
 def _locate_bad_cell(handle) -> None:

@@ -46,8 +46,13 @@ class SecondOrderSections:
         return self.sections.shape[0]
 
     def poles(self) -> np.ndarray:
-        """Roots of every section denominator, concatenated."""
-        return _sig.sos2zpk(self.sections)[1]
+        """Roots of every section denominator, concatenated.
+
+        These are scipy.signal.sos2zpk's poles, taken without its
+        normalization of each section's numerator, which warns on a
+        numerator with a near-zero leading coefficient.
+        """
+        return np.concatenate([np.roots(a) for a in self.sections[:, 3:]])
 
     def is_stable(self) -> bool:
         return bool(np.all(np.abs(self.poles()) < 1.0))
@@ -178,6 +183,10 @@ class ChannelStats:
             raise ValueError("mean and std must be 1-D arrays of equal length")
         object.__setattr__(self, "mean", m)
         object.__setattr__(self, "std", s)
+        bad = np.flatnonzero(~(np.isfinite(m) & np.isfinite(s)))
+        if bad.size:
+            names = ", ".join(f"ch{i + 1}" for i in bad)
+            raise ValueError(f"non-finite mean or std of channel(s): {names}")
         bad = np.flatnonzero(s <= 0.0)
         if bad.size:
             names = ", ".join(f"ch{i + 1}" for i in bad)

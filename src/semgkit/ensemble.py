@@ -18,8 +18,9 @@ from typing import List, Sequence, Tuple, Union
 
 import numpy as np
 
-from .gbdt.binning import BinnedMatrix, apply_bins, bin_features
-from .gbdt.booster import BoostedModel, TrainParams, _checked_rows, _fit, _scores
+from .gbdt.binning import apply_bins, bin_features
+from .gbdt.booster import BoostedModel, TrainParams, _boost, _checked_rows, _scores
+from .gbdt.booster import _prior_start
 from .gbdt.io import ModelFormatError, member_from_dict, member_to_dict, new_document
 from .gbdt.io import open_document, read_document, write_document
 from .gbdt.objective import LossSpec, softmax
@@ -63,9 +64,12 @@ class BaggedModel:
 
 
 def stratified_kfold(
-    labels: Sequence, k: int = 5, seed: int = 0
+    labels: Sequence, k: int = 5, seed: Union[int, np.random.Generator] = 0
 ) -> np.ndarray:
     """Per-sample fold indices, class-stratified and shuffled by seed.
+
+    seed is an int or a numpy Generator, which the deal then draws from
+    (np.random.default_rng takes either).
 
     Within each class the sample positions are permuted, then dealt
     round-robin, so fold counts per class differ by at most one. Classes
@@ -105,7 +109,7 @@ def train_bagged(
     is reproducible.
     """
     assignment, jobs = _member_jobs(features, labels, params, loss, k)
-    members = [_fit(*job) for job in jobs]
+    members = [_boost(*job) for job in jobs]
     return BaggedModel(members=members, fold_assignment=assignment, seed=params.seed)
 
 
@@ -116,7 +120,7 @@ def _member_jobs(
     loss: LossSpec,
     k: int,
 ) -> Tuple[np.ndarray, List[tuple]]:
-    """(fold assignment, each member's booster._fit arguments) of train_bagged.
+    """(fold assignment, each member's booster._boost arguments) of train_bagged.
 
     The members' fits are independent of each other, so they may run in
     any order or process.
@@ -131,12 +135,9 @@ def _member_jobs(
         member_params = replace(
             params, seed=int(children[j].generate_state(1)[0])
         )
+        start, encoded = _prior_start(binned.edges, labels[~hold], member_params, loss)
         jobs.append((
-            BinnedMatrix(binned.codes[~hold], binned.edges),
-            labels[~hold],
-            (binned.codes[hold], labels[hold]),
-            member_params,
-            loss,
+            start, binned.codes[~hold], encoded, (binned.codes[hold], labels[hold])
         ))
     return assignment, jobs
 

@@ -7,10 +7,10 @@ class priors plus a plain sum of tree outputs. Validation accuracy drives
 early stopping; prediction replays rounds up to the best validation
 round.
 
-One round loop (_boost) grows every model. It extends a starting model's
-first best_iteration rounds; _fit starts it from the class priors with no
-rounds on rows already binned (for train and ensemble.train_bagged),
-transfer.warm_start from a trained base model.
+One round loop (_boost) grows every model, as one job on arguments its
+caller builds. It extends a starting model's first best_iteration rounds:
+the no-round class priors of _prior_start for train and each member of
+ensemble.train_bagged, a trained base model for transfer.warm_start.
 
 Early stopping: with patience on (early_stop_rounds > 0), growing stops after
 early_stop_rounds rounds without a strict gain in validation accuracy, or
@@ -219,7 +219,7 @@ def _boost(
     encoded: np.ndarray,
     valid: Optional[Tuple[np.ndarray, np.ndarray]],
 ) -> BoostedModel:
-    """The boosting round loop behind _fit and transfer.warm_start.
+    """The boosting round loop of every fit: train, bagged members, warm_start.
 
     Grows up to start.params.max_rounds rounds onto the first
     start.best_iteration rounds of start, using its bin edges, class
@@ -309,7 +309,7 @@ def train(
     accuracy reaches 1.0 (before round 1 if the priors already score 1.0);
     in the latter case the model ends at best_iteration.
     """
-    return _fit(*_train_args(
+    return _boost(*_train_args(
         train_features, train_labels, valid_features, valid_labels, params, loss
     ))
 
@@ -321,26 +321,24 @@ def _train_args(
     valid_labels: Optional[np.ndarray] = None,
     params: TrainParams = TrainParams(),
     loss: LossSpec = LossSpec(),
-) -> Tuple[BinnedMatrix, np.ndarray, Optional[Tuple[np.ndarray, np.ndarray]],
-           TrainParams, LossSpec]:
-    """The _fit arguments of train: checked rows, binned, and the valid rows."""
+) -> Tuple[BoostedModel, np.ndarray, np.ndarray, Optional[Tuple[np.ndarray, np.ndarray]]]:
+    """The _boost arguments of train: the rows binned afresh and a prior start."""
     features, labels = _checked_rows(train_features, train_labels)
     binned = bin_features(features, params.max_bins)
     valid = _valid_rows(valid_features, valid_labels, binned.edges)
-    return binned, labels, valid, params, loss
+    start, encoded = _prior_start(binned.edges, labels, params, loss)
+    return start, binned.codes, encoded, valid
 
 
-def _fit(
-    binned: BinnedMatrix,
+def _prior_start(
+    bin_edges: Tuple[np.ndarray, ...],
     labels: np.ndarray,
-    valid: Optional[Tuple[np.ndarray, np.ndarray]],
     params: TrainParams,
     loss: LossSpec,
-) -> BoostedModel:
-    """train on binned rows; valid is (bin codes, labels) or None."""
+) -> Tuple[BoostedModel, np.ndarray]:
+    """(a model of no rounds scoring the log class priors of labels, labels encoded)."""
     classes, encoded = _encode_labels(labels)
-    n_classes = classes.shape[0]
-    if n_classes < 2:
+    if classes.shape[0] < 2:
         raise ValueError("training needs at least two classes")
     # classes come from these labels, so every count is positive
     counts = np.bincount(encoded).astype(np.float64)
@@ -348,12 +346,12 @@ def _fit(
         classes=classes,
         init_score=np.log(counts / counts.sum()),
         trees=[],
-        bin_edges=binned.edges,
+        bin_edges=bin_edges,
         class_weights=loss.weights_for(labels, classes),
         best_iteration=0,
         params=params,
     )
-    return _boost(start, binned.codes, encoded, valid)
+    return start, encoded
 
 
 def predict_raw(

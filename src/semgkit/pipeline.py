@@ -10,13 +10,13 @@ seed, so a rerun with the same config reproduces models and metric files
 byte for byte; wall-clock timing is reported separately in summary.csv.
 
 train makes every window's feature rows of all plans, and then fits every
-plan's models (each bagged member, or the single model), in one pool of at
-most min(CPUs, fits) worker processes; tune makes its plans' rows the same
-way, and transfer makes the target's rows and then fits both arms of every
-paired seed in one pool of at most min(CPUs, jobs) workers.
-The jobs are independent and their results are collected in submission
-order, so the outputs are byte-identical to a serial run. Prediction,
-saving and evaluation stay in the calling process, in plan order.
+plan's models (each bagged member, or the single model), in one pool of
+worker processes; tune makes its plans' rows the same way, and transfer
+makes the target's rows and then fits both arms of every paired seed in
+one such pool. Every fit is one booster._boost job, and each stage reads
+its results through the pool's map, in submission order, so the outputs
+are byte-identical to a serial run. Prediction, saving and evaluation
+stay in the calling process, in plan order.
 """
 from __future__ import annotations
 
@@ -28,6 +28,7 @@ import weakref
 from concurrent.futures import Executor, Future, ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
+from itertools import repeat
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -63,8 +64,8 @@ from .features import FeatureConfig, extract_standardized
 from .gbdt.booster import (
     BoostedModel,
     TrainParams,
+    _boost,
     _encode_labels,
-    _fit,
     _train_args,
     detect_hard_classes,
     train,
@@ -524,10 +525,10 @@ def _hold_windows(windows: Sequence[Window]) -> None:
 
 
 def _pool_rows(
-    start: int, stop: int, stats: Sequence[ChannelStats], cfg: FeatureConfig
+    start: int, stats: Sequence[ChannelStats], cfg: FeatureConfig
 ) -> np.ndarray:
-    """Pool job: _window_rows of the worker's windows start..stop-1."""
-    return _window_rows(_POOL_WINDOWS[start:stop], stats, cfg)
+    """Pool job: _window_rows of the worker's _CHUNK_WINDOWS windows from start."""
+    return _window_rows(_POOL_WINDOWS[start:start + _CHUNK_WINDOWS], stats, cfg)
 
 
 def _feature_jobs(windows: Sequence[Window]) -> int:
@@ -543,11 +544,9 @@ def _pooled_rows(
     The rows are made in _feature_jobs jobs of at most _CHUNK_WINDOWS
     consecutive windows.
     """
-    jobs = [
-        pool.submit(_pool_rows, k, k + _CHUNK_WINDOWS, stats, cfg)
-        for k in range(0, n_windows, _CHUNK_WINDOWS)
-    ]
-    return np.concatenate([job.result() for job in jobs], axis=1)
+    starts = range(0, n_windows, _CHUNK_WINDOWS)
+    rows = pool.map(_pool_rows, starts, repeat(stats), repeat(cfg))
+    return np.concatenate(list(rows), axis=1)
 
 
 class _CancellingPool(Executor):
@@ -579,8 +578,8 @@ class _CancellingPool(Executor):
 
 
 @contextmanager
-def _worker_pool(windows: Sequence[Window], n_jobs: int):
-    """A process pool of min(CPUs, n_jobs) workers that hold windows.
+def _worker_pool(windows: Sequence[Window], n_fits: int = 0):
+    """A pool of min(CPUs, max(feature jobs, n_fits)) workers that hold windows.
 
     Workers are forked, so they inherit windows instead of unpickling a
     copy, and the parent never builds a pickle of them. On exit, jobs not
@@ -588,7 +587,7 @@ def _worker_pool(windows: Sequence[Window], n_jobs: int):
     body raised.
     """
     pool = _CancellingPool(ProcessPoolExecutor(
-        min(len(os.sched_getaffinity(0)), n_jobs),
+        min(len(os.sched_getaffinity(0)), max(_feature_jobs(windows), n_fits)),
         mp_context=multiprocessing.get_context("fork"),
         initializer=_hold_windows,
         initargs=(windows,),
@@ -761,17 +760,18 @@ def _run_train(config: PipelineConfig, timings: Dict[str, float]) -> Dict:
                 else:
                     assignment = None
                     jobs = [_holdout_fit(_train_args, X_train, y_train, params, loss=loss)]
-                fits.append((assignment, [pool.submit(_fit, *job) for job in jobs]))
+                # map submits the plan's jobs now and yields their models in order
+                fits.append((assignment, pool.map(_boost, *zip(*jobs))))
 
-        for i, ((stats, _, _, X_test, y_test), (assignment, futures)) in enumerate(
+        for i, ((stats, _, _, X_test, y_test), (assignment, models)) in enumerate(
             zip(plan_rows, fits), start=1
         ):
             with _stage("train", timings):
                 if assignment is None:
-                    model: Union[BaggedModel, BoostedModel] = futures[0].result()
+                    model: Union[BaggedModel, BoostedModel] = next(models)
                 else:
                     model = BaggedModel(
-                        members=[f.result() for f in futures],
+                        members=list(models),
                         fold_assignment=assignment,
                         seed=params.seed,
                     )
@@ -815,7 +815,7 @@ def _run_tune(config: PipelineConfig, timings: Dict[str, float]) -> Dict:
     plans = make_cv_plans()
     if config.hpo_fast:
         plans = plans[:1]
-    with _worker_pool(windows, _feature_jobs(windows)) as pool:
+    with _worker_pool(windows) as pool:
         plan_data = [
             rows[1:] for rows in _plan_rows(config, windows, plans, timings, pool)
         ]
@@ -891,8 +891,7 @@ def _run_transfer(config: PipelineConfig, timings: Dict[str, float]) -> Dict:
         spec = replace(spec, seed=target_seed, class_seed=profile)
     windows = _prepare_windows(config, timings, spec)
 
-    n_fits = 2 * len(config.transfer_seeds)
-    with _worker_pool(windows, max(_feature_jobs(windows), n_fits)) as pool:
+    with _worker_pool(windows, 2 * len(config.transfer_seeds)) as pool:
         with _stage("features", timings):
             X = _pooled_rows(pool, len(windows), [stats], config.features)[0]
         with _stage("transfer", timings):

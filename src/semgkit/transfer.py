@@ -8,13 +8,12 @@ its predictions decompose exactly into base score + new-tree score.
 warm_start runs the same round loop as booster.train, started from the
 base model instead of the class priors.
 
-transfer_report's fits may run in a pool of worker processes. Only the
-private module-level round loops are sent to it, never a public name
+transfer_report's fits may run in a pool of worker processes. Each is a
+job of the private module-level booster._boost, never of a public name
 that a caller may have replaced with a wrapper that cannot be pickled.
 """
 from __future__ import annotations
 
-from collections import deque
 from concurrent.futures import Executor
 from dataclasses import asdict, dataclass, replace
 from typing import List, Optional, Tuple
@@ -29,7 +28,6 @@ from .gbdt.booster import (
     _boost,
     _checked_rows,
     _encode_labels,
-    _fit,
     _per_class_recall,
     _train_args,
     _valid_rows,
@@ -177,12 +175,12 @@ def transfer_report(
     by both arms, trains both, and scores per-class recall and overall
     accuracy on the held-out test quarter.
 
-    The 2 x len(seeds) fits are independent jobs. Their arguments are
-    built here, booster._train_args for the scratch arm and _warm_args for
-    the warm arm; the job is booster._fit or booster._boost on them. With a
-    pool the jobs run in its workers, otherwise here, one after another.
-    Either way the models are read in seed order, scored here and dropped,
-    so the report is the same.
+    The 2 x len(seeds) fits are independent booster._boost jobs. Their
+    arguments are built here, booster._train_args for the scratch arm and
+    _warm_args for the warm arm, so a bad argument fails before any job
+    runs. The jobs run through pool.map, or the builtin map when pool is
+    None; either way the models are read in seed order, scored here and
+    dropped, so the report is the same.
     """
     if not seeds:
         raise ValueError("seeds must name at least one seed")
@@ -208,14 +206,10 @@ def transfer_report(
             labels[valid_mask],
         )
         params = _phase_params(base, cfg, seed)
-        jobs.append((_fit, _train_args(*args, params, loss)))
-        jobs.append((_boost, _warm_args(base, *args, cfg, loss, int(seed))))
+        jobs.append(_train_args(*args, params, loss))
+        jobs.append(_warm_args(base, *args, cfg, loss, int(seed)))
         test_masks.append(test_mask)
-    if pool is None:
-        models = (job(*job_args) for job, job_args in jobs)
-    else:
-        futures = deque(pool.submit(job, *job_args) for job, job_args in jobs)
-        models = (futures.popleft().result() for _ in jobs)
+    models = (map if pool is None else pool.map)(_boost, *zip(*jobs))
 
     for s, test_mask in enumerate(test_masks):
         test_labels = labels[test_mask]

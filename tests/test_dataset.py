@@ -95,6 +95,41 @@ class TestCsvRoundTrip:
         with pytest.raises(RecordingParseError, match="line 3.*stimulus"):
             load_recording(path)
 
+    @pytest.mark.parametrize(
+        "column, cell, value", [(3, "nan", "nan"), (0, "-inf", "-inf"), (13, "inf", "inf")]
+    )
+    def test_non_finite_cell_names_line_and_column(self, tmp_path, column, cell, value):
+        rec = small_recording(n=30)
+        path = tmp_path / "bad.csv"
+        save_recording(rec, path)
+        lines = path.read_text().splitlines()
+        cells = lines[4].split(",")
+        cells[column] = cell
+        lines[4] = ",".join(cells)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(RecordingParseError) as err:
+            load_recording(path)
+        assert str(err.value) == (
+            f"line 5: non-finite {CSV_COLUMNS[column]} value {float(value)!r}"
+        )
+
+    def test_bad_value_line_counts_skipped_lines(self, tmp_path):
+        # np.loadtxt skips blank and comment lines; the message names the
+        # file line all the same
+        rec = small_recording(n=30)
+        path = tmp_path / "bad.csv"
+        save_recording(rec, path)
+        lines = path.read_text().splitlines()
+        for at, column, cell in ((6, 3, "nan"), (9, 12, "1.5")):
+            edited = list(lines)
+            cells = edited[at].split(",")
+            cells[column] = cell
+            edited[at] = ",".join(cells)
+            edited[2:2] = ["", "# a comment"]
+            path.write_text("\n".join(edited) + "\n")
+            with pytest.raises(RecordingParseError, match=f"^line {at + 3}: "):
+                load_recording(path)
+
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_text(",".join(CSV_COLUMNS) + "\n")

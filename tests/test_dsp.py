@@ -1,6 +1,8 @@
 """Filter design, application, and channel standardization."""
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -83,6 +85,18 @@ class TestDesign:
         high = min(low + width, FS / 2 - 1.0)
         sos = design_bandpass(low, high, order=order, sample_rate=FS)
         assert np.all(np.abs(sos.poles()) < 1.0)
+
+    def test_poles_of_a_narrow_band_raise_no_warning(self):
+        # butter's sections here have numerators with near-zero leading
+        # coefficients, on which sos2zpk's numerator normalization warns
+        sos = design_bandpass(1.0, 2.0, order=8, sample_rate=FS)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            want = sp_signal.sos2zpk(sos.sections)[1]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert np.array_equal(sos.poles(), want)
+            assert sos.is_stable()
 
     @settings(max_examples=50, deadline=None)
     @given(
@@ -252,3 +266,13 @@ class TestStandardize:
             ChannelStats(np.zeros(3), np.ones(2))
         with pytest.raises(DegenerateChannelError, match="ch2"):
             ChannelStats(np.zeros(3), np.array([1.0, 0.0, 1.0]))
+
+    def test_channel_stats_reject_non_finite_entries(self):
+        mean = np.array([0.0, np.nan, 0.0, 0.0])
+        std = np.array([1.0, 1.0, 1.0, np.inf])
+        with pytest.raises(ValueError) as err:
+            ChannelStats(mean, std)
+        assert not isinstance(err.value, DegenerateChannelError)
+        assert str(err.value) == "non-finite mean or std of channel(s): ch2, ch4"
+        with pytest.raises(ValueError, match=r"channel\(s\): ch1$"):
+            ChannelStats(np.zeros(2), np.array([np.nan, 1.0]))

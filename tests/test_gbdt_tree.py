@@ -5,6 +5,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from semgkit.gbdt import BinnedMatrix, TrainParams, Tree, bin_features, grow_tree
 from semgkit.gbdt import booster, train
@@ -355,3 +357,108 @@ class TestPredictBinned:
         )
         codes = np.array([[3], [4]], dtype=np.uint8)
         np.testing.assert_array_equal(tree.predict_binned(codes), [-1.0, 1.0])
+
+
+def best_first_reference(codes, grad, hess, num_leaves, min_data, l2):
+    """Best-first growth with every leaf's (G, H, count) summed from its own
+    rows, no histogram subtraction, and every (column, cut) scanned.
+
+    Gains use _best_split's expression order, ties keep the first (column,
+    cut) in column-major order, and the next leaf to split is the one with
+    the smallest (-gain, node id), as grow_tree's heap orders them. Returns
+    the tree's (feature, threshold, left, right, value) lists.
+    """
+    feature, threshold, left, right, value = [], [], [], [], []
+    width = int(codes.max()) + 1
+
+    def add_leaf(rows):
+        for column in (feature, threshold, left, right):
+            column.append(-1)
+        value.append(float(-grad[rows].sum() / (hess[rows].sum() + l2)))
+        return len(feature) - 1
+
+    def best_split(rows):
+        g, h, count = grad[rows].sum(), hess[rows].sum(), rows.size
+        if count < 2 * min_data:
+            return None
+        parent = g * g / (h + l2)
+        best = None
+        for f in range(codes.shape[1]):
+            for cut in range(width):
+                go_left = rows[codes[rows, f] <= cut]
+                if not min_data <= go_left.size <= count - min_data:
+                    continue
+                gl, hl = grad[go_left].sum(), hess[go_left].sum()
+                gain = gl * gl / (hl + l2) + (g - gl) * (g - gl) / ((h + l2) - hl) - parent
+                if best is None or gain > best[0]:
+                    best = (gain, f, cut)
+        return best if best is not None and best[0] > 0.0 else None
+
+    root_rows = np.arange(codes.shape[0])
+    rows_of = {add_leaf(root_rows): root_rows}
+    candidates = {0: best_split(root_rows)}
+    n_leaves = 1
+    while n_leaves < num_leaves:
+        live = [(-c[0], node) for node, c in candidates.items() if c is not None]
+        if not live:
+            break
+        _, node = min(live)
+        _, f, cut = candidates.pop(node)
+        rows = rows_of.pop(node)
+        go_left = codes[rows, f] <= cut
+        children = [(add_leaf(part), part) for part in (rows[go_left], rows[~go_left])]
+        feature[node], threshold[node] = f, cut
+        left[node], right[node] = children[0][0], children[1][0]
+        value[node] = 0.0
+        n_leaves += 1
+        for child, part in children:
+            rows_of[child] = part
+            candidates[child] = best_split(part)
+    return feature, threshold, left, right, value
+
+
+@st.composite
+def dyadic_instances(draw):
+    """(codes, grad, hess, num_leaves, min_data, l2) with exact sums.
+
+    The code matrix holds 1 to 3 random columns, a constant column and a
+    copy of the first column, in a drawn order. Gradients are multiples of
+    1/8 in [-4, 4] and Hessians in [1/8, 2], so every sum of them, in any
+    order, is exact in float64. Some draws append a mirror of the rows,
+    gradients negated, with a last column that tells the halves apart:
+    once that column splits them, the two leaves' best gains tie, which
+    only the heap's node-id order resolves.
+    """
+    n = draw(st.integers(2, 24))
+    n_random = draw(st.integers(1, 3))
+    cell = st.integers(0, 4)
+    columns = [draw(st.lists(cell, min_size=n, max_size=n)) for _ in range(n_random)]
+    columns.append([draw(cell)] * n)
+    columns.append(list(columns[0]))
+    order = draw(st.permutations(range(len(columns))))
+    codes = np.array([columns[j] for j in order], dtype=np.uint8).T
+    grad = np.array(draw(st.lists(st.integers(-32, 32), min_size=n, max_size=n))) / 8.0
+    hess = np.array(draw(st.lists(st.integers(1, 16), min_size=n, max_size=n))) / 8.0
+    if draw(st.booleans()):
+        halves = np.repeat(np.array([0, 4], dtype=np.uint8), n)[:, None]
+        codes = np.hstack([np.vstack([codes, codes]), halves])
+        grad, hess = np.concatenate([grad, -grad]), np.concatenate([hess, hess])
+    return (
+        codes, grad, hess, draw(st.integers(2, 8)), draw(st.integers(1, 4)),
+        draw(st.sampled_from([0.0, 0.5, 1.0])),
+    )
+
+
+class TestExactGrowthOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(instance=dyadic_instances())
+    def test_tree_equals_the_best_first_reference(self, instance):
+        codes, grad, hess, num_leaves, min_data, l2 = instance
+        binned = BinnedMatrix(codes, tuple(np.arange(0.5, 4.5) for _ in codes.T))
+        params = TrainParams(
+            num_leaves=num_leaves, min_data_in_leaf=min_data, l2_regularization=l2
+        )
+        tree = grow_tree(binned, grad, hess, params, np.random.default_rng(0))
+        want = best_first_reference(codes, grad, hess, num_leaves, min_data, l2)
+        for name, column in zip(("feature", "threshold", "left", "right", "value"), want):
+            assert getattr(tree, name).tolist() == column, name

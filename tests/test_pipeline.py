@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from semgkit import pipeline
+from semgkit import features, pipeline
 from semgkit.cli import _rewrite_mode_flag, main
 from semgkit.dataset import (
     SyntheticSpec,
@@ -707,8 +707,10 @@ class TestRunModes:
             (lambda s: s.update(std=[1.0]),
              "standardization: mean and std must be 1-D arrays of equal length"),
             (None, "standardization must map mean and std to lists"),
+            (lambda s: s["std"].__setitem__(3, float("nan")),
+             "standardization: non-finite mean or std of channel(s): ch4"),
         ],
-        ids=["missing-mean", "string-std", "short-std", "list"],
+        ids=["missing-mean", "string-std", "short-std", "list", "nan-std"],
     )
     def test_malformed_standardization_names_file_and_key(
         self, trained_run, tmp_path, edit, message
@@ -750,6 +752,18 @@ class TestRunModes:
         with pytest.raises(PipelineError) as err:
             run_pipeline(config, mode="train")
         assert err.value.stage == "load"
+
+    def test_non_finite_cell_fails_in_load_stage(self, tmp_path):
+        recording = generate_synthetic(replace(TINY_SPEC, seed=5))
+        channels = recording.channels.copy()
+        channels[3, 7] = np.nan
+        csv = tmp_path / "recording.csv"
+        save_recording(replace(recording, channels=channels), csv)
+        config = replace(tiny_config(tmp_path / "out"), data_path=str(csv))
+        with pytest.raises(PipelineError) as err:
+            run_pipeline(config, mode="train")
+        assert err.value.stage == "load"
+        assert str(err.value) == "[load] line 9: non-finite ch4 value nan"
 
     def test_unknown_mode_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="mode must be one of"):
@@ -845,7 +859,9 @@ class TestWorkerPool:
     def test_one_class_train_side_fails_in_train_stage(self, tmp_path, use_ensemble):
         # classes 2 and 3 are held only in repetitions 1 and 3, which plan 1
         # tests on, so plan 1 trains on class 1 alone; holds of 4 windows
-        # give every class of plans 2 and 3 a sample in each of 5 folds
+        # give every class of plans 2 and 3 a sample in each of 5 folds.
+        # Plan 1's fit arguments are built in this process, so they fail
+        # before any of its fit jobs is submitted.
         recording = generate_synthetic(replace(TINY_SPEC, hold_duration=1.2, seed=5))
         stimulus = recording.stimulus.copy()
         stimulus[(stimulus > 1) & ~np.isin(recording.repetition, (1, 3))] = 0
@@ -942,8 +958,9 @@ class TestTransferPool:
         assert multiprocessing.active_children() == []
 
     def test_failing_fit_job_fails_in_transfer_stage(self, transfer_config, tmp_path):
-        # a target of class 1 alone: each scratch fit, run in a worker, has
-        # one class to train on
+        # a target of class 1 alone: each scratch arm has one class to train
+        # on, and its fit arguments, built in this process, fail before any
+        # fit job is submitted
         recording = generate_synthetic(replace(TINY_SPEC, seed=6))
         stimulus = np.where(recording.stimulus > 1, 0, recording.stimulus)
         csv = tmp_path / "target.csv"
@@ -951,6 +968,29 @@ class TestTransferPool:
         with pytest.raises(PipelineError) as err:
             run_pipeline(replace(transfer_config, data_path=str(csv)), mode="transfer")
         assert str(err.value) == "[transfer] training needs at least two classes"
+        assert multiprocessing.active_children() == []
+
+
+def test_a_job_raising_in_a_worker_fails_the_run(trained_run, tmp_path, monkeypatch):
+    # the feature jobs of train and transfer call _analytic_signal in the
+    # pool's forked workers, which inherit this replacement
+    def failing(x):
+        raise ValueError(f"no analytic signal in process {os.getpid()}")
+
+    config, result = trained_run
+    monkeypatch.setattr(features, "_analytic_signal", failing)
+    transfer_config = replace(
+        config, out_dir=str(tmp_path / "transfer"),
+        transfer_base_model=os.path.join(result["model_dir"], "plan_1"),
+    )
+    for run, mode in ((replace(config, out_dir=str(tmp_path / "train")), "train"),
+                      (transfer_config, "transfer")):
+        with pytest.raises(PipelineError) as err:
+            run_pipeline(run, mode=mode)
+        assert err.value.stage == "features"
+        message, pid = str(err.value).rsplit(" ", 1)
+        assert message == "[features] no analytic signal in process"
+        assert int(pid) != os.getpid()
         assert multiprocessing.active_children() == []
 
 

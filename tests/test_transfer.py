@@ -320,7 +320,7 @@ class TestTransferReport:
             pool=pool,
         )
         names = [f"{fn.__module__}.{fn.__qualname__}" for fn in pool.submitted]
-        assert names == ["semgkit.gbdt.booster._fit", "semgkit.gbdt.booster._boost"] * 2
+        assert names == ["semgkit.gbdt.booster._boost"] * 4
         for fn in pool.submitted:
             assert pickle.loads(pickle.dumps(fn)) is fn
         serial = transfer_report(
