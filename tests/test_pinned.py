@@ -8,7 +8,9 @@ do the weighted-loss runs below, read from INI files, and the feature
 rows of their plans. The two tiny trains also pin every member's tree
 arrays and best_iteration and every member's raw scores of the plan's
 test rows: a change that moves feature values by rounding alone may move
-bin edges, and so model.json, but must leave these as they are.
+bin edges, and so model.json, but must leave these as they are. The
+synthetic recordings behind the bench's workloads and these runs are
+pinned too, so a change to how the generator computes them keeps every bit.
 
 PINNED was recorded from the serial pipeline, before training ran in
 worker processes. The model.json and feature-row digests were recorded
@@ -31,7 +33,7 @@ import pytest
 import scipy
 
 from semgkit import pipeline
-from semgkit.dataset import SyntheticSpec
+from semgkit.dataset import SyntheticSpec, generate_synthetic
 from semgkit.gbdt import TrainParams
 from semgkit.ensemble import BaggedModel
 from semgkit.pipeline import (
@@ -317,3 +319,34 @@ def test_weighted_runs_match_the_pinned_digests(tmp_path, monkeypatch):
         for name, X in (("X_train", X_train), ("X_test", X_test)):
             rows[f"plan_{number}/{name}"] = hashlib.sha256(X.tobytes()).hexdigest()
     assert rows == PINNED_ROWS
+
+
+# generate_synthetic's channels, stimulus and repetition, hashed in that
+# order: the bench's train recording, its transfer recording (8 classes at
+# -20 dB, class_seed 0) and the recording of the tiny runs above. Recorded
+# before the generator drew, filtered and scaled the carriers one channel
+# row at a time.
+PINNED_SYNTHETIC = {
+    "bench_train": (
+        SyntheticSpec(hold_duration=1.5, seed=5),
+        "cfe9643d5b38e7fbcafed5e7fb0ee57cf8b35bac5711c73ec4af7ab1a8691d89",
+    ),
+    "bench_transfer": (
+        SyntheticSpec(n_classes=8, hold_duration=1.5, snr_db=-20.0, class_seed=0, seed=7),
+        "0eac9b8c87c3449f7c04c6d38d7a9f907f9c907c100ebc19cef8cfec465f20c4",
+    ),
+    "tiny": (
+        replace(SPEC, seed=11),
+        "8c037497f8c87c21f6e7c9e62b355ebfe69e41c7800c95fe197858a97cf4f4c4",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_SYNTHETIC))
+def test_synthetic_recordings_match_the_pinned_digests(name):
+    spec, want = PINNED_SYNTHETIC[name]
+    recording = generate_synthetic(spec)
+    digest = hashlib.sha256()
+    for array in (recording.channels, recording.stimulus, recording.repetition):
+        digest.update(array.tobytes())
+    assert digest.hexdigest() == want
