@@ -38,7 +38,10 @@ class RecordingParseError(RecordingFormatError):
 
 @dataclass(frozen=True)
 class Recording:
-    """Multichannel raw sEMG with per-sample stimulus and repetition labels."""
+    """Multichannel raw sEMG with per-sample stimulus and repetition labels.
+
+    Every channel sample must be finite.
+    """
 
     subject_id: int
     sample_rate: float
@@ -57,6 +60,12 @@ class Recording:
             raise ValueError("stimulus and repetition must have length T")
         if self.sample_rate <= 0:
             raise ValueError("sample_rate must be > 0")
+        for i, row in enumerate(ch):  # a row at a time: no full-size mask
+            if not np.isfinite(row).all():
+                bad = int(np.flatnonzero(~np.isfinite(row))[0])
+                raise ValueError(
+                    f"non-finite ch{i + 1} sample {bad}: {float(row[bad])!r}"
+                )
         if st.min() < 0 or st.max() > MAX_CLASSES:
             raise ValueError(f"stimulus values must lie in 0..{MAX_CLASSES}")
         if rep.min() < 1 or rep.max() > MAX_REPETITIONS:
@@ -304,12 +313,15 @@ def generate_synthetic(spec: SyntheticSpec) -> Recording:
         if key not in narrow_filters:
             narrow_filters[key] = dsp.design_bandpass(lo, hi, order=3, sample_rate=fs)
 
-    carriers = dsp.filter_channels(
-        carrier_bp, rng_noise.standard_normal((N_CHANNELS, total))
-    )
-    carriers /= np.sqrt(np.mean(carriers * carriers, axis=1, keepdims=True))
-
+    # one full-size array throughout: each carrier row is drawn, filtered
+    # and brought to unit RMS in place, in the stream order of one
+    # (N_CHANNELS, total) draw
     channels = np.empty((N_CHANNELS, total))
+    for row in channels:
+        rng_noise.standard_normal(out=row)
+        row[:] = dsp.filter_channels(carrier_bp, row)
+        row /= np.sqrt(np.mean(row * row))
+
     stimulus = np.zeros(total, dtype=np.int64)
     repetition = np.ones(total, dtype=np.int64)
     rest_scale = 0.08
@@ -320,13 +332,12 @@ def generate_synthetic(spec: SyntheticSpec) -> Recording:
         for c in range(1, spec.n_classes + 1):
             rest_sl = slice(pos, pos + rest_n)
             hold_sl = slice(pos + rest_n, pos + block_n)
-            channels[:, rest_sl] = rest_scale * carriers[:, rest_sl]
+            channels[:, rest_sl] *= rest_scale
             stimulus[hold_sl] = c
             repetition[rest_sl] = r
             repetition[hold_sl] = r
 
-            prof = amplitude[c - 1][:, None]
-            channels[:, hold_sl] = prof * carriers[:, hold_sl]
+            channels[:, hold_sl] *= amplitude[c - 1][:, None]
             lo = band_lo[c - 1]
             nb = narrow_filters[(lo, lo + 18.0)]
             raw = rng_noise.standard_normal(hold_n + pad)
@@ -334,20 +345,27 @@ def generate_synthetic(spec: SyntheticSpec) -> Recording:
             shared = shared / np.sqrt(np.mean(shared * shared))
             channels[:, hold_sl] += shared_gain[c - 1][:, None] * shared
             pos += block_n
-    del carriers
 
     t_axis = np.arange(total) / fs
+    ramp = np.empty(total)
+    wave = np.empty(total)
     mains_amp = 0.35
     phases = rng_noise.uniform(0.0, 2.0 * np.pi, size=(2, N_CHANNELS))
     for harmonic, phase in zip((1.0, 2.0), phases):
-        for i in range(N_CHANNELS):
-            channels[i] += mains_amp / harmonic * np.sin(
-                2.0 * np.pi * harmonic * spec.mains_hz * t_axis + phase[i]
-            )
+        np.multiply(2.0 * np.pi * harmonic * spec.mains_hz, t_axis, out=ramp)
+        for row, row_phase in zip(channels, phase):
+            np.add(ramp, row_phase, out=wave)
+            np.sin(wave, out=wave)
+            wave *= mains_amp / harmonic
+            row += wave
+    del t_axis, ramp
 
-    rms_clean = np.sqrt(np.mean(channels * channels))
+    rms_clean = np.sqrt(_square_sum(channels) / channels.size)
     noise_std = rms_clean / (10.0 ** (spec.snr_db / 20.0))
-    channels += noise_std * rng_noise.standard_normal((N_CHANNELS, total))
+    for row in channels:
+        rng_noise.standard_normal(out=wave)
+        wave *= noise_std
+        row += wave
 
     return Recording(
         subject_id=0,
@@ -356,6 +374,33 @@ def generate_synthetic(spec: SyntheticSpec) -> Recording:
         stimulus=stimulus,
         repetition=repetition,
     )
+
+
+# numpy sums a contiguous float64 run pairwise, down to runs of this size
+# and far below
+_SUM_BLOCK = 1 << 16
+
+
+def _square_sum(x: np.ndarray) -> np.float64:
+    """np.sum(x * x), bit for bit, without a full-size x * x.
+
+    numpy sums n > 128 contiguous float64 values by splitting them at
+    n // 2 rounded down to a multiple of 8 and adding the two halves' sums,
+    each found the same way. Splitting the flattened x by that rule down to
+    runs of at most _SUM_BLOCK values, and squaring one run at a time, adds
+    the same partial sums in the same order.
+    """
+    flat = np.ravel(x)
+
+    def run_sum(start: int, n: int) -> np.float64:
+        if n <= _SUM_BLOCK:
+            run = flat[start:start + n]
+            return np.sum(run * run)
+        half = n // 2
+        half -= half % 8
+        return run_sum(start, half) + run_sum(start + half, n - half)
+
+    return run_sum(0, flat.size)
 
 
 def segment(

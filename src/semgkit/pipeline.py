@@ -472,6 +472,9 @@ def _prepare_windows(
 
 
 def _filter_recording(config: PipelineConfig, recording: Recording) -> Recording:
+    """Filter the recording's channels in place, one row at a time, and
+    return it: the raw samples are consumed, and no full-size copy is made.
+    Rows filter on their own, so this equals filtering the whole block."""
     fs = recording.sample_rate
     chain = [
         design_bandpass(
@@ -483,10 +486,10 @@ def _filter_recording(config: PipelineConfig, recording: Recording) -> Recording
     ]
     for f0 in config.notch_hz:
         chain.append(design_notch(f0, quality=config.notch_quality, sample_rate=fs))
-    channels = filter_channels(
-        cascade(*chain), recording.channels, zero_phase=config.zero_phase
-    )
-    return replace(recording, channels=channels)
+    sos = cascade(*chain)
+    for row in recording.channels:
+        row[:] = filter_channels(sos, row, zero_phase=config.zero_phase)
+    return recording
 
 
 def _plan_sides(

@@ -1,6 +1,9 @@
 """Recording IO, synthetic generation, windowing, and split plans."""
 from __future__ import annotations
 
+import tracemalloc
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -21,6 +24,7 @@ from semgkit.dataset import (
     segment,
     split_by_repetition,
 )
+from semgkit.dataset import _square_sum
 
 
 def small_recording(seed: int = 0, n: int = 200) -> Recording:
@@ -151,6 +155,16 @@ class TestRecordingValidation:
     def test_repetition_range(self):
         with pytest.raises(ValueError, match="repetition"):
             Recording(0, 2000.0, np.zeros((2, 3)), np.zeros(3), np.array([1, 7, 1]))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_sample_names_channel_and_index(self, value):
+        recording = small_recording()
+        channels = recording.channels.copy()
+        channels[4, 17] = value
+        channels[9, 3] = value  # a later channel: the first row is named
+        with pytest.raises(ValueError) as err:
+            replace(recording, channels=channels)
+        assert str(err.value) == f"non-finite ch5 sample 17: {float(value)!r}"
 
     def test_window_validation(self):
         with pytest.raises(ValueError):
@@ -318,3 +332,35 @@ class TestSynthetic:
             SyntheticSpec(hold_duration=0.0)
         with pytest.raises(ValueError):
             SyntheticSpec(mains_hz=1500.0)
+
+
+class TestSquareSum:
+    # around numpy's 8-wide unrolled block (128), the run size of
+    # _square_sum (2**16), and the bench's transfer and train recordings
+    LENGTHS = (1, 7, 8, 9, 127, 128, 129, 2**16 - 1, 2**16, 2**16 + 1,
+               3 * 2**16 + 5, 12 * 432000, 12 * 972000)
+
+    @pytest.mark.parametrize("n", LENGTHS)
+    def test_equals_numpy_sum_of_squares_bit_for_bit(self, n):
+        rng = np.random.default_rng(n)
+        for scale in (1e-3, 0.1, 1.0, 10.0, 1e3):
+            x = rng.standard_normal(n)
+            x *= scale
+            want = np.sum(x * x)
+            assert _square_sum(x) == want
+            if n % 12 == 0:  # as the generator calls it, on (12, T) channels
+                assert _square_sum(x.reshape(12, -1)) == want
+
+
+def test_generation_holds_one_full_size_array():
+    # the carriers are drawn, filtered and scaled in the channels array
+    # itself, so the traced peak stays near that one array (the labels
+    # and the mains term's row buffers add about 0.4 of it)
+    spec = SyntheticSpec(n_classes=6, hold_duration=1.5, seed=3)
+    tracemalloc.start()
+    try:
+        recording = generate_synthetic(spec)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.0 * recording.channels.nbytes

@@ -153,10 +153,10 @@ def test_channel_gains_leave_every_plan_row_unchanged():
     config = PipelineConfig(synthetic=SPEC)
     recording = generate_synthetic(replace(SPEC, seed=3))
     gains = np.random.default_rng(3).uniform(0.2, 5.0, recording.n_channels)
+    # _filter_recording filters in place, so the gained copy comes first
+    gained_recording = replace(recording, channels=recording.channels * gains[:, None])
     _, plain = _rows_of(config, recording)
-    _, gained = _rows_of(
-        config, replace(recording, channels=recording.channels * gains[:, None])
-    )
+    _, gained = _rows_of(config, gained_recording)
     for (_, *a), (_, *b) in zip(plain, gained):
         for x, y in zip(a, b):
             np.testing.assert_allclose(y, x, rtol=1e-9, atol=0.0)

@@ -6,6 +6,7 @@ import shutil
 import signal
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -21,6 +22,7 @@ from semgkit.dataset import (
     make_cv_plans,
     save_recording,
 )
+from semgkit.dsp import cascade, design_bandpass, design_notch, filter_channels
 from semgkit.ensemble import train_bagged
 from semgkit.features import FeatureConfig
 from semgkit.gbdt import LossSpec, TrainParams, save_model
@@ -29,6 +31,7 @@ from semgkit.pipeline import (
     PipelineConfig,
     PipelineError,
     _effective,
+    _filter_recording,
     _holdout_fit,
     _load_plan,
     _plan_rows,
@@ -340,10 +343,10 @@ class TestEmitReport:
 
     def test_atomic_overwrite_leaves_no_temp_files(self, tmp_path, two_plans):
         emit_report(two_plans, [1, 5], tmp_path, train_seconds=1.0)
-        first = open(tmp_path / "metrics.csv").read()
+        first = (tmp_path / "metrics.csv").read_text()
         emit_report(two_plans, [1, 5], tmp_path, train_seconds=2.0)
-        assert open(tmp_path / "metrics.csv").read() == first
-        assert "2.0" in open(tmp_path / "summary.csv").read()
+        assert (tmp_path / "metrics.csv").read_text() == first
+        assert "2.0" in (tmp_path / "summary.csv").read_text()
         leftovers = [p for p in os.listdir(tmp_path) if p.endswith(".tmp")]
         assert leftovers == []
 
@@ -354,7 +357,7 @@ class TestEmitReport:
         other.write_text("another run")
         emit_report(two_plans, [1, 5], tmp_path, train_seconds=1.0)
         assert other.read_text() == "another run"
-        assert open(tmp_path / "metrics.csv").read().startswith("plan,")
+        assert (tmp_path / "metrics.csv").read_text().startswith("plan,")
 
     def test_empty_plan_list_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="at least one plan"):
@@ -373,7 +376,7 @@ class TestEmitReport:
             f"{third},0.75,0.75,{third},12.25\n",
         }
         for name, text in expected.items():
-            assert open(paths[name], "rb").read() == text.encode()
+            assert Path(paths[name]).read_bytes() == text.encode()
 
 
 class TestTransferCsv:
@@ -390,7 +393,7 @@ class TestTransferCsv:
             after_accuracy=np.array([0.7, 0.9]),
         )
         path = write_transfer_csv(report, tmp_path / "out")
-        assert open(path, "rb").read() == (
+        assert Path(path).read_bytes() == (
             b"movement,before_accuracy,after_accuracy\n"
             b"1,0.375,0.875\n4,nan,nan\n7,0.875,0.75\nmean,0.625,0.8125\n"
         )
@@ -403,6 +406,38 @@ TINY_PARAMS = TrainParams(
     learning_rate=0.3, num_leaves=8, max_rounds=4, min_data_in_leaf=5,
     max_bins=31, early_stop_rounds=0,
 )
+
+
+class TestFilterRecording:
+    SPEC = SyntheticSpec(n_classes=6, hold_duration=1.5, seed=3)
+
+    @pytest.mark.parametrize("zero_phase", [False, True], ids=["causal", "zero_phase"])
+    def test_filters_in_place_like_the_whole_block(self, zero_phase):
+        config = PipelineConfig(synthetic=self.SPEC, zero_phase=zero_phase)
+        recording = generate_synthetic(self.SPEC)
+        raw = recording.channels.copy()
+        fs = recording.sample_rate
+        chain = [design_bandpass(config.bandpass_low_hz, config.bandpass_high_hz,
+                                 order=config.bandpass_order, sample_rate=fs)]
+        chain += [design_notch(f0, quality=config.notch_quality, sample_rate=fs)
+                  for f0 in config.notch_hz]
+        want = filter_channels(cascade(*chain), raw, zero_phase=zero_phase)
+        channels = recording.channels
+        filtered = _filter_recording(config, recording)
+        assert filtered.channels is channels
+        assert filtered.channels.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("zero_phase", [False, True], ids=["causal", "zero_phase"])
+    def test_filtering_allocates_no_full_size_array(self, zero_phase):
+        config = PipelineConfig(synthetic=self.SPEC, zero_phase=zero_phase)
+        recording = generate_synthetic(self.SPEC)
+        tracemalloc.start()  # traces only what is allocated from here on
+        try:
+            _filter_recording(config, recording)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.25 * recording.channels.nbytes
 
 
 def tiny_config(out_dir, seed=5):
@@ -453,11 +488,11 @@ class TestRunModes:
         rerun = run_pipeline(tiny_config(tmp_path), mode="train")
         for name in ("metrics", "per_movement", "confusion"):
             assert (
-                open(rerun["files"][name], "rb").read()
-                == open(result["files"][name], "rb").read()
+                Path(rerun["files"][name]).read_bytes()
+                == Path(result["files"][name]).read_bytes()
             )
-        a = open(os.path.join(result["model_dir"], "plan_1", "model.json"), "rb").read()
-        b = open(os.path.join(rerun["model_dir"], "plan_1", "model.json"), "rb").read()
+        a = Path(result["model_dir"], "plan_1", "model.json").read_bytes()
+        b = Path(rerun["model_dir"], "plan_1", "model.json").read_bytes()
         assert a == b
         first = read_rows(result["files"]["summary"])[1][:4]
         second = read_rows(rerun["files"]["summary"])[1][:4]
@@ -472,8 +507,8 @@ class TestRunModes:
         assert rerun["mode"] == "evaluate"
         assert rerun["plan_accuracies"] == result["plan_accuracies"]
         assert (
-            open(rerun["files"]["metrics"], "rb").read()
-            == open(result["files"]["metrics"], "rb").read()
+            Path(rerun["files"]["metrics"]).read_bytes()
+            == Path(result["files"]["metrics"]).read_bytes()
         )
 
     def test_evaluate_mode_needs_model_dir(self, tmp_path):
@@ -561,8 +596,8 @@ class TestRunModes:
                                          model_dir=result["model_dir"]),
                                  mode="evaluate")
             assert (
-                open(rerun["files"]["metrics"], "rb").read()
-                == open(result["files"]["metrics"], "rb").read()
+                Path(rerun["files"]["metrics"]).read_bytes()
+                == Path(result["files"]["metrics"]).read_bytes()
             )
 
     def test_tune_mode(self, tmp_path):
@@ -643,8 +678,8 @@ class TestRunModes:
         rerun = run_pipeline(replace(config, out_dir=str(tmp_path / "b")), mode="train")
         for name in ("metrics", "per_movement", "confusion"):
             assert (
-                open(rerun["files"][name], "rb").read()
-                == open(result["files"][name], "rb").read()
+                Path(rerun["files"][name]).read_bytes()
+                == Path(result["files"][name]).read_bytes()
             )
         spec, params = _effective(config)
         windows = _prepare_windows(config, {}, spec)
@@ -654,8 +689,8 @@ class TestRunModes:
             plan_dir = os.path.join(result["model_dir"], f"plan_{i}")
             assert sorted(os.listdir(plan_dir)) == ["model.json"]
             assert (
-                open(os.path.join(plan_dir, "model.json"), "rb").read()
-                == open(os.path.join(rerun["model_dir"], f"plan_{i}", "model.json"), "rb").read()
+                Path(plan_dir, "model.json").read_bytes()
+                == Path(rerun["model_dir"], f"plan_{i}", "model.json").read_bytes()
             )
             detected = _holdout_fit(detect_hard_classes, X, y, params)
             assert detected
@@ -685,7 +720,7 @@ class TestRunModes:
                 transfer=TransferConfig(learning_rate=0.2, max_rounds=4, early_stop_rounds=2),
             )
             out = run_pipeline(transfer_config, mode="transfer")
-            reports.append(open(out["files"]["transfer_report"], "rb").read())
+            reports.append(Path(out["files"]["transfer_report"]).read_bytes())
         assert reports[0] == reports[1] == reports[2]
 
     def test_transfer_rejects_a_bare_saved_model(self, trained_run, tmp_path):
@@ -717,7 +752,7 @@ class TestRunModes:
     ):
         _, result = trained_run
         doc = json.loads(
-            open(os.path.join(result["model_dir"], "plan_1", "model.json")).read()
+            Path(result["model_dir"], "plan_1", "model.json").read_text()
         )
         stats = doc["standardization"]
         if edit is None:
@@ -754,11 +789,14 @@ class TestRunModes:
         assert err.value.stage == "load"
 
     def test_non_finite_cell_fails_in_load_stage(self, tmp_path):
-        recording = generate_synthetic(replace(TINY_SPEC, seed=5))
-        channels = recording.channels.copy()
-        channels[3, 7] = np.nan
+        # a Recording refuses NaN itself, so the cell is written into the file
         csv = tmp_path / "recording.csv"
-        save_recording(replace(recording, channels=channels), csv)
+        save_recording(generate_synthetic(replace(TINY_SPEC, seed=5)), csv)
+        lines = csv.read_text().splitlines(keepends=True)
+        cells = lines[8].split(",")  # line 9 holds sample 7
+        cells[3] = "nan"
+        lines[8] = ",".join(cells)
+        csv.write_text("".join(lines))
         config = replace(tiny_config(tmp_path / "out"), data_path=str(csv))
         with pytest.raises(PipelineError) as err:
             run_pipeline(config, mode="train")
@@ -851,9 +889,9 @@ class TestWorkerPool:
                 X, y, params=params, loss=config.loss, k=config.ensemble_k
             )
             _save_plan(str(tmp_path / f"plan_{i}"), model, stats)
-            assert (tmp_path / f"plan_{i}" / "model.json").read_bytes() == open(
-                os.path.join(result["model_dir"], f"plan_{i}", "model.json"), "rb"
-            ).read()
+            assert (tmp_path / f"plan_{i}" / "model.json").read_bytes() == Path(
+                result["model_dir"], f"plan_{i}", "model.json"
+            ).read_bytes()
 
     @pytest.mark.parametrize("use_ensemble", [True, False], ids=["bagged", "single"])
     def test_one_class_train_side_fails_in_train_stage(self, tmp_path, use_ensemble):
@@ -923,7 +961,7 @@ class TestTransferPool:
                 replace(transfer_config, out_dir=str(tmp_path / f"cpus{cpus}")),
                 mode="transfer",
             )
-            reports.append(open(out["files"]["transfer_report"], "rb").read())
+            reports.append(Path(out["files"]["transfer_report"]).read_bytes())
             assert multiprocessing.active_children() == []
         assert reports[0] == reports[1] == reports[2]
         # 36 target windows make one feature job, fewer than the 6 fits
