@@ -358,7 +358,6 @@ def generate_synthetic(spec: SyntheticSpec) -> Recording:
             np.sin(wave, out=wave)
             wave *= mains_amp / harmonic
             row += wave
-    del t_axis, ramp
 
     rms_clean = np.sqrt(_square_sum(channels) / channels.size)
     noise_std = rms_clean / (10.0 ** (spec.snr_db / 20.0))
@@ -376,8 +375,7 @@ def generate_synthetic(spec: SyntheticSpec) -> Recording:
     )
 
 
-# numpy sums a contiguous float64 run pairwise, down to runs of this size
-# and far below
+# _square_sum squares at most this many values at a time
 _SUM_BLOCK = 1 << 16
 
 

@@ -23,8 +23,8 @@ from semgkit.dataset import (
     save_recording,
     segment,
     split_by_repetition,
+    _square_sum,
 )
-from semgkit.dataset import _square_sum
 
 
 def small_recording(seed: int = 0, n: int = 200) -> Recording:
@@ -161,7 +161,7 @@ class TestRecordingValidation:
         recording = small_recording()
         channels = recording.channels.copy()
         channels[4, 17] = value
-        channels[9, 3] = value  # a later channel: the first row is named
+        channels[9, 3] = value  # an earlier sample of a later channel
         with pytest.raises(ValueError) as err:
             replace(recording, channels=channels)
         assert str(err.value) == f"non-finite ch5 sample 17: {float(value)!r}"
