@@ -346,25 +346,32 @@ def generate_synthetic(spec: SyntheticSpec) -> Recording:
             channels[:, hold_sl] += shared_gain[c - 1][:, None] * shared
             pos += block_n
 
-    t_axis = np.arange(total) / fs
-    ramp = np.empty(total)
-    wave = np.empty(total)
+    # the mains term and the final noise are made in blocks of _BLOCK
+    # samples; each value takes the same operations as in one full-row pass,
+    # and the noise blocks follow one another in the stream of one row draw
     mains_amp = 0.35
     phases = rng_noise.uniform(0.0, 2.0 * np.pi, size=(2, N_CHANNELS))
-    for harmonic, phase in zip((1.0, 2.0), phases):
-        np.multiply(2.0 * np.pi * harmonic * spec.mains_hz, t_axis, out=ramp)
-        for row, row_phase in zip(channels, phase):
-            np.add(ramp, row_phase, out=wave)
-            np.sin(wave, out=wave)
-            wave *= mains_amp / harmonic
-            row += wave
+    wave = np.empty(min(total, _BLOCK))
+    for start in range(0, total, _BLOCK):
+        t_axis = np.arange(start, min(start + _BLOCK, total)) / fs
+        part = wave[:t_axis.size]
+        for harmonic, phase in zip((1.0, 2.0), phases):
+            ramp = 2.0 * np.pi * harmonic * spec.mains_hz * t_axis
+            for row, row_phase in zip(channels[:, start:start + part.size], phase):
+                np.add(ramp, row_phase, out=part)
+                np.sin(part, out=part)
+                part *= mains_amp / harmonic
+                row += part
 
     rms_clean = np.sqrt(_square_sum(channels) / channels.size)
     noise_std = rms_clean / (10.0 ** (spec.snr_db / 20.0))
     for row in channels:
-        rng_noise.standard_normal(out=wave)
-        wave *= noise_std
-        row += wave
+        for start in range(0, total, _BLOCK):
+            block = row[start:start + _BLOCK]
+            part = wave[:block.size]
+            rng_noise.standard_normal(out=part)
+            part *= noise_std
+            block += part
 
     return Recording(
         subject_id=0,
@@ -375,8 +382,9 @@ def generate_synthetic(spec: SyntheticSpec) -> Recording:
     )
 
 
-# _square_sum squares at most this many values at a time
-_SUM_BLOCK = 1 << 16
+# generate_synthetic's mains term and noise, and _square_sum's squares, are
+# made at most this many values at a time
+_BLOCK = 1 << 16
 
 
 def _square_sum(x: np.ndarray) -> np.float64:
@@ -385,13 +393,13 @@ def _square_sum(x: np.ndarray) -> np.float64:
     numpy sums n > 128 contiguous float64 values by splitting them at
     n // 2 rounded down to a multiple of 8 and adding the two halves' sums,
     each found the same way. Splitting the flattened x by that rule down to
-    runs of at most _SUM_BLOCK values, and squaring one run at a time, adds
+    runs of at most _BLOCK values, and squaring one run at a time, adds
     the same partial sums in the same order.
     """
     flat = np.ravel(x)
 
     def run_sum(start: int, n: int) -> np.float64:
-        if n <= _SUM_BLOCK:
+        if n <= _BLOCK:
             run = flat[start:start + n]
             return np.sum(run * run)
         half = n // 2

@@ -10,8 +10,10 @@ leaf values use the second-order formulas
 
 with per-bin histogram sums of the gradient and Hessian. Sibling
 histograms are derived by subtracting the smaller child's histogram from
-the parent's. Histograms are stacked (gradient, Hessian, count) in one
-array sized to the widest feature, and the split scan reuses
+the parent's; a split whose children both hold fewer than
+2 * min_data_in_leaf rows, so that neither can be split again, makes no
+child histogram at all. Histograms are stacked (gradient, Hessian, count)
+in one array sized to the widest feature, and the split scan reuses
 preallocated buffers; both matter for training speed.
 
 Columns that can never win a split get no histogram and no scan (as
@@ -238,11 +240,12 @@ def grow_tree(
     root_totals = (float(g.sum()), float(h.sum()), n)
     root = add_leaf(root_totals)
 
-    # per live leaf: (rows, histogram, totals)
-    state = {root: (root_rows, root_hist, root_totals)}
+    # per leaf with a split candidate on the heap: (rows, histogram, totals)
+    state = {}
     heap: List[Tuple[float, int, int, int]] = []
     cand = _best_split(root_hist, root_totals, min_data, l2, scratch)
     if cand is not None:
+        state[root] = (root_rows, root_hist, root_totals)
         heapq.heappush(heap, (-cand[0], root, cand[1], cand[2]))
 
     n_leaves = 1
@@ -263,6 +266,18 @@ def grow_tree(
             totals[1] - left_totals[1],
             totals[2] - left_totals[2],
         )
+        left_id = add_leaf(left_totals)
+        right_id = add_leaf(right_totals)
+        feature[node] = int(feat_sel[feat_local])
+        threshold[node] = int(cut)
+        left[node] = left_id
+        right[node] = right_id
+        value[node] = 0.0
+        n_leaves += 1
+        if max(left_rows.size, right_rows.size) < 2 * min_data:
+            # neither child can be split, so their histograms go unread
+            continue
+
         if left_rows.size <= right_rows.size:
             small_rows, small_is_left = left_rows, True
         else:
@@ -274,23 +289,13 @@ def grow_tree(
         left_hist, right_hist = (
             (small_hist, hist) if small_is_left else (hist, small_hist)
         )
-
-        left_id = add_leaf(left_totals)
-        right_id = add_leaf(right_totals)
-        feature[node] = int(feat_sel[feat_local])
-        threshold[node] = int(cut)
-        left[node] = left_id
-        right[node] = right_id
-        value[node] = 0.0
-        n_leaves += 1
-
         for child, child_rows, child_hist, child_totals in (
             (left_id, left_rows, left_hist, left_totals),
             (right_id, right_rows, right_hist, right_totals),
         ):
-            state[child] = (child_rows, child_hist, child_totals)
             child_cand = _best_split(child_hist, child_totals, min_data, l2, scratch)
             if child_cand is not None:
+                state[child] = (child_rows, child_hist, child_totals)
                 heapq.heappush(
                     heap, (-child_cand[0], child, child_cand[1], child_cand[2])
                 )

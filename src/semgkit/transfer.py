@@ -9,8 +9,9 @@ warm_start runs the same round loop as booster.train, started from the
 base model instead of the class priors.
 
 transfer_report's fits may run in a pool of worker processes. Each is a
-job of the private module-level booster._boost, never of a public name
-that a caller may have replaced with a wrapper that cannot be pickled.
+job of the private module-level _fit_labels, never of a public name that
+a caller may have replaced with a wrapper that cannot be pickled, and it
+sends back the labels it predicts, not the model it fits.
 """
 from __future__ import annotations
 
@@ -159,6 +160,13 @@ def _paired_split(
     return quarter <= 1, quarter == 2, quarter == 3
 
 
+def _fit_labels(job: Tuple[tuple, np.ndarray]) -> np.ndarray:
+    """The labels that the booster._boost model of the arguments job[0]
+    predicts for the feature rows job[1]."""
+    boost_args, test_rows = job
+    return _boost(*boost_args).predict_label(test_rows)
+
+
 def transfer_report(
     target_features: np.ndarray,
     target_labels: np.ndarray,
@@ -175,12 +183,17 @@ def transfer_report(
     by both arms, trains both, and scores per-class recall and overall
     accuracy on the held-out test quarter.
 
-    The 2 x len(seeds) fits are independent booster._boost jobs. Their
-    arguments are built here, booster._train_args for the scratch arm and
-    _warm_args for the warm arm, so a bad argument fails before any job
-    runs. The jobs run through pool.map, or the builtin map when pool is
-    None; either way the models are read in seed order, scored here and
-    dropped, so the report is the same.
+    The 2 x len(seeds) fits are independent _fit_labels jobs, each a
+    booster._boost run that returns the predicted labels of its test rows,
+    never the model. The rows, their width and the labels against the base
+    classes are checked on the whole target before any job starts. The
+    jobs go to pool.map, or the builtin map when pool is None, as a
+    generator: a seed's arguments, booster._train_args for the scratch arm
+    and _warm_args for the warm arm, are built only after the previous
+    seed's jobs were handed over, so a pool fits while the next scratch
+    arm is binned. An error in one seed's split (a train split with one
+    class, say) so surfaces after the earlier seeds' jobs were submitted.
+    Labels are read in seed order either way, so the report is the same.
     """
     if not seeds:
         raise ValueError("seeds must name at least one seed")
@@ -188,6 +201,7 @@ def transfer_report(
         target_features, target_labels, len(base.bin_edges)
     )
     classes = base.classes
+    _encode_labels(labels, classes)  # every label, not only the train splits'
     n_classes = base.n_classes
     n_seeds = len(seeds)
     before_pc = np.full((n_seeds, n_classes), np.nan)
@@ -195,28 +209,32 @@ def transfer_report(
     before_acc = np.zeros(n_seeds)
     after_acc = np.zeros(n_seeds)
 
-    jobs, test_masks = [], []
-    for seed in seeds:
-        rng = np.random.default_rng([int(seed), 404])
-        train_mask, valid_mask, test_mask = _paired_split(labels, rng)
-        args = (
-            features[train_mask],
-            labels[train_mask],
-            features[valid_mask],
-            labels[valid_mask],
-        )
-        params = _phase_params(base, cfg, seed)
-        jobs.append(_train_args(*args, params, loss))
-        jobs.append(_warm_args(base, *args, cfg, loss, int(seed)))
-        test_masks.append(test_mask)
-    models = (map if pool is None else pool.map)(_boost, *zip(*jobs))
+    splits = [
+        _paired_split(labels, np.random.default_rng([int(seed), 404]))
+        for seed in seeds
+    ]
 
-    for s, test_mask in enumerate(test_masks):
+    def jobs():
+        for seed, (train_mask, valid_mask, test_mask) in zip(seeds, splits):
+            args = (
+                features[train_mask],
+                labels[train_mask],
+                features[valid_mask],
+                labels[valid_mask],
+            )
+            test_rows = features[test_mask]
+            params = _phase_params(base, cfg, seed)
+            yield _train_args(*args, params, loss), test_rows
+            yield _warm_args(base, *args, cfg, loss, int(seed)), test_rows
+
+    predictions = (map if pool is None else pool.map)(_fit_labels, jobs())
+
+    for s, (_, _, test_mask) in enumerate(splits):
         test_labels = labels[test_mask]
-        for model, per_class, acc in (
-            (next(models), before_pc, before_acc), (next(models), after_pc, after_acc)
+        for pred, per_class, acc in (
+            (next(predictions), before_pc, before_acc),
+            (next(predictions), after_pc, after_acc),
         ):
-            pred = model.predict_label(features[test_mask])
             acc[s] = float(np.mean(pred == test_labels))
             per_class[s] = _per_class_recall(pred, test_labels, classes)
 

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from semgkit.gbdt import BinnedMatrix, TrainParams, Tree, bin_features, grow_tree
 from semgkit.gbdt import booster, train
+from semgkit.gbdt import tree as tree_module
 from semgkit.gbdt.tree import column_twins
 
 
@@ -462,3 +463,78 @@ class TestExactGrowthOracle:
         want = best_first_reference(codes, grad, hess, num_leaves, min_data, l2)
         for name, column in zip(("feature", "threshold", "left", "right", "value"), want):
             assert getattr(tree, name).tolist() == column, name
+
+
+def node_counts(tree: Tree, codes: np.ndarray) -> np.ndarray:
+    """Number of rows that pass through every node."""
+    counts = np.zeros(tree.n_nodes, dtype=np.int64)
+    for row in codes:
+        node = 0
+        counts[node] += 1
+        while tree.feature[node] >= 0:
+            if row[tree.feature[node]] <= tree.threshold[node]:
+                node = int(tree.left[node])
+            else:
+                node = int(tree.right[node])
+            counts[node] += 1
+    return counts
+
+
+class TestSkippedHistograms:
+    """A split whose children both hold fewer than 2 * min_data rows makes
+    no child histogram: neither child can be split, so none would be read."""
+
+    @staticmethod
+    def grow_counted(binned, grad, hess, params):
+        calls = []
+        histograms = tree_module._histograms
+
+        def counted(*args):
+            calls.append(args[0].shape[0])
+            return histograms(*args)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(tree_module, "_histograms", counted)
+            tree = grow_tree(binned, grad, hess, params, np.random.default_rng(0))
+        return tree, calls
+
+    @pytest.mark.parametrize("k", [0, 1, 4])
+    def test_children_below_twice_min_data_make_no_histogram(self, k):
+        # 2 * min_data + k rows split into two halves, both below 2 * min_data
+        min_data = 5
+        n = 2 * min_data + k
+        codes = (np.arange(n) >= n // 2).astype(np.uint8)[:, None]
+        binned = BinnedMatrix(codes, (np.array([0.5]),))
+        grad = np.where(codes[:, 0] == 0, -1.0, 1.0)
+        params = TrainParams(
+            num_leaves=4, min_data_in_leaf=min_data, l2_regularization=1.0
+        )
+        tree, calls = self.grow_counted(binned, grad, np.ones(n), params)
+        assert tree.n_leaves == 2
+        assert calls == [n]  # the root's alone
+        assert tree.value[1] == pytest.approx(n // 2 / (n // 2 + 1.0))
+
+    def test_a_splittable_child_keeps_the_smaller_histogram(self):
+        # 30 rows at min_data 5: the right child's 20 rows can split again
+        min_data = 5
+        codes = np.repeat([0, 1, 2], 10).astype(np.uint8)[:, None]
+        binned = BinnedMatrix(codes, (np.array([0.5, 1.5]),))
+        grad = np.repeat([-2.0, 1.0, 3.0], 10)
+        params = TrainParams(num_leaves=2, min_data_in_leaf=min_data)
+        tree, calls = self.grow_counted(binned, grad, np.ones(30), params)
+        assert tree.threshold[0] == 0
+        assert calls == [30, 10]
+
+    @settings(max_examples=200, deadline=None)
+    @given(instance=dyadic_instances())
+    def test_one_call_per_root_and_per_split_with_a_splittable_child(self, instance):
+        codes, grad, hess, num_leaves, min_data, l2 = instance
+        binned = BinnedMatrix(codes, tuple(np.arange(0.5, 4.5) for _ in codes.T))
+        params = TrainParams(
+            num_leaves=num_leaves, min_data_in_leaf=min_data, l2_regularization=l2
+        )
+        tree, calls = self.grow_counted(binned, grad, hess, params)
+        counts = node_counts(tree, codes)
+        splits = np.flatnonzero(tree.feature >= 0)
+        larger = np.maximum(counts[tree.left[splits]], counts[tree.right[splits]])
+        assert len(calls) == 1 + int(np.sum(larger >= 2 * min_data))

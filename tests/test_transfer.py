@@ -240,15 +240,18 @@ class TestPairedSplit:
 
 
 class InlineExecutor(Executor):
-    """Runs each job at once in this process and keeps the submitted functions."""
+    """Runs each job at once in this process and keeps the submitted functions
+    and their results."""
 
     def __init__(self) -> None:
         self.submitted = []
+        self.results = []
 
     def submit(self, fn, /, *args, **kwargs):
         self.submitted.append(fn)
+        self.results.append(fn(*args, **kwargs))
         future = Future()
-        future.set_result(fn(*args, **kwargs))
+        future.set_result(self.results[-1])
         return future
 
 
@@ -311,7 +314,9 @@ class TestTransferReport:
 
     def test_pool_jobs_are_private_module_functions(self, base_setup):
         # a caller may replace public names with wrappers that cannot be
-        # pickled, so only private module-level functions are submitted
+        # pickled, so only private module-level functions are submitted;
+        # each job sends back its test rows' labels, so no model crosses
+        # the pool
         base, draw = base_setup
         target_x, target_y = draw(32, seed=12)
         pool = InlineExecutor()
@@ -320,14 +325,32 @@ class TestTransferReport:
             pool=pool,
         )
         names = [f"{fn.__module__}.{fn.__qualname__}" for fn in pool.submitted]
-        assert names == ["semgkit.gbdt.booster._boost"] * 4
+        assert names == ["semgkit.transfer._fit_labels"] * 4
         for fn in pool.submitted:
             assert pickle.loads(pickle.dumps(fn)) is fn
+        for seed, result in zip((0, 0, 1, 1), pool.results):
+            _, _, test_mask = _paired_split(
+                target_y, np.random.default_rng([seed, 404])
+            )
+            assert isinstance(result, np.ndarray)
+            assert result.shape == (int(test_mask.sum()),)
+            assert set(result.tolist()) <= set(base.classes.tolist())
         serial = transfer_report(
             target_x, target_y, base, cfg=TransferConfig(max_rounds=3), seeds=(0, 1)
         )
         np.testing.assert_array_equal(report.after_per_class, serial.after_per_class)
         np.testing.assert_array_equal(report.before_per_class, serial.before_per_class)
+
+    def test_labels_outside_base_classes_fail_before_any_job(self, base_setup):
+        # the whole target is checked against the base classes before the
+        # first job is built, so no seed's scratch job is submitted first
+        base, draw = base_setup
+        target_x, target_y = draw(32, seed=13)
+        target_y[:4] = 9
+        pool = InlineExecutor()
+        with pytest.raises(ValueError, match=r"outside the model classes: \[9\]"):
+            transfer_report(target_x, target_y, base, seeds=(0, 1), pool=pool)
+        assert pool.submitted == []
 
     def test_empty_seed_list_rejected(self, base_setup):
         base, draw = base_setup
