@@ -196,8 +196,11 @@ class ChannelStats:
 
 
 def _window_data(window) -> np.ndarray:
-    data = getattr(window, "data", window)
-    return np.asarray(data, dtype=np.float64)
+    """A Window's or a bare array's samples as a float64 (n_channels, n_samples) array."""
+    data = np.asarray(getattr(window, "data", window), dtype=np.float64)
+    if data.ndim != 2:
+        raise ValueError("window data must be (n_channels, n_samples)")
+    return data
 
 
 def compute_stats(train_windows: Iterable) -> ChannelStats:
@@ -226,9 +229,14 @@ def standardize(stats: ChannelStats, window):
     """Map each channel c to (x - mean_c) / std_c.
 
     Returns the same kind of value it was given: a Window comes back as a
-    Window with transformed data, a bare array as an array.
+    Window with transformed data, a bare array as an array. The window
+    must be 2-D, with one row per channel of stats.
     """
     data = _window_data(window)
+    if data.shape[0] != stats.mean.shape[0]:
+        raise ValueError(
+            f"window has {data.shape[0]} channels; the stats cover {stats.mean.shape[0]}"
+        )
     scaled = (data - stats.mean[:, None]) / stats.std[:, None]
     if dataclasses.is_dataclass(window) and hasattr(window, "data"):
         return dataclasses.replace(window, data=scaled)

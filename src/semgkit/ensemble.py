@@ -6,61 +6,24 @@ prediction time. Stratification deals each class round-robin across folds
 so per-class fold counts differ by at most one.
 
 As in LightGBM's cv, the rows are binned once and all members share those
-edges; prediction bins once too. save_bagged writes one model.json that
-holds the shared edges once and every member's body (see gbdt.io).
+edges; prediction bins once too. save_bagged writes directory/model.json
+through gbdt.io, which alone knows its layout (BaggedModel and
+predict_bagged live in gbdt.booster, beside BoostedModel).
 """
 from __future__ import annotations
 
 import os
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from typing import List, Sequence, Tuple, Union
 
 import numpy as np
 
-from .gbdt.binning import apply_bins, bin_features
-from .gbdt.booster import BoostedModel, TrainParams, _boost, _checked_rows, _scores
-from .gbdt.booster import _prior_start
-from .gbdt.io import ModelFormatError, member_from_dict, member_to_dict, new_document
-from .gbdt.io import open_document, read_document, write_document
-from .gbdt.objective import LossSpec, softmax
-
-MODEL_TYPE = "bagged_ensemble"
-
-
-@dataclass
-class BaggedModel:
-    """k boosted members, sharing one set of bin edges, averaged by probability."""
-
-    members: List[BoostedModel]
-    fold_assignment: np.ndarray
-    seed: int
-
-    def __post_init__(self) -> None:
-        if len(self.members) < 2:
-            raise ValueError("a bagged model needs at least two members")
-        first = self.members[0]
-        for m in self.members[1:]:
-            if not np.array_equal(m.classes, first.classes):
-                raise ValueError("members must share one class set")
-            if len(m.bin_edges) != len(first.bin_edges) or not all(
-                np.array_equal(a, b) for a, b in zip(m.bin_edges, first.bin_edges)
-            ):
-                raise ValueError("members must share one set of bin edges")
-
-    @property
-    def k(self) -> int:
-        return len(self.members)
-
-    @property
-    def classes(self) -> np.ndarray:
-        return self.members[0].classes
-
-    def predict_proba(self, features: np.ndarray) -> np.ndarray:
-        return predict_bagged(self, features)[1]
-
-    def predict_label(self, features: np.ndarray) -> np.ndarray:
-        return predict_bagged(self, features)[0]
+from .gbdt.binning import bin_features
+from .gbdt.booster import BaggedModel, TrainParams, _boost, _checked_rows, _prior_start
+from .gbdt.booster import predict_bagged  # noqa: F401  (re-exported)
+from .gbdt.io import ModelFormatError, load_model, save_model
+from .gbdt.objective import LossSpec
 
 
 def stratified_kfold(
@@ -142,48 +105,16 @@ def _member_jobs(
     return assignment, jobs
 
 
-def predict_bagged(
-    model: BaggedModel, features: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray]:
-    """(labels, probabilities) under the probability-mean aggregation.
-
-    Probabilities are the arithmetic mean of the member outputs; the label
-    is the argmax, lowest class index on ties.
-    """
-    codes = apply_bins(features, model.members[0].bin_edges)
-    probs = sum(softmax(_scores(m, codes, m.best_iteration)) for m in model.members)
-    probs /= model.k
-    labels = model.classes[np.argmax(probs, axis=1)]
-    return labels, probs
-
-
-def bagged_to_dict(model: BaggedModel) -> dict:
-    """JSON-ready ensemble: the shared edges once and one body per member."""
-    doc = new_document(MODEL_TYPE, model.members[0].bin_edges)
-    doc["seed"] = int(model.seed)
-    doc["fold_assignment"] = model.fold_assignment.tolist()
-    doc["member_bodies"] = [member_to_dict(m) for m in model.members]
-    return doc
-
-
 def save_bagged(model: BaggedModel, directory: Union[str, os.PathLike]) -> None:
     """Write the ensemble to directory/model.json in one atomic write."""
     os.makedirs(directory, exist_ok=True)
-    write_document(os.path.join(directory, "model.json"), bagged_to_dict(model))
-
-
-def bagged_from_dict(doc: dict) -> BaggedModel:
-    """Ensemble from a document written by bagged_to_dict."""
-    edges = open_document(doc, MODEL_TYPE)
-    if not {"member_bodies", "seed", "fold_assignment"} <= doc.keys():
-        raise ModelFormatError("document lacks member_bodies, seed or fold_assignment")
-    return BaggedModel(
-        members=[member_from_dict(body, edges) for body in doc["member_bodies"]],
-        fold_assignment=np.asarray(doc["fold_assignment"], dtype=np.int64),
-        seed=int(doc["seed"]),
-    )
+    save_model(model, os.path.join(directory, "model.json"))
 
 
 def load_bagged(directory: Union[str, os.PathLike]) -> BaggedModel:
-    """Read an ensemble written by save_bagged."""
-    return bagged_from_dict(read_document(os.path.join(directory, "model.json")))
+    """Read an ensemble written by save_bagged; ModelFormatError on a single model."""
+    path = os.path.join(directory, "model.json")
+    model = load_model(path)
+    if not isinstance(model, BaggedModel):
+        raise ModelFormatError(f"{path} holds a single boosted model, not a bagged ensemble")
+    return model

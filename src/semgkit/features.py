@@ -25,7 +25,7 @@ from typing import Iterable, List, Sequence, Tuple
 
 import numpy as np
 
-from .dsp import ChannelStats
+from .dsp import ChannelStats, _window_data
 
 TIME_DOMAIN_ORDER: Tuple[str, ...] = ("mean", "var", "mav", "zcr", "rms", "wl")
 N_BANDS = 10
@@ -239,13 +239,6 @@ def feature_names(n_channels: int = 12) -> List[str]:
     for i in range(1, n_channels + 1):
         names.extend(f"plv_{i}_{j}" for j in range(1, n_channels + 1))
     return names
-
-
-def _window_data(window) -> np.ndarray:
-    data = np.asarray(getattr(window, "data", window), dtype=np.float64)
-    if data.ndim != 2:
-        raise ValueError("window data must be (n_channels, n_samples)")
-    return data
 
 
 def extract_features(window, cfg: FeatureConfig = FeatureConfig()) -> np.ndarray:

@@ -113,6 +113,46 @@ class BoostedModel:
         return predict_label(self, features)
 
 
+@dataclass
+class BaggedModel:
+    """k boosted members (ensemble.train_bagged's), sharing one set of bin edges,
+    averaged by probability."""
+
+    members: List[BoostedModel]
+    fold_assignment: np.ndarray
+    seed: int
+
+    def __post_init__(self) -> None:
+        if len(self.members) < 2:
+            raise ValueError("a bagged model needs at least two members")
+        first = self.members[0]
+        for m in self.members[1:]:
+            if not np.array_equal(m.classes, first.classes):
+                raise ValueError("members must share one class set")
+            if len(m.bin_edges) != len(first.bin_edges) or not all(
+                np.array_equal(a, b) for a, b in zip(m.bin_edges, first.bin_edges)
+            ):
+                raise ValueError("members must share one set of bin edges")
+
+    @property
+    def k(self) -> int:
+        return len(self.members)
+
+    @property
+    def classes(self) -> np.ndarray:
+        return self.members[0].classes
+
+    @property
+    def bin_edges(self) -> Tuple[np.ndarray, ...]:
+        return self.members[0].bin_edges
+
+    def predict_proba(self, features: np.ndarray) -> np.ndarray:
+        return predict_bagged(self, features)[1]
+
+    def predict_label(self, features: np.ndarray) -> np.ndarray:
+        return predict_bagged(self, features)[0]
+
+
 def _encode_labels(
     labels: np.ndarray, classes: Optional[np.ndarray] = None
 ) -> Tuple[np.ndarray, np.ndarray]:
@@ -378,6 +418,21 @@ def predict_label(model: BoostedModel, features: np.ndarray) -> np.ndarray:
     """Most probable class per row; ties pick the lowest class."""
     raw = predict_raw(model, features)
     return model.classes[np.argmax(raw, axis=1)]
+
+
+def predict_bagged(
+    model: BaggedModel, features: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """(labels, probabilities) under the probability-mean aggregation.
+
+    Probabilities are the arithmetic mean of the member outputs; the label
+    is the argmax, lowest class index on ties.
+    """
+    codes = apply_bins(features, model.bin_edges)
+    probs = sum(softmax(_scores(m, codes, m.best_iteration)) for m in model.members)
+    probs /= model.k
+    labels = model.classes[np.argmax(probs, axis=1)]
+    return labels, probs
 
 
 def _per_class_recall(

@@ -52,16 +52,10 @@ from .dsp import (
     design_notch,
     filter_channels,
 )
-from .ensemble import (
-    MODEL_TYPE as BAGGED_TYPE,
-    BaggedModel,
-    bagged_from_dict,
-    bagged_to_dict,
-    _member_jobs,
-    stratified_kfold,
-)
+from .ensemble import _member_jobs, stratified_kfold
 from .features import FeatureConfig, extract_standardized
 from .gbdt.booster import (
+    BaggedModel,
     BoostedModel,
     TrainParams,
     _boost,
@@ -70,8 +64,7 @@ from .gbdt.booster import (
     detect_hard_classes,
     train,
 )
-from .gbdt.io import model_from_dict, model_to_dict, read_document
-from .gbdt.io import write_atomic, write_document
+from .gbdt.io import BAGGED_TYPE, _read_model, model_to_dict, write_atomic, write_document
 from .gbdt.objective import LossSpec
 from .hpo import default_space, optimize
 from .transfer import TransferConfig, TransferReport, transfer_report
@@ -680,23 +673,17 @@ def _save_plan(
     plan_dir: str, model: Union[BaggedModel, BoostedModel], stats: ChannelStats
 ) -> None:
     """Write plan_dir/model.json: the model's document plus its standardization."""
-    if isinstance(model, BaggedModel):
-        doc = bagged_to_dict(model)
-    else:
-        doc = model_to_dict(model)
-    doc["standardization"] = {"mean": stats.mean.tolist(), "std": stats.std.tolist()}
     os.makedirs(plan_dir, exist_ok=True)
-    write_document(os.path.join(plan_dir, "model.json"), doc)
+    write_document(os.path.join(plan_dir, "model.json"), {
+        **model_to_dict(model),
+        "standardization": {"mean": stats.mean.tolist(), "std": stats.std.tolist()},
+    })
 
 
 def _load_plan(path: str) -> Tuple[Union[BaggedModel, BoostedModel], ChannelStats]:
     """The model and stats saved by _save_plan; path is a plan dir or its model.json."""
     model_file = os.path.join(path, "model.json") if os.path.isdir(path) else path
-    doc = read_document(model_file)
-    if isinstance(doc, dict) and doc.get("model_type") == BAGGED_TYPE:
-        model: Union[BaggedModel, BoostedModel] = bagged_from_dict(doc)
-    else:
-        model = model_from_dict(doc)
+    model, doc = _read_model(model_file)
     if "standardization" not in doc:
         raise ValueError(f"{model_file} holds no standardization: not a saved plan")
     stats = doc["standardization"]

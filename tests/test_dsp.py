@@ -252,6 +252,17 @@ class TestStandardize:
         assert isinstance(arr, np.ndarray)
         np.testing.assert_array_equal(out.data, arr)
 
+    def test_standardize_refuses_a_1d_window(self):
+        # a 1-D row used to broadcast against the 12 channel stats
+        stats = ChannelStats(np.zeros(12), np.ones(12))
+        with pytest.raises(ValueError, match=r"\(n_channels, n_samples\)"):
+            standardize(stats, np.arange(100.0))
+
+    def test_standardize_refuses_a_channel_count_other_than_the_stats(self):
+        stats = ChannelStats(np.zeros(12), np.ones(12))
+        with pytest.raises(ValueError, match="window has 1 channels; the stats cover 12"):
+            standardize(stats, np.arange(100.0)[None, :])
+
     def test_zero_variance_channel_is_named(self):
         windows = [np.vstack([np.ones(30), np.random.default_rng(0).standard_normal(30)])]
         with pytest.raises(DegenerateChannelError, match="ch1"):

@@ -215,6 +215,33 @@ class TestBaggedIO:
         assert doc["format_version"] == 4
         assert all("bin_edges" not in body for body in doc["member_bodies"])
 
+    def test_save_model_round_trips_the_ensemble_bytes(self, make_blobs, tmp_path):
+        # the one writer and reader of model.json take a bagged model too
+        features, labels = make_blobs(n_per_class=30, seed=15)
+        model = train_bagged(features, labels, params=TrainParams(max_rounds=2), k=3)
+        save_bagged(model, tmp_path / "dir")
+        gbdt_io.save_model(model, tmp_path / "a.json")
+        loaded = gbdt_io.load_model(tmp_path / "a.json")
+        assert isinstance(loaded, BaggedModel)
+        gbdt_io.save_model(loaded, tmp_path / "b.json")
+        a = (tmp_path / "a.json").read_bytes()
+        assert a == (tmp_path / "b.json").read_bytes()
+        assert a == (tmp_path / "dir" / "model.json").read_bytes()
+
+    def test_broken_member_tree_is_named_by_its_key_path(self, make_blobs, tmp_path):
+        features, labels = make_blobs(n_per_class=30, seed=16)
+        model = train_bagged(features, labels, params=TrainParams(max_rounds=2), k=2)
+        save_bagged(model, tmp_path)
+        path = tmp_path / "model.json"
+        doc = json.loads(path.read_text())
+        doc["member_bodies"][1]["trees"][0][0]["left"][0] = 0
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ModelFormatError) as err:
+            load_bagged(tmp_path)
+        assert str(err.value).startswith(
+            f"{path}: member_bodies[1].trees[0][0].left[0] is 0: "
+        )
+
     def test_load_rejects_missing_member(self, make_blobs, tmp_path):
         features, labels = make_blobs(n_per_class=30, seed=10)
         model = train_bagged(features, labels,

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import dataclasses
+import json
 import os
 
 import numpy as np
@@ -307,6 +308,47 @@ class TestModelIO:
             "format_version", "history", "init_score", "model_type",
             "params", "trees",
         ]
+
+    def test_unknown_model_type_rejected(self, make_blobs):
+        features, labels = make_blobs(n_per_class=40, seed=30)
+        doc = model_to_dict(train(features, labels, params=TrainParams(max_rounds=2)))
+        doc["model_type"] = "random_forest"
+        with pytest.raises(ModelFormatError, match="'random_forest'"):
+            model_from_dict(doc)
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda d: d["trees"][0][0]["left"].__setitem__(0, 0),
+             r"trees\[0\]\[0\]\.left\[0\] is 0: a split's children must lie after it"),
+            (lambda d: d["trees"][0][0]["feature"].__setitem__(0, 99),
+             r"trees\[0\]\[0\]\.feature\[0\] is 99: a split feature must be below the 4 "),
+            (lambda d: d["trees"][0][0]["right"].__setitem__(0, 999),
+             r"trees\[0\]\[0\]\.right\[0\] is 999: a split's children must lie after"),
+            (lambda d: d["trees"][0][0]["left"].__setitem__(-1, 1),
+             r"trees\[0\]\[0\]\.left\[\d+\] is 1: .* a leaf's be -1"),
+            (lambda d: d["trees"][0].pop(),
+             r"trees\[0\] must hold one tree per class, 2$"),
+            (lambda d: d["init_score"].pop(),
+             r"init_score must hold one entry per class, 2$"),
+            (lambda d: d["class_weights"].append(1.0),
+             r"class_weights must hold one entry per class, 2$"),
+        ],
+        ids=["cycle", "feature-99", "child-999", "leaf-with-child", "one-tree-round",
+             "short-init-score", "long-class-weights"],
+    )
+    def test_structurally_broken_model_rejected(self, make_blobs, tmp_path, edit, message):
+        # each edit once loaded: a cycle hung prediction, an index out of
+        # range raised a bare IndexError, short arrays predicted silently
+        features, labels = make_blobs(n_per_class=40, n_classes=2, n_features=4, seed=29)
+        doc = model_to_dict(train(features, labels, params=TrainParams(max_rounds=2)))
+        assert doc["trees"][0][0]["feature"][0] >= 0  # the first tree splits its root
+        edit(doc)
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ModelFormatError, match=message) as err:
+            load_model(path)
+        assert str(err.value).startswith(f"{path}: ")
 
     def test_missing_key_rejected(self, make_blobs):
         features, labels = make_blobs(n_per_class=40, seed=21)

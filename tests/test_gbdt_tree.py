@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from semgkit.gbdt import BinnedMatrix, TrainParams, Tree, bin_features, grow_tree
@@ -453,6 +453,11 @@ def dyadic_instances(draw):
 class TestExactGrowthOracle:
     @settings(max_examples=300, deadline=None)
     @given(instance=dyadic_instances())
+    # children of exactly 2 * min_data rows can still split: 4 leaves
+    @example(instance=(
+        np.array([[0, 0], [0, 1], [1, 0], [1, 1]], dtype=np.uint8),
+        np.array([-2.0, 2.0, -1.0, 1.0]), np.ones(4), 4, 1, 0.0,
+    ))
     def test_tree_equals_the_best_first_reference(self, instance):
         codes, grad, hess, num_leaves, min_data, l2 = instance
         binned = BinnedMatrix(codes, tuple(np.arange(0.5, 4.5) for _ in codes.T))

@@ -23,9 +23,9 @@ from semgkit.dataset import (
     save_recording,
 )
 from semgkit.dsp import cascade, design_bandpass, design_notch, filter_channels
-from semgkit.ensemble import train_bagged
+from semgkit.ensemble import BaggedModel, load_bagged, train_bagged
 from semgkit.features import FeatureConfig
-from semgkit.gbdt import LossSpec, TrainParams, save_model
+from semgkit.gbdt import LossSpec, ModelFormatError, TrainParams, load_model, save_model
 from semgkit.gbdt.booster import detect_hard_classes
 from semgkit.pipeline import (
     PipelineConfig,
@@ -561,6 +561,22 @@ class TestRunModes:
         with pytest.raises(PipelineError, match="bagged_ensemble") as err:
             run_pipeline(config, mode="transfer")
         assert err.value.stage == "load_model"
+
+    def test_load_model_reads_a_bagged_plan_as_load_bagged_does(self, bagged_run):
+        _, result = bagged_run
+        plan_dir = os.path.join(result["model_dir"], "plan_1")
+        model = load_model(os.path.join(plan_dir, "model.json"))
+        bagged = load_bagged(plan_dir)
+        assert isinstance(model, BaggedModel)
+        rows = np.random.default_rng(0).normal(size=(25, len(model.bin_edges)))
+        np.testing.assert_array_equal(model.predict_proba(rows), bagged.predict_proba(rows))
+        np.testing.assert_array_equal(model.predict_label(rows), bagged.predict_label(rows))
+
+    def test_load_bagged_refuses_a_single_model_plan(self, trained_run):
+        _, result = trained_run
+        plan_dir = os.path.join(result["model_dir"], "plan_1")
+        with pytest.raises(ModelFormatError, match="single boosted model, not a bagged"):
+            load_bagged(plan_dir)
 
     def test_evaluate_rejects_version_3_bagged_plan(self, bagged_run, tmp_path):
         # a v3 bagged plan dir held its ensemble in manifest.json
