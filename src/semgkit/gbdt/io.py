@@ -7,18 +7,21 @@ fold_assignment and one body per member in member_bodies. model_to_dict
 writes either kind, model_from_dict reads either, and readers ignore other
 keys, such as a saved plan's standardization. Leaf values include the
 learning rate, so a model is its init scores plus a sum of trees.
-The reader refuses trees that prediction could not walk, naming the key
-path. Floats keep repr-level precision, so a round trip reproduces
-predictions bit for bit. Other format versions, earlier ones included,
+The reader refuses, naming the key path, a value that does not convert,
+a tree that prediction could not walk to a leaf or whose split sends
+every row one way, a non-finite score or weight, and classes that are
+not strictly increasing. Floats keep repr-level precision, so a round
+trip reproduces predictions bit for bit. Other format versions, earlier ones included,
 are rejected. Files are replaced atomically (write_atomic).
 """
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import os
 import uuid
-from typing import Tuple, Union
+from typing import List, Tuple, Union
 
 import numpy as np
 
@@ -36,52 +39,114 @@ class ModelFormatError(ValueError):
     """Raised when a model file is malformed or from an unknown version."""
 
 
+_NODE_KEYS = ("feature", "threshold", "left", "right", "value")
+
+
 def _tree_to_dict(tree: Tree) -> dict:
-    return {
-        "feature": tree.feature.tolist(),
-        "threshold": tree.threshold.tolist(),
-        "left": tree.left.tolist(),
-        "right": tree.right.tolist(),
-        "value": tree.value.tolist(),
-    }
+    return {key: getattr(tree, key).tolist() for key in _NODE_KEYS}
 
 
-def _tree_from_dict(obj: dict) -> Tree:
+def _field(obj, key: str, convert, prefix: str):
+    """convert(obj[key]); ModelFormatError naming prefix + key if obj lacks
+    the key or its value does not convert."""
+    try:
+        value = obj[key]
+    except (LookupError, TypeError) as exc:
+        raise ModelFormatError(f"{prefix}{key} is missing") from exc
+    try:
+        return convert(value)
+    except ModelFormatError:
+        raise
+    except (TypeError, ValueError, OverflowError, AttributeError) as exc:
+        raise ModelFormatError(f"{prefix}{key} is malformed: {exc}") from exc
+
+
+def _refuse(values: np.ndarray, bad: np.ndarray, where: str, rule: str) -> None:
+    """Raise ModelFormatError naming the first entry of values that bad marks."""
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise ModelFormatError(f"{where}[{i}] is {values[i]}: {rule}")
+
+
+def _list_of(dtype):
+    """Converter of a JSON list to a 1-D array of dtype."""
+    def convert(values) -> np.ndarray:
+        array = np.asarray(values, dtype=dtype)
+        if array.ndim != 1:
+            raise ValueError("not a flat list of numbers")
+        return array
+    return convert
+
+
+def _tree_from_dict(obj: dict, prefix: str) -> Tree:
+    def array(key: str, dtype) -> np.ndarray:
+        return _field(obj, key, functools.partial(np.asarray, dtype=dtype), prefix)
+
     return Tree(
-        feature=np.asarray(obj["feature"], dtype=np.int32),
-        threshold=np.asarray(obj["threshold"], dtype=np.int32),
-        left=np.asarray(obj["left"], dtype=np.int32),
-        right=np.asarray(obj["right"], dtype=np.int32),
-        value=np.asarray(obj["value"], dtype=np.float64),
+        *(array(key, np.int32) for key in _NODE_KEYS[:4]), value=array("value", np.float64)
     )
 
 
-def _check_tree(tree: Tree, n_features: int, where: str) -> None:
-    """Raise ModelFormatError unless prediction can walk tree to a leaf.
+def _check_trees(
+    rounds: List[List[Tree]], n_edges: np.ndarray, n_classes: int, prefix: str
+) -> None:
+    """Raise ModelFormatError unless prediction can walk every tree to a finite leaf.
 
-    Nodes are numbered as grow_tree appends them: a split's children come
-    after it, which rules out cycles, and before the tree's end. A split
-    feature indexes the bin edges; a leaf holds -1 in feature, left and
-    right.
+    Each round holds n_classes trees; n_edges holds each feature's bin-edge
+    count. Nodes are numbered as grow_tree appends them: a split's children
+    come after it, which rules out cycles, and before the tree's end. A
+    split's feature indexes the bin edges and its threshold is a bin that
+    leaves rows on both sides (0 <= threshold < n_edges[feature]); a leaf
+    holds -1 in feature, threshold, left and right. Every value is finite.
+    Each rule runs once over the nodes of all trees, which keeps loading
+    fast; its error names the first tree and node that breaks it.
     """
-    n = tree.feature.size
-    arrays = (tree.feature, tree.threshold, tree.left, tree.right, tree.value)
-    if n == 0 or any(a.shape != (n,) for a in arrays):
-        raise ModelFormatError(f"{where}: node arrays must be 1-D, non-empty and of one length")
-    split = tree.feature != -1
-    bad = {"feature": split & ((tree.feature < 0) | (tree.feature >= n_features))}
+    for r, rnd in enumerate(rounds):
+        if len(rnd) != n_classes:
+            raise ModelFormatError(f"{prefix}trees[{r}] must hold one tree per class, {n_classes}")
+        for c, tree in enumerate(rnd):
+            n = tree.feature.size
+            if n == 0 or any(getattr(tree, key).shape != (n,) for key in _NODE_KEYS):
+                raise ModelFormatError(
+                    f"{prefix}trees[{r}][{c}]: node arrays must be 1-D, non-empty and of one length"
+                )
+    trees = [tree for rnd in rounds for tree in rnd]
+    if not trees:
+        return
+    nodes = {key: np.concatenate([getattr(t, key) for t in trees]) for key in _NODE_KEYS}
+    sizes = np.array([t.feature.size for t in trees])
+    ends = np.cumsum(sizes)
+    local = np.arange(ends[-1]) - np.repeat(ends - sizes, sizes)  # index within its tree
+    tree_size = np.repeat(sizes, sizes)
+
+    def refuse(key: str, bad: np.ndarray, rule: str) -> None:
+        if bad.any():
+            k = int(np.searchsorted(ends, np.argmax(bad), side="right"))
+            r, c = divmod(k, n_classes)
+            span = slice(ends[k] - sizes[k], ends[k])
+            where = f"{prefix}trees[{r}][{c}].{key}"
+            _refuse(nodes[key][span], bad[span], where, rule.format(n=sizes[k]))
+
+    feature, threshold = nodes["feature"], nodes["threshold"]
+    split = feature != -1
+    n_features = n_edges.size
+    refuse(
+        "feature", split & ((feature < 0) | (feature >= n_features)),
+        f"a split feature must be below the {n_features} bin-edge columns",
+    )
+    limit = n_edges[np.where(split, feature, 0)] if n_features else 0
+    refuse(
+        "threshold",
+        np.where(split, (threshold < 0) | (threshold >= limit), threshold != -1),
+        "a split's threshold must be at least 0 and below its feature's edge count, a leaf's be -1",
+    )
     for key in ("left", "right"):
-        child = getattr(tree, key)
-        bad[key] = np.where(split, (child <= np.arange(n)) | (child >= n), child != -1)
-    for key, rows in bad.items():
-        if rows.any():
-            i = int(np.argmax(rows))
-            rule = (
-                f"a split feature must be below the {n_features} bin-edge columns"
-                if key == "feature"
-                else f"a split's children must lie after it and before node {n}, a leaf's be -1"
-            )
-            raise ModelFormatError(f"{where}.{key}[{i}] is {getattr(tree, key)[i]}: {rule}")
+        child = nodes[key]
+        refuse(
+            key, np.where(split, (child <= local) | (child >= tree_size), child != -1),
+            "a split's children must lie after it and before node {n}, a leaf's be -1",
+        )
+    refuse("value", ~np.isfinite(nodes["value"]), "values must be finite")
 
 
 def _member_to_dict(model: BoostedModel) -> dict:
@@ -104,29 +169,41 @@ def _member_from_dict(
 
     prefix starts the key path in every error, as member_bodies[m]. does.
     """
-    try:
-        model = BoostedModel(
-            classes=np.asarray(obj["classes"], dtype=np.int64),
-            init_score=np.asarray(obj["init_score"], dtype=np.float64),
-            trees=[[_tree_from_dict(t) for t in rnd] for rnd in obj["trees"]],
-            bin_edges=bin_edges,
-            class_weights=np.asarray(obj["class_weights"], dtype=np.float64),
-            best_iteration=int(obj["best_iteration"]),
-            params=TrainParams(**obj["params"]),
-            history={k: list(v) for k, v in obj.get("history", {}).items()},
-        )
-    except (KeyError, TypeError) as exc:
-        where = f" in {prefix.rstrip('.')}" if prefix else ""
-        raise ModelFormatError(f"malformed model document{where}: {exc}") from exc
-    n_classes = len(model.classes)
+    def read(key: str, convert):
+        return _field(obj, key, convert, prefix)
+
+    def trees(rounds) -> list:
+        return [
+            [_tree_from_dict(t, f"{prefix}trees[{r}][{c}].") for c, t in enumerate(rnd)]
+            for r, rnd in enumerate(rounds)
+        ]
+
+    model = BoostedModel(
+        classes=read("classes", _list_of(np.int64)),
+        init_score=read("init_score", _list_of(np.float64)),
+        trees=read("trees", trees),
+        bin_edges=bin_edges,
+        class_weights=read("class_weights", _list_of(np.float64)),
+        best_iteration=read("best_iteration", int),
+        params=read("params", lambda v: TrainParams(**v)),
+        history=(
+            read("history", lambda v: {k: list(h) for k, h in v.items()})
+            if "history" in obj else {}
+        ),
+    )
+    classes = model.classes
+    n_classes = classes.size
+    _refuse(
+        classes, np.r_[False, classes[1:] <= classes[:-1]],
+        f"{prefix}classes", "classes must be strictly increasing",
+    )
     for key in ("init_score", "class_weights"):
-        if getattr(model, key).shape != (n_classes,):
+        values = getattr(model, key)
+        if values.shape != (n_classes,):
             raise ModelFormatError(f"{prefix}{key} must hold one entry per class, {n_classes}")
-    for r, rnd in enumerate(model.trees):
-        if len(rnd) != n_classes:
-            raise ModelFormatError(f"{prefix}trees[{r}] must hold one tree per class, {n_classes}")
-        for c, tree in enumerate(rnd):
-            _check_tree(tree, len(bin_edges), f"{prefix}trees[{r}][{c}]")
+        _refuse(values, ~np.isfinite(values), f"{prefix}{key}", "values must be finite")
+    n_edges = np.array([e.size for e in bin_edges], dtype=np.int64)
+    _check_trees(model.trees, n_edges, n_classes, prefix)
     if model.best_iteration < 0 or model.best_iteration > model.n_rounds:
         raise ModelFormatError(f"{prefix}best_iteration outside the stored rounds")
     return model
@@ -159,15 +236,18 @@ def model_from_dict(doc: dict) -> Model:
     model_type = doc.get("model_type")
     if model_type not in (MODEL_TYPE, BAGGED_TYPE) or "bin_edges" not in doc:
         raise ModelFormatError(f"not a model document with bin_edges: {model_type!r}")
-    edges = tuple(np.asarray(e, dtype=np.float64) for e in doc["bin_edges"])
+    edges = _field(doc, "bin_edges", lambda es: tuple(map(_list_of(np.float64), es)), "")
     if model_type == MODEL_TYPE:
         return _member_from_dict(doc, edges)
-    if not {"member_bodies", "seed", "fold_assignment"} <= doc.keys():
-        raise ModelFormatError("document lacks member_bodies, seed or fold_assignment")
-    bodies = enumerate(doc["member_bodies"])
-    members = [_member_from_dict(body, edges, f"member_bodies[{m}].") for m, body in bodies]
-    assignment = np.asarray(doc["fold_assignment"], dtype=np.int64)
-    return BaggedModel(members, assignment, int(doc["seed"]))
+    members = _field(doc, "member_bodies", lambda bodies: [
+        _member_from_dict(body, edges, f"member_bodies[{m}].") for m, body in enumerate(bodies)
+    ], "")
+    assignment = _field(doc, "fold_assignment", _list_of(np.int64), "")
+    seed = _field(doc, "seed", int, "")
+    try:
+        return BaggedModel(members, assignment, seed)
+    except ValueError as exc:
+        raise ModelFormatError(f"member_bodies: {exc}") from exc
 
 
 def write_atomic(path: Union[str, os.PathLike], text: str) -> None:

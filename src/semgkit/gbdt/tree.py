@@ -2,8 +2,10 @@
 
 Trees split on bin codes: a sample goes left when code <= threshold. Growth
 is best-first: the leaf whose best split has the largest gain is split
-next, until num_leaves is reached or no split has positive gain. Gains and
-leaf values use the second-order formulas
+next, until num_leaves is reached or no split has positive gain. A leaf,
+the root and each split's two children alike, is added, scanned for its
+best split and queued in one step. Gains and leaf values use the
+second-order formulas
 
     gain = G_L^2/(H_L + l2) + G_R^2/(H_R + l2) - G^2/(H + l2)
     leaf value = -G/(H + l2)
@@ -219,40 +221,28 @@ def grow_tree(
     flat_full += np.arange(f_sel) * width
     scratch = _SplitScratch(f_sel, width)
 
-    feature: List[int] = []
-    threshold: List[int] = []
-    left: List[int] = []
-    right: List[int] = []
-    value: List[float] = []
+    # one [feature, threshold, left, right, value] row per node
+    nodes: List[list] = []
+    # per queued split: (-gain, node, local feature, cut, rows, histogram, totals)
+    heap: List[tuple] = []
 
-    def add_leaf(totals: Tuple[float, float, int]) -> int:
+    def add_leaf(
+        rows: np.ndarray, hist: Optional[np.ndarray], totals: Tuple[float, float, int]
+    ) -> None:
+        """Append a leaf and queue its best split, if hist is given and has one."""
         g_total, h_total, _ = totals
         denom = h_total + l2
-        feature.append(-1)
-        threshold.append(-1)
-        left.append(-1)
-        right.append(-1)
-        value.append(0.0 if denom <= 0.0 else float(-g_total / denom))
-        return len(feature) - 1
+        node = len(nodes)
+        nodes.append([-1, -1, -1, -1, 0.0 if denom <= 0.0 else float(-g_total / denom)])
+        cand = None if hist is None else _best_split(hist, totals, min_data, l2, scratch)
+        if cand is not None:
+            heapq.heappush(heap, (-cand[0], node, cand[1], cand[2], rows, hist, totals))
 
-    root_rows = np.arange(n)
     root_hist = _histograms(flat_full, g, h, f_sel, width)
-    root_totals = (float(g.sum()), float(h.sum()), n)
-    root = add_leaf(root_totals)
-
-    # per leaf with a split candidate on the heap: (rows, histogram, totals)
-    state = {}
-    heap: List[Tuple[float, int, int, int]] = []
-    cand = _best_split(root_hist, root_totals, min_data, l2, scratch)
-    if cand is not None:
-        state[root] = (root_rows, root_hist, root_totals)
-        heapq.heappush(heap, (-cand[0], root, cand[1], cand[2]))
-
+    add_leaf(np.arange(n), root_hist, (float(g.sum()), float(h.sum()), n))
     n_leaves = 1
     while heap and n_leaves < params.num_leaves:
-        _neg_gain, node, feat_local, cut = heapq.heappop(heap)
-        rows, hist, totals = state.pop(node)
-
+        _neg_gain, node, feat_local, cut, rows, hist, totals = heapq.heappop(heap)
         go_left = codes[rows, feat_local] <= cut
         left_rows = rows[go_left]
         right_rows = rows[~go_left]
@@ -266,44 +256,25 @@ def grow_tree(
             totals[1] - left_totals[1],
             totals[2] - left_totals[2],
         )
-        left_id = add_leaf(left_totals)
-        right_id = add_leaf(right_totals)
-        feature[node] = int(feat_sel[feat_local])
-        threshold[node] = int(cut)
-        left[node] = left_id
-        right[node] = right_id
-        value[node] = 0.0
+        nodes[node] = [int(feat_sel[feat_local]), int(cut), len(nodes), len(nodes) + 1, 0.0]
         n_leaves += 1
-        if max(left_rows.size, right_rows.size) < 2 * min_data:
-            # neither child can be split, so their histograms go unread
-            continue
+        # neither child can be split when both are this small: no histograms
+        left_hist = right_hist = None
+        if max(left_rows.size, right_rows.size) >= 2 * min_data:
+            small_is_left = left_rows.size <= right_rows.size
+            small_rows = left_rows if small_is_left else right_rows
+            small_hist = _histograms(
+                flat_full[small_rows], g[small_rows], h[small_rows], f_sel, width
+            )
+            hist -= small_hist  # parent buffer becomes the larger child
+            left_hist, right_hist = (
+                (small_hist, hist) if small_is_left else (hist, small_hist)
+            )
+        add_leaf(left_rows, left_hist, left_totals)
+        add_leaf(right_rows, right_hist, right_totals)
 
-        if left_rows.size <= right_rows.size:
-            small_rows, small_is_left = left_rows, True
-        else:
-            small_rows, small_is_left = right_rows, False
-        small_hist = _histograms(
-            flat_full[small_rows], g[small_rows], h[small_rows], f_sel, width
-        )
-        hist -= small_hist  # parent buffer becomes the larger child
-        left_hist, right_hist = (
-            (small_hist, hist) if small_is_left else (hist, small_hist)
-        )
-        for child, child_rows, child_hist, child_totals in (
-            (left_id, left_rows, left_hist, left_totals),
-            (right_id, right_rows, right_hist, right_totals),
-        ):
-            child_cand = _best_split(child_hist, child_totals, min_data, l2, scratch)
-            if child_cand is not None:
-                state[child] = (child_rows, child_hist, child_totals)
-                heapq.heappush(
-                    heap, (-child_cand[0], child, child_cand[1], child_cand[2])
-                )
-
+    columns = list(zip(*nodes))
     return Tree(
-        feature=np.asarray(feature, dtype=np.int32),
-        threshold=np.asarray(threshold, dtype=np.int32),
-        left=np.asarray(left, dtype=np.int32),
-        right=np.asarray(right, dtype=np.int32),
-        value=np.asarray(value, dtype=np.float64),
+        *(np.asarray(column, dtype=np.int32) for column in columns[:4]),
+        value=np.asarray(columns[4], dtype=np.float64),
     )

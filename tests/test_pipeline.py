@@ -1,4 +1,5 @@
 """Run-level tests: metrics, config parsing, report files, modes, CLI."""
+import configparser
 import json
 import multiprocessing
 import os
@@ -275,6 +276,18 @@ class TestLoadConfig:
         with pytest.raises(ValueError, match="must be at least 1"):
             PipelineConfig(step=-1)
         assert PipelineConfig(window_len=256).window_len == 256
+
+    def test_readme_config_block_is_the_defaults(self, tmp_path):
+        # the README's "Config file" block shows every key at its default
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        block = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+        path = tmp_path / "readme.ini"
+        path.write_text(block)
+        assert load_config(path) == default_config()
+        cp = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
+        cp.read_string(block)
+        shown = {section: set(cp[section]) for section in cp.sections()}
+        assert shown == {section: set(keys) for section, keys in pipeline._INI_KEYS.items()}
 
     @pytest.mark.parametrize("gain", ["0", "-1"])
     def test_bad_gain_rejected_when_read(self, tmp_path, gain):
