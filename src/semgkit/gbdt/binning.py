@@ -44,16 +44,8 @@ class BinnedMatrix:
 
     @cached_property
     def max_width(self) -> int:
-        """Largest bin count over all features; sizes tree histograms."""
+        """Largest bin count over all features."""
         return max((len(e) + 1 for e in self.edges), default=2)
-
-
-def _feature_edges(column: np.ndarray, max_bins: int) -> np.ndarray:
-    unique = np.unique(column)
-    if unique.size <= max_bins:
-        return (unique[:-1] + unique[1:]) / 2.0
-    quantiles = np.quantile(column, np.arange(1, max_bins) / max_bins)
-    return np.unique(quantiles)
 
 
 def bin_features(features: np.ndarray, max_bins: int = 255) -> BinnedMatrix:
@@ -62,15 +54,32 @@ def bin_features(features: np.ndarray, max_bins: int = 255) -> BinnedMatrix:
     Distinct values fewer than max_bins each get their own bin (edges at
     midpoints); otherwise edges are taken at evenly spaced quantiles, with
     duplicate quantiles collapsed. Codes are monotone in the raw value and
-    reproducible from the stored edges.
+    reproducible from the stored edges. Features must be finite. One sort
+    of all columns counts their distinct values, and one call takes the
+    quantiles of every column that needs them.
     """
     x = np.asarray(features, dtype=np.float64)
     if x.ndim != 2 or x.shape[0] < 1:
         raise ValueError("features must be a 2-D array with >= 1 sample")
+    if not np.isfinite(x).all():
+        raise ValueError("features must be finite: no NaN or infinity")
     if not 2 <= max_bins <= MAX_BINS_LIMIT:
         raise ValueError(f"max_bins must lie in 2..{MAX_BINS_LIMIT}")
-    edges = tuple(_feature_edges(x[:, j], max_bins) for j in range(x.shape[1]))
-    return BinnedMatrix(apply_bins(x, edges), edges)
+    ordered = np.sort(x, axis=0)
+    n_distinct = 1 + np.count_nonzero(ordered[1:] != ordered[:-1], axis=0)
+    del ordered
+    quantiled = np.flatnonzero(n_distinct > max_bins)
+    # x[:, quantiled] is a copy, which quantile may partition in place
+    quantiles = np.quantile(
+        x[:, quantiled], np.arange(1, max_bins) / max_bins, axis=0, overwrite_input=True
+    )
+    edges = [None] * x.shape[1]
+    for j, column in zip(quantiled, quantiles.T):
+        edges[j] = np.unique(column)
+    for j in np.flatnonzero(n_distinct <= max_bins):
+        unique = np.unique(x[:, j])
+        edges[j] = (unique[:-1] + unique[1:]) / 2.0
+    return BinnedMatrix(apply_bins(x, edges), tuple(edges))
 
 
 def apply_bins(features: np.ndarray, edges: Sequence[np.ndarray]) -> np.ndarray:

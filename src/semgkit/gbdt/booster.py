@@ -22,16 +22,17 @@ is grown.
 """
 from __future__ import annotations
 
+import numbers
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .binning import MAX_BINS_LIMIT, BinnedMatrix, apply_bins, bin_features
+from .binning import MAX_BINS_LIMIT, apply_bins, bin_features
 from .objective import LossSpec, grad_hess, softmax, weighted_cross_entropy
 from .sampling import goss_sample
-from .tree import Tree, column_twins, grow_tree
+from .tree import Tree, _code_rows, _grow, column_twins
 
 
 @dataclass(frozen=True)
@@ -52,6 +53,12 @@ class TrainParams:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        for name in _INTEGER_PARAMS:
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, not {value!r}")
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
         if not 0.0 < self.learning_rate < np.inf:
             raise ValueError("learning_rate must be positive and finite")
         if self.num_leaves < 2:
@@ -78,6 +85,10 @@ class TrainParams:
     @property
     def goss_enabled(self) -> bool:
         return self.top_rate < 1.0 or self.other_rate > 0.0
+
+
+# the TrainParams fields that hold integers
+_INTEGER_PARAMS = tuple(f.name for f in fields(TrainParams) if f.type in ("int", int))
 
 
 @dataclass
@@ -302,15 +313,14 @@ def _boost(
             weight = np.ones(n_keep)
         else:
             idx, weight = np.arange(n), np.ones(n)
-        sub_binned = BinnedMatrix(codes[idx], start.bin_edges)
+        # one coding of the round's bins serves all its class trees
+        coding = _code_rows(codes[idx], twins)
         sub_grad = grad[idx] * weight[:, None]
         sub_hess = hess[idx] * weight[:, None]
 
         round_trees: List[Tree] = []
         for c in range(n_classes):
-            tree = grow_tree(
-                sub_binned, sub_grad[:, c], sub_hess[:, c], params, rng, twins
-            )
+            tree = _grow(coding, sub_grad[:, c], sub_hess[:, c], params, rng)
             tree = replace(tree, value=params.learning_rate * tree.value)
             round_trees.append(tree)
             all_raw[:, c] += tree.predict_binned(scored)

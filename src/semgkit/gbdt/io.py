@@ -8,9 +8,11 @@ writes either kind, model_from_dict reads either, and readers ignore other
 keys, such as a saved plan's standardization. Leaf values include the
 learning rate, so a model is its init scores plus a sum of trees.
 The reader refuses, naming the key path, a value that does not convert,
-a tree that prediction could not walk to a leaf or whose split sends
-every row one way, a non-finite score or weight, and classes that are
-not strictly increasing. Floats keep repr-level precision, so a round
+an integer field (a tree's node arrays, classes, best_iteration, the
+integer params, fold_assignment, seed) that holds a fractional or
+non-finite number, a bool or a string, a tree that prediction could not
+walk to a leaf or whose split sends every row one way, a non-finite
+score or weight, and classes that are not strictly increasing. Floats keep repr-level precision, so a round
 trip reproduces predictions bit for bit. Other format versions, earlier ones included,
 are rejected. Files are replaced atomically (write_atomic).
 """
@@ -25,7 +27,7 @@ from typing import List, Tuple, Union
 
 import numpy as np
 
-from .booster import BaggedModel, BoostedModel, TrainParams
+from .booster import _INTEGER_PARAMS, BaggedModel, BoostedModel, TrainParams
 from .tree import Tree
 
 FORMAT_VERSION = 4
@@ -78,13 +80,41 @@ def _list_of(dtype):
     return convert
 
 
-def _tree_from_dict(obj: dict, prefix: str) -> Tree:
-    def array(key: str, dtype) -> np.ndarray:
-        return _field(obj, key, functools.partial(np.asarray, dtype=dtype), prefix)
+def _integer(value) -> int:
+    """value if it is an integer or an integral float, as an int; a bool, a
+    string, a fractional or non-finite float or any other value is refused."""
+    if type(value) is int:
+        return value
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, str):
+        raise ValueError(f"invalid literal for an integer: {value!r}")
+    raise ValueError(f"{value!r} is not an integer")
 
+
+def _integers(dtype):
+    """Converter of a JSON list of integers (as _integer takes them) to a
+    1-D array of dtype."""
+    to_array = _list_of(dtype)
+    return lambda values: to_array([_integer(v) for v in values])
+
+
+def _tree_from_dict(obj: dict, prefix: str) -> Tree:
+    nodes = _integers(np.int32)
     return Tree(
-        *(array(key, np.int32) for key in _NODE_KEYS[:4]), value=array("value", np.float64)
+        *(_field(obj, key, nodes, prefix) for key in _NODE_KEYS[:4]),
+        value=_field(obj, "value", functools.partial(np.asarray, dtype=np.float64), prefix),
     )
+
+
+def _params_from_dict(obj: dict, prefix: str) -> TrainParams:
+    """TrainParams of a saved params object; its integer fields are read by
+    _integer, and an error names params.<field>."""
+    values = dict(obj)
+    for name in _INTEGER_PARAMS:
+        if name in values:
+            values[name] = _field(values, name, _integer, f"{prefix}params.")
+    return TrainParams(**values)
 
 
 def _check_trees(
@@ -179,13 +209,13 @@ def _member_from_dict(
         ]
 
     model = BoostedModel(
-        classes=read("classes", _list_of(np.int64)),
+        classes=read("classes", _integers(np.int64)),
         init_score=read("init_score", _list_of(np.float64)),
         trees=read("trees", trees),
         bin_edges=bin_edges,
         class_weights=read("class_weights", _list_of(np.float64)),
-        best_iteration=read("best_iteration", int),
-        params=read("params", lambda v: TrainParams(**v)),
+        best_iteration=read("best_iteration", _integer),
+        params=read("params", lambda v: _params_from_dict(v, prefix)),
         history=(
             read("history", lambda v: {k: list(h) for k, h in v.items()})
             if "history" in obj else {}
@@ -242,8 +272,8 @@ def model_from_dict(doc: dict) -> Model:
     members = _field(doc, "member_bodies", lambda bodies: [
         _member_from_dict(body, edges, f"member_bodies[{m}].") for m, body in enumerate(bodies)
     ], "")
-    assignment = _field(doc, "fold_assignment", _list_of(np.int64), "")
-    seed = _field(doc, "seed", int, "")
+    assignment = _field(doc, "fold_assignment", _integers(np.int64), "")
+    seed = _field(doc, "seed", _integer, "")
     try:
         return BaggedModel(members, assignment, seed)
     except ValueError as exc:

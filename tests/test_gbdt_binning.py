@@ -81,6 +81,51 @@ class TestBinFeatures:
             apply_bins(np.zeros((3, 2)), (np.array([0.0]),))
 
 
+def per_column_edges(column, max_bins):
+    """The edges of one column, computed alone: midpoints of its distinct
+    values if it has at most max_bins of them, else its distinct quantiles."""
+    unique = np.unique(column)
+    if unique.size <= max_bins:
+        return (unique[:-1] + unique[1:]) / 2.0
+    return np.unique(np.quantile(column, np.arange(1, max_bins) / max_bins))
+
+
+@st.composite
+def feature_matrices(draw):
+    """(features, max_bins): Gaussian columns scaled by 1e-3 to 1e3, some
+    rounded to integers or to a few levels (signed zeros included), so both
+    the midpoint and the quantile rule occur."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n, f = draw(st.integers(1, 200)), draw(st.integers(1, 12))
+    x = rng.standard_normal((n, f)) * 10.0 ** rng.uniform(-3, 3, size=f)
+    kinds = draw(st.lists(st.sampled_from(["real", "integer", "levels"]), min_size=f, max_size=f))
+    for j, kind in enumerate(kinds):
+        if kind == "integer":
+            x[:, j] = np.round(x[:, j])
+        elif kind == "levels":
+            x[:, j] = rng.choice([-0.0, 0.0, 1.5, -2.25], size=n)
+    return x, draw(st.integers(2, 64))
+
+
+class TestBinFeaturesEdges:
+    @settings(max_examples=200, deadline=None)
+    @given(instance=feature_matrices())
+    def test_edges_equal_the_per_column_rule_byte_for_byte(self, instance):
+        x, max_bins = instance
+        binned = bin_features(x, max_bins)
+        for j in range(x.shape[1]):
+            want = per_column_edges(x[:, j], max_bins)
+            assert binned.edges[j].tobytes() == want.tobytes(), j
+        np.testing.assert_array_equal(binned.codes, apply_bins(x, binned.edges))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_features_are_refused(self, bad):
+        x = np.zeros((4, 2))
+        x[1, 1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            bin_features(x)
+
+
 class TestBinnedMatrix:
     def test_dtype_enforced(self):
         with pytest.raises(ValueError):

@@ -210,3 +210,158 @@ class TestMutatedDocuments:
         assert np.isfinite(proba).all()
         np.testing.assert_allclose(proba.sum(axis=1), 1.0, rtol=0, atol=1e-12)
         assert np.isin(model.predict_label(features), model.classes).all()
+
+
+def set_params(key, value):
+    return lambda d: d["params"].__setitem__(key, value)
+
+
+# integer fields set to a fraction, a bool or a string, which the reader once
+# truncated or took (start of the error after the file name)
+NON_INTEGERS = {
+    "threshold-2.7": (
+        lambda d: d["trees"][0][0]["threshold"].__setitem__(0, 2.7),
+        "trees[0][0].threshold is malformed: 2.7 is not an integer",
+    ),
+    "left-minus-half": (
+        lambda d: d["trees"][0][0]["left"].__setitem__(0, -0.5),
+        "trees[0][0].left is malformed: -0.5 is not an integer",
+    ),
+    "feature-true": (
+        lambda d: d["trees"][0][1]["feature"].__setitem__(0, True),
+        "trees[0][1].feature is malformed: True is not an integer",
+    ),
+    "right-numeric-string": (
+        lambda d: d["trees"][1][0]["right"].__setitem__(0, "2"),
+        "trees[1][0].right is malformed: invalid literal for an integer: '2'",
+    ),
+    "best-iteration-1.9": (
+        lambda d: d.__setitem__("best_iteration", 1.9),
+        "best_iteration is malformed: 1.9 is not an integer",
+    ),
+    "best-iteration-true": (
+        lambda d: d.__setitem__("best_iteration", True),
+        "best_iteration is malformed: True is not an integer",
+    ),
+    "classes-fraction": (
+        lambda d: d["classes"].__setitem__(1, 1.5),
+        "classes is malformed: 1.5 is not an integer",
+    ),
+    "params-seed-string": (
+        set_params("seed", "x"),
+        "params.seed is malformed: invalid literal for an integer: 'x'",
+    ),
+    "params-seed-nan": (
+        set_params("seed", math.nan), "params.seed is malformed: nan is not an integer"
+    ),
+    "params-num-leaves-2.5": (
+        set_params("num_leaves", 2.5),
+        "params.num_leaves is malformed: 2.5 is not an integer",
+    ),
+    "params-max-rounds-false": (
+        set_params("max_rounds", False),
+        "params.max_rounds is malformed: False is not an integer",
+    ),
+    "params-seed-negative": (
+        set_params("seed", -1), "params is malformed: seed must be non-negative"
+    ),
+}
+
+
+class TestNonIntegers:
+    """An integer field holding a fraction, a bool or a string is refused with its key path."""
+
+    @pytest.mark.parametrize("name", sorted(NON_INTEGERS))
+    def test_single_model(self, tmp_path, name):
+        edit, message = NON_INTEGERS[name]
+        doc = json.loads(saved("single"))
+        edit(doc)
+        assert probe(doc, tmp_path).startswith(f"{tmp_path / 'model.json'}: {message}")
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("seed", 1.5, "seed is malformed: 1.5 is not an integer"),
+        ("seed", True, "seed is malformed: True is not an integer"),
+        ("fold_assignment", [0.5], "fold_assignment is malformed: 0.5 is not an integer"),
+    ])
+    def test_bagged_fields(self, tmp_path, key, value, message):
+        doc = json.loads(saved("bagged"))
+        doc[key] = value if key == "seed" else value + doc[key][1:]
+        assert probe(doc, tmp_path).startswith(f"{tmp_path / 'model.json'}: {message}")
+
+    def test_bagged_member_params_name_their_body(self, tmp_path):
+        doc = json.loads(saved("bagged"))
+        doc["member_bodies"][1]["params"]["seed"] = "x"
+        assert probe(doc, tmp_path).startswith(
+            f"{tmp_path / 'model.json'}: member_bodies[1].params.seed is malformed: "
+        )
+
+    def test_integral_floats_load_as_integers(self):
+        doc = json.loads(saved("single"))
+        want = model_from_dict(doc)
+        for tree in doc["trees"][0]:
+            tree["threshold"] = [float(t) for t in tree["threshold"]]
+        doc["best_iteration"] = float(doc["best_iteration"])
+        doc["params"]["num_leaves"] = float(doc["params"]["num_leaves"])
+        got = model_from_dict(doc)
+        assert got.params == want.params and got.best_iteration == want.best_iteration
+        assert all(
+            np.array_equal(a.threshold, b.threshold) for a, b in zip(got.trees[0], want.trees[0])
+        )
+
+    @pytest.mark.parametrize("field, value", [
+        ("num_leaves", 2.5), ("max_rounds", True), ("seed", "x"), ("seed", math.nan), ("seed", -1),
+    ])
+    def test_train_params_refuse_them(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            TrainParams(**{field: value})
+
+
+INTEGER_PARAMS = ("num_leaves", "max_rounds", "min_data_in_leaf", "max_bins",
+                  "early_stop_rounds", "seed")
+NON_INTEGER = st.one_of(
+    st.floats().filter(lambda v: not v.is_integer()),
+    st.booleans(),
+    st.text(max_size=3),
+)
+
+
+@functools.lru_cache(maxsize=None)
+def integer_paths(kind: str):
+    """Key paths of every integer scalar of a saved model, its params' included."""
+    doc = json.loads(saved(kind))
+    paths, bodies = [], [((), doc)]
+    if kind == "bagged":
+        paths += [("seed",)] + [("fold_assignment", i) for i in range(len(doc["fold_assignment"]))]
+        bodies = [(("member_bodies", m), body) for m, body in enumerate(doc["member_bodies"])]
+    for prefix, body in bodies:
+        paths += [prefix + ("best_iteration",)]
+        paths += [prefix + ("classes", i) for i in range(len(body["classes"]))]
+        paths += [prefix + ("params", name) for name in INTEGER_PARAMS]
+        paths += [
+            prefix + ("trees", r, c, key, i)
+            for r, rnd in enumerate(body["trees"])
+            for c, tree in enumerate(rnd)
+            for key in ("feature", "threshold", "left", "right")
+            for i in range(len(tree[key]))
+        ]
+    return tuple(paths)
+
+
+@st.composite
+def non_integer_edits(draw):
+    kind = draw(st.sampled_from(["single", "bagged"]))
+    return kind, draw(st.sampled_from(integer_paths(kind))), draw(NON_INTEGER)
+
+
+class TestNonIntegerDocuments:
+    @settings(max_examples=200, deadline=None)
+    @given(edit=non_integer_edits())
+    def test_every_integer_field_refuses_them(self, edit):
+        kind, path, value = edit
+        doc = json.loads(saved(kind))
+        target = doc
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+        with pytest.raises(ModelFormatError):
+            model_from_dict(doc)

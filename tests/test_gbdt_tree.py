@@ -543,3 +543,76 @@ class TestSkippedHistograms:
         splits = np.flatnonzero(tree.feature >= 0)
         larger = np.maximum(counts[tree.left[splits]], counts[tree.right[splits]])
         assert len(calls) == 1 + int(np.sum(larger >= 2 * min_data))
+
+
+@st.composite
+def sparse_bin_instances(draw):
+    """(codes, grad, hess, num_leaves, min_data, l2) on 63 bins, each column
+    holding only 1 to 4 drawn codes of 0..62, so some are constant on the rows.
+    Gradients are dyadic, as in dyadic_instances."""
+    n = draw(st.integers(2, 24))
+    columns = []
+    for _ in range(draw(st.integers(1, 4))):
+        used = draw(st.lists(st.integers(0, 62), min_size=1, max_size=4, unique=True))
+        columns.append(draw(st.lists(st.sampled_from(used), min_size=n, max_size=n)))
+    codes = np.array(columns, dtype=np.uint8).T
+    grad = np.array(draw(st.lists(st.integers(-32, 32), min_size=n, max_size=n))) / 8.0
+    hess = np.array(draw(st.lists(st.integers(1, 16), min_size=n, max_size=n))) / 8.0
+    return (
+        codes, grad, hess, draw(st.integers(2, 8)), draw(st.integers(1, 4)),
+        draw(st.sampled_from([0.0, 0.5, 1.0])),
+    )
+
+
+class TestCompactBins:
+    """Histograms span only the codes the rows hold; thresholds stay bin codes."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(instance=sparse_bin_instances())
+    def test_tree_equals_the_best_first_reference(self, instance):
+        codes, grad, hess, num_leaves, min_data, l2 = instance
+        binned = BinnedMatrix(codes, tuple(np.arange(0.5, 62.5) for _ in codes.T))
+        params = TrainParams(
+            num_leaves=num_leaves, min_data_in_leaf=min_data, l2_regularization=l2
+        )
+        # no column is listed as constant: those constant on the rows are
+        # found by the coding of the rows alone
+        twins = np.arange(codes.shape[1])
+        tree = grow_tree(binned, grad, hess, params, np.random.default_rng(0), twins)
+        want = best_first_reference(codes, grad, hess, num_leaves, min_data, l2)
+        for name, column in zip(("feature", "threshold", "left", "right", "value"), want):
+            assert getattr(tree, name).tolist() == column, name
+
+    def test_round_histograms_are_as_wide_as_the_sample_codes(self, monkeypatch):
+        rng = np.random.default_rng(11)
+        x = rng.standard_normal((400, 6))
+        y = (x[:, 0] > 0).astype(int) + (x[:, 1] > 0.5)
+        params = TrainParams(max_rounds=6, early_stop_rounds=0, min_data_in_leaf=3,
+                             num_leaves=6, top_rate=0.05, other_rate=0.05, max_bins=63)
+        start, codes, encoded, valid = booster._train_args(x, y, params=params)
+        assert (codes.max(axis=0) == 62).all()  # every column fills 63 bins
+        events = []
+        goss, histograms = booster.goss_sample, tree_module._histograms
+
+        def sampled(*args):
+            out = goss(*args)
+            events.append(("round", codes[out[0]]))
+            return out
+
+        def counted(*args):
+            events.append(("histogram", args[4]))
+            return histograms(*args)
+
+        monkeypatch.setattr(booster, "goss_sample", sampled)
+        monkeypatch.setattr(tree_module, "_histograms", counted)
+        model = booster._boost(start, codes, encoded, valid)
+        assert model.n_rounds == 6
+        widths, most = [], 0
+        for kind, value in events:
+            if kind == "round":
+                most = max(np.unique(column).size for column in value.T)
+            else:
+                assert value <= most
+                widths.append(value)
+        assert len(widths) >= 6 * 3
+        assert max(widths) < 63
