@@ -2,7 +2,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Sequence, Tuple
 
 import numpy as np
@@ -38,14 +37,6 @@ class BinnedMatrix:
     @property
     def n_features(self) -> int:
         return self.codes.shape[1]
-
-    def n_bins(self, feature: int) -> int:
-        return len(self.edges[feature]) + 1
-
-    @cached_property
-    def max_width(self) -> int:
-        """Largest bin count over all features."""
-        return max((len(e) + 1 for e in self.edges), default=2)
 
 
 def bin_features(features: np.ndarray, max_bins: int = 255) -> BinnedMatrix:

@@ -57,6 +57,10 @@ class TrainParams:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Integral):
                 raise ValueError(f"{name} must be an integer, not {value!r}")
+        for name in _FLOAT_PARAMS:
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ValueError(f"{name} must be a number, not {value!r}")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
         if not 0.0 < self.learning_rate < np.inf:
@@ -87,8 +91,9 @@ class TrainParams:
         return self.top_rate < 1.0 or self.other_rate > 0.0
 
 
-# the TrainParams fields that hold integers
+# the TrainParams fields that hold integers, and those that hold numbers
 _INTEGER_PARAMS = tuple(f.name for f in fields(TrainParams) if f.type in ("int", int))
+_FLOAT_PARAMS = tuple(f.name for f in fields(TrainParams) if f.type in ("float", float))
 
 
 @dataclass
@@ -314,7 +319,7 @@ def _boost(
         else:
             idx, weight = np.arange(n), np.ones(n)
         # one coding of the round's bins serves all its class trees
-        coding = _code_rows(codes[idx], twins)
+        coding = _code_rows(codes[idx], twins, params.min_data_in_leaf)
         sub_grad = grad[idx] * weight[:, None]
         sub_hess = hess[idx] * weight[:, None]
 

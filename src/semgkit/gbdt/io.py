@@ -10,9 +10,10 @@ learning rate, so a model is its init scores plus a sum of trees.
 The reader refuses, naming the key path, a value that does not convert,
 an integer field (a tree's node arrays, classes, best_iteration, the
 integer params, fold_assignment, seed) that holds a fractional or
-non-finite number, a bool or a string, a tree that prediction could not
-walk to a leaf or whose split sends every row one way, a non-finite
-score or weight, and classes that are not strictly increasing. Floats keep repr-level precision, so a round
+non-finite number, a bool or a string, a float param that holds a bool
+or a string, a tree that prediction could not walk to a leaf or whose
+split sends every row one way, a non-finite score or weight, and classes
+that are not strictly increasing. Floats keep repr-level precision, so a round
 trip reproduces predictions bit for bit. Other format versions, earlier ones included,
 are rejected. Files are replaced atomically (write_atomic).
 """
@@ -27,7 +28,7 @@ from typing import List, Tuple, Union
 
 import numpy as np
 
-from .booster import _INTEGER_PARAMS, BaggedModel, BoostedModel, TrainParams
+from .booster import _FLOAT_PARAMS, _INTEGER_PARAMS, BaggedModel, BoostedModel, TrainParams
 from .tree import Tree
 
 FORMAT_VERSION = 4
@@ -92,6 +93,14 @@ def _integer(value) -> int:
     raise ValueError(f"{value!r} is not an integer")
 
 
+def _number(value):
+    """value if it is an integer or a float, unchanged; a bool, a string or
+    any other value is refused."""
+    if type(value) in (int, float):
+        return value
+    raise ValueError(f"{value!r} is not a number")
+
+
 def _integers(dtype):
     """Converter of a JSON list of integers (as _integer takes them) to a
     1-D array of dtype."""
@@ -109,11 +118,13 @@ def _tree_from_dict(obj: dict, prefix: str) -> Tree:
 
 def _params_from_dict(obj: dict, prefix: str) -> TrainParams:
     """TrainParams of a saved params object; its integer fields are read by
-    _integer, and an error names params.<field>."""
+    _integer and its float fields by _number, and an error names
+    params.<field>."""
     values = dict(obj)
-    for name in _INTEGER_PARAMS:
-        if name in values:
-            values[name] = _field(values, name, _integer, f"{prefix}params.")
+    for names, convert in ((_INTEGER_PARAMS, _integer), (_FLOAT_PARAMS, _number)):
+        for name in names:
+            if name in values:
+                values[name] = _field(values, name, convert, f"{prefix}params.")
     return TrainParams(**values)
 
 

@@ -28,6 +28,21 @@ first-occurrence argmax picks the same (column, cut) either way; a chosen
 rank is stored as its original bin code, and leaf totals are summed over
 the rebuilt dense row, so trees are bit-identical to a scan of every bin.
 
+All class trees of a round share their root rows, so the coding also makes
+the roots' count state once per round (_RowCoding.root_counts, as in
+LightGBM's histogram design, Ke et al., NeurIPS 2017): the count plane of
+every column, its prefix counts, the count-valid mask (both sides hold at
+least min_data_in_leaf rows) and the bin span lo..hi that holds every
+valid cut. A root copies its columns' count rows into its histogram, so
+it bincounts only gradient and Hessian; it sums them only over bins
+0..hi and scores only lo..hi. At min_data_in_leaf 20 a 44-row sample
+leaves only cuts with 20 to 24 rows on the left, about a tenth of the
+root's cells. This is exact: counts are integers, prefix sums are
+sequential, so truncated ones equal the leading ones, gains are
+elementwise, and every cell outside the span is refused anyway, so the
+first-occurrence argmax picks the same (column, cut). Child scans cover
+every bin.
+
 Columns that can never win a split get no histogram and no scan (as
 LightGBM drops single-bin features when it builds a Dataset). A column
 constant on the rows has all its rows in one bin, so every cut leaves a
@@ -59,10 +74,6 @@ class Tree:
     value: np.ndarray
 
     @property
-    def n_nodes(self) -> int:
-        return self.feature.shape[0]
-
-    @property
     def n_leaves(self) -> int:
         return int((self.feature < 0).sum())
 
@@ -91,11 +102,13 @@ def _histograms(
     hess: np.ndarray,
     n_features: int,
     width: int,
+    counts: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Stacked (gradient, Hessian, count) histogram, shape (3, F, width).
 
     flat holds precomputed cell indices rank + width * feature, row-major
-    (_RowCoding.columns).
+    (_RowCoding.columns). counts, if given, is the count plane of these
+    rows, which is then copied instead of counted.
     """
     size = n_features * width
     hist = np.empty((3, n_features, width))
@@ -106,7 +119,9 @@ def _histograms(
     hist[1] = np.bincount(
         flat, weights=np.repeat(hess, n_features), minlength=size
     ).reshape(n_features, width)
-    hist[2] = np.bincount(flat, minlength=size).reshape(n_features, width)
+    if counts is None:
+        counts = np.bincount(flat, minlength=size).reshape(n_features, width)
+    hist[2] = counts
     return hist
 
 
@@ -129,6 +144,7 @@ def _best_split(
     min_data: int,
     l2: float,
     scratch: _SplitScratch,
+    window: Optional[Tuple[int, np.ndarray]] = None,
 ) -> Optional[Tuple[float, int, int]]:
     """(gain, local feature, cut bin) of the best positive-gain split.
 
@@ -136,15 +152,33 @@ def _best_split(
     first-occurrence argmax over the feature-major gain matrix. Cutting at
     the last bin leaves the right side empty, which the count constraint
     rejects on its own.
+
+    window, given for a root, is (lo, valid) of _RowCoding.root_counts:
+    valid[f, k] tells whether cut lo + k of local feature f leaves at least
+    min_data rows on each side, and no cut outside those bins does. Then
+    only gradient and Hessian are summed, up to the window's last bin, and
+    only the window is scored. Prefix sums are sequential, so truncated
+    ones equal the leading ones, and every cell left out would be refused,
+    so the same (feature, cut) wins.
     """
     g_total, h_total, c_total = totals
     if c_total < 2 * min_data:
         return None
-    width = hist.shape[2]
-    cum = scratch.cum
-    np.cumsum(hist, axis=2, out=cum)
-    gl, hl, cl = cum[0], cum[1], cum[2]
-    gains, t1, t2 = scratch.gains, scratch.t1, scratch.t2
+    n_features, width = hist.shape[1:]
+    if window is None:
+        lo, end, planes = 0, width, 3
+    else:
+        lo, valid = window
+        end, planes = lo + valid.shape[1], 2
+    # scratch buffers viewed as contiguous arrays of this scan's shape
+    cum = scratch.cum.ravel()[:planes * n_features * end].reshape(planes, n_features, end)
+    np.cumsum(hist[:planes, :, :end], axis=2, out=cum)
+    gl, hl = cum[0, :, lo:], cum[1, :, lo:]
+    shape, size = gl.shape, gl.size
+    gains, t1, t2, mask = (
+        buf.ravel()[:size].reshape(shape)
+        for buf in (scratch.gains, scratch.t1, scratch.t2, scratch.mask)
+    )
 
     with np.errstate(divide="ignore", invalid="ignore"):
         parent = g_total * g_total / (h_total + l2) if h_total + l2 > 0 else 0.0
@@ -160,21 +194,21 @@ def _best_split(
         np.add(gains, t2, out=gains)
         gains -= parent
 
-    valid, mask = scratch.valid, scratch.mask
-    np.greater_equal(cl, min_data, out=valid)
-    np.less_equal(cl, c_total - min_data, out=mask)
-    valid &= mask
+    if window is None:
+        valid, cl = scratch.valid, cum[2]
+        np.greater_equal(cl, min_data, out=valid)
+        np.less_equal(cl, c_total - min_data, out=mask)
+        valid &= mask
     np.isfinite(gains, out=mask)
     valid &= mask
     if not valid.any():
         return None
     np.copyto(gains, -np.inf, where=~valid)
-    flat_idx = int(np.argmax(gains))
-    feat, cut = divmod(flat_idx, width)
+    feat, cut = divmod(int(np.argmax(gains)), shape[1])
     gain = float(gains[feat, cut])
     if gain <= 0.0:
         return None
-    return gain, feat, cut
+    return gain, feat, lo + cut
 
 
 def column_twins(codes: np.ndarray) -> np.ndarray:
@@ -198,11 +232,13 @@ class _RowCoding:
     most distinct codes of any column, sizes every histogram grown on these
     rows. twins is column_twins of these rows or of a row set they were
     taken from, with -1 also for every column constant on these rows.
+    min_data is the min_data_in_leaf of every tree grown on these rows.
     """
 
     ranks: np.ndarray
     codes: np.ndarray
     twins: np.ndarray
+    min_data: int
 
     @property
     def width(self) -> int:
@@ -227,9 +263,49 @@ class _RowCoding:
         """columns() of every column, made once for all trees of a round."""
         return self.columns(np.arange(self.ranks.shape[1]))
 
+    @cached_property
+    def _root_window(self) -> Tuple[np.ndarray, np.ndarray, int, np.ndarray]:
+        """(plane row of each column, count plane, lo, count-valid window)
+        of all_columns on these rows, made once for all trees of a round."""
+        kept, cells, _ = self.all_columns
+        row_of = np.zeros(self.twins.size, dtype=np.intp)
+        row_of[kept] = np.arange(kept.size)
+        return (row_of,) + _count_window(cells, kept.size, self.width, self.min_data)
 
-def _code_rows(codes: np.ndarray, twins: np.ndarray) -> _RowCoding:
-    """_RowCoding of a (rows, columns) uint8 bin-code matrix and its twins."""
+    def root_counts(self, kept: np.ndarray) -> Tuple[np.ndarray, int, np.ndarray]:
+        """(counts, lo, valid) of a root over the columns kept, as columns()
+        returns them: their count plane and _best_split's window.
+
+        A kept column's rows are those of its twin, which all_columns keeps
+        and whose codes on these rows are the same.
+        """
+        row_of, counts, lo, valid = self._root_window
+        rows = row_of[self.twins[kept]]
+        return counts[rows], lo, valid[rows]
+
+
+def _count_window(
+    cells: np.ndarray, n_features: int, width: int, min_data: int
+) -> Tuple[np.ndarray, int, np.ndarray]:
+    """(count plane, lo, valid) of the rows whose histogram cells are cells.
+
+    valid[f, k] tells whether cut lo + k of column f leaves at least
+    min_data rows on each side; lo and valid's width are the narrowest bin
+    span that holds every such cut.
+    """
+    n = cells.shape[0]
+    counts = np.bincount(cells.ravel(), minlength=n_features * width)
+    counts = counts.reshape(n_features, width)
+    below = np.cumsum(counts, axis=1)
+    valid = (below >= min_data) & (below <= n - min_data)
+    cuts = np.flatnonzero(valid.any(axis=0))
+    lo, end = (int(cuts[0]), int(cuts[-1]) + 1) if cuts.size else (0, 0)
+    return counts.astype(np.float64), lo, valid[:, lo:end]
+
+
+def _code_rows(codes: np.ndarray, twins: np.ndarray, min_data: int) -> _RowCoding:
+    """_RowCoding of a (rows, columns) uint8 bin-code matrix, its twins and
+    the min_data_in_leaf of the trees to grow on it."""
     n_features = codes.shape[1]
     span = int(codes.max(initial=0)) + 1
     column = np.arange(n_features)
@@ -246,7 +322,7 @@ def _code_rows(codes: np.ndarray, twins: np.ndarray) -> _RowCoding:
     back.ravel()[owner * width + rank] = flat - owner * span
     rank_of = np.empty(present.size, dtype=np.uint8)
     rank_of[flat] = rank
-    return _RowCoding(rank_of[slot], back, np.where(n_codes > 1, twins, -1))
+    return _RowCoding(rank_of[slot], back, np.where(n_codes > 1, twins, -1), min_data)
 
 
 def grow_tree(
@@ -275,16 +351,19 @@ def grow_tree(
         raise ValueError("grad and hess must be 1-D with one entry per row")
     if twins is None:
         twins = column_twins(binned.codes)
-    return _grow(_code_rows(binned.codes, twins), g, h, params, rng)
+    return _grow(
+        _code_rows(binned.codes, twins, params.min_data_in_leaf), g, h, params, rng
+    )
 
 
 def _grow(
     coding: _RowCoding, g: np.ndarray, h: np.ndarray, params, rng: np.random.Generator
 ) -> Tree:
-    """grow_tree on coded rows, with float64 gradient and Hessian."""
+    """grow_tree on coded rows, with float64 gradient and Hessian; the
+    rows' coding fixes min_data_in_leaf."""
     n, n_features = coding.ranks.shape
     l2 = params.l2_regularization
-    min_data = params.min_data_in_leaf
+    min_data = coding.min_data
     width = coding.width
 
     if params.feature_fraction < 1.0:
@@ -302,19 +381,27 @@ def _grow(
     heap: List[tuple] = []
 
     def add_leaf(
-        rows: np.ndarray, hist: Optional[np.ndarray], totals: Tuple[float, float, int]
+        rows: np.ndarray,
+        hist: Optional[np.ndarray],
+        totals: Tuple[float, float, int],
+        window: Optional[Tuple[int, np.ndarray]] = None,
     ) -> None:
         """Append a leaf and queue its best split, if hist is given and has one."""
         g_total, h_total, _ = totals
         denom = h_total + l2
         node = len(nodes)
         nodes.append([-1, -1, -1, -1, 0.0 if denom <= 0.0 else float(-g_total / denom)])
-        cand = None if hist is None else _best_split(hist, totals, min_data, l2, scratch)
+        cand = (
+            None if hist is None
+            else _best_split(hist, totals, min_data, l2, scratch, window)
+        )
         if cand is not None:
             heapq.heappush(heap, (-cand[0], node, cand[1], cand[2], rows, hist, totals))
 
-    root_hist = _histograms(cells, g, h, f_sel, width)
-    add_leaf(np.arange(n), root_hist, (float(g.sum()), float(h.sum()), n))
+    # the root's counts and count-valid cuts are the round's (root_counts)
+    root_counts, lo, valid = coding.root_counts(feat_sel)
+    root_hist = _histograms(cells, g, h, f_sel, width, root_counts)
+    add_leaf(np.arange(n), root_hist, (float(g.sum()), float(h.sum()), n), (lo, valid))
     n_leaves = 1
     while heap and n_leaves < params.num_leaves:
         _neg_gain, node, feat_local, cut, rows, hist, totals = heapq.heappop(heap)

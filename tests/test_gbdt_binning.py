@@ -15,14 +15,13 @@ class TestBinFeatures:
         binned = bin_features(col[:, None], max_bins=255)
         np.testing.assert_array_equal(binned.codes[:, 0], [2, 0, 1, 0, 2, 1])
         np.testing.assert_array_equal(binned.edges[0], [1.5, 2.5])
-        assert binned.n_bins(0) == 3
+        assert len(binned.edges[0]) + 1 == 3
 
     def test_constant_column_single_bin(self):
         binned = bin_features(np.full((10, 1), 4.2))
         assert binned.edges[0].size == 0
         np.testing.assert_array_equal(binned.codes[:, 0], 0)
-        assert binned.n_bins(0) == 1
-        assert binned.max_width == 1
+        assert len(binned.edges[0]) + 1 == 1
 
     def test_codes_bounded_by_max_bins(self):
         rng = np.random.default_rng(0)
@@ -31,7 +30,7 @@ class TestBinFeatures:
         assert binned.codes.dtype == np.uint8
         for j in range(3):
             assert binned.codes[:, j].max() <= 15
-            assert binned.n_bins(j) <= 16
+            assert len(binned.edges[j]) + 1 <= 16
 
     def test_edge_value_goes_left(self):
         edges = (np.array([1.5, 2.5]),)
@@ -130,12 +129,3 @@ class TestBinnedMatrix:
     def test_dtype_enforced(self):
         with pytest.raises(ValueError):
             BinnedMatrix(np.zeros((3, 1), dtype=np.int32), (np.array([0.0]),))
-
-    def test_max_width(self):
-        rng = np.random.default_rng(3)
-        x = np.column_stack([
-            rng.integers(0, 4, 100).astype(float),
-            rng.standard_normal(100),
-        ])
-        binned = bin_features(x, max_bins=20)
-        assert binned.max_width == max(binned.n_bins(0), binned.n_bins(1))

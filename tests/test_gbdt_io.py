@@ -316,6 +316,36 @@ class TestNonIntegers:
             TrainParams(**{field: value})
 
 
+FLOAT_PARAMS = ("learning_rate", "l2_regularization", "feature_fraction",
+                "bagging_fraction", "top_rate", "other_rate")
+
+
+class TestFloatParams:
+    """A float param holding a bool or a string is refused: by TrainParams, and
+    by the reader with its key path."""
+
+    @pytest.mark.parametrize("field", FLOAT_PARAMS)
+    @pytest.mark.parametrize("value", [True, False, "0.5"])
+    def test_train_params_refuse_them(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be a number, not {value!r}"):
+            TrainParams(**{field: value})
+
+    @pytest.mark.parametrize("kind, body", [("single", ""), ("bagged", "member_bodies[1].")])
+    @pytest.mark.parametrize("field", FLOAT_PARAMS)
+    def test_reader_names_the_key(self, tmp_path, kind, body, field):
+        doc = json.loads(saved(kind))
+        params = doc["params"] if kind == "single" else doc["member_bodies"][1]["params"]
+        params[field] = True
+        assert probe(doc, tmp_path).startswith(
+            f"{tmp_path / 'model.json'}: {body}params.{field} is malformed: True is not a number"
+        )
+
+    def test_integers_load_unchanged(self):
+        doc = json.loads(saved("single"))
+        doc["params"]["feature_fraction"] = 1
+        assert model_from_dict(doc).params.feature_fraction == 1
+
+
 INTEGER_PARAMS = ("num_leaves", "max_rounds", "min_data_in_leaf", "max_bins",
                   "early_stop_rounds", "seed")
 NON_INTEGER = st.one_of(

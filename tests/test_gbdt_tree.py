@@ -1,6 +1,7 @@
 """Histogram tree growth against an exhaustive split-search oracle."""
 from __future__ import annotations
 
+import copy
 from dataclasses import replace
 
 import numpy as np
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 from semgkit.gbdt import BinnedMatrix, TrainParams, Tree, bin_features, grow_tree
 from semgkit.gbdt import booster, train
 from semgkit.gbdt import tree as tree_module
+from semgkit.gbdt.sampling import _ceil_frac
 from semgkit.gbdt.tree import column_twins
 
 
@@ -84,7 +86,7 @@ class TestRootSplitOracle:
             tree = grow_tree(binned, grad, hess, params, np.random.default_rng(1))
             oracle = exhaustive_root_split(binned.codes, grad, hess, min_data, l2)
             if oracle is None:
-                assert tree.n_nodes == 1 and tree.feature[0] == -1
+                assert tree.feature.shape[0] == 1 and tree.feature[0] == -1
                 continue
             gain, feat, cut = oracle
             assert tree.feature[0] >= 0, "oracle found a split the tree missed"
@@ -134,7 +136,7 @@ class TestRootSplitOracle:
         hess = np.ones(30)
         params = TrainParams(num_leaves=8, min_data_in_leaf=1)
         tree = grow_tree(binned, grad, hess, params, np.random.default_rng(0))
-        assert tree.n_nodes == 1
+        assert tree.feature.shape[0] == 1
         assert tree.value[0] == -1.25
 
 
@@ -472,7 +474,7 @@ class TestExactGrowthOracle:
 
 def node_counts(tree: Tree, codes: np.ndarray) -> np.ndarray:
     """Number of rows that pass through every node."""
-    counts = np.zeros(tree.n_nodes, dtype=np.int64)
+    counts = np.zeros(tree.feature.shape[0], dtype=np.int64)
     for row in codes:
         node = 0
         counts[node] += 1
@@ -616,3 +618,87 @@ class TestCompactBins:
                 widths.append(value)
         assert len(widths) >= 6 * 3
         assert max(widths) < 63
+
+
+@st.composite
+def round_instances(draw):
+    """(codes, grad, hess, num_leaves, min_data, l2, fraction) of one boosting
+    round: 2 * min_data to 2 * min_data + 3 rows, so that few cuts leave
+    min_data rows on each side and the roots' bin span is narrow, and one
+    gradient and Hessian column per class, dyadic as in dyadic_instances.
+    Columns hold 1 to 6 drawn codes of 0..62, and a constant column and a
+    copy of the first column join them in a drawn order."""
+    min_data = draw(st.integers(1, 6))
+    n = 2 * min_data + draw(st.integers(0, 3))
+    columns = []
+    for _ in range(draw(st.integers(1, 5))):
+        used = draw(st.lists(st.integers(0, 62), min_size=1, max_size=6, unique=True))
+        columns.append(draw(st.lists(st.sampled_from(used), min_size=n, max_size=n)))
+    columns.append([draw(st.integers(0, 62))] * n)
+    columns.append(list(columns[0]))
+    order = draw(st.permutations(range(len(columns))))
+    codes = np.array([columns[j] for j in order], dtype=np.uint8).T
+    size = n * draw(st.integers(1, 4))
+    grad = np.array(draw(st.lists(st.integers(-32, 32), min_size=size, max_size=size))) / 8.0
+    hess = np.array(draw(st.lists(st.integers(1, 16), min_size=size, max_size=size))) / 8.0
+    return (
+        codes, grad.reshape(n, -1), hess.reshape(n, -1), draw(st.integers(2, 4)),
+        min_data, draw(st.sampled_from([0.0, 0.5, 1.0])),
+        draw(st.sampled_from([1.0, 0.6, 0.3])),
+    )
+
+
+class TestSharedRootWindow:
+    """The class trees of a round share its root counts and bin span
+    (_RowCoding.root_counts)."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(instance=round_instances())
+    def test_every_class_tree_equals_the_best_first_reference(self, instance):
+        codes, grad, hess, num_leaves, min_data, l2, fraction = instance
+        params = TrainParams(
+            num_leaves=num_leaves, min_data_in_leaf=min_data, l2_regularization=l2,
+            feature_fraction=fraction,
+        )
+        n_features = codes.shape[1]
+        coding = tree_module._code_rows(codes, column_twins(codes), min_data)
+        rng = np.random.default_rng(0)
+        for c in range(grad.shape[1]):
+            drawn = np.arange(n_features)
+            if fraction < 1.0:
+                n_sel = max(1, _ceil_frac(fraction, n_features))
+                drawn = np.sort(copy.deepcopy(rng).choice(n_features, size=n_sel, replace=False))
+            tree = tree_module._grow(coding, grad[:, c], hess[:, c], params, rng)
+            feature, *rest = best_first_reference(
+                codes[:, drawn], grad[:, c], hess[:, c], num_leaves, min_data, l2
+            )
+            want = [[int(drawn[f]) if f >= 0 else -1 for f in feature]] + rest
+            for name, column in zip(("feature", "threshold", "left", "right", "value"), want):
+                assert getattr(tree, name).tolist() == column, name
+
+    def test_root_counts_are_made_once_per_round(self, monkeypatch):
+        windows, roots = [], []
+        count_window, histograms = tree_module._count_window, tree_module._histograms
+
+        def counted_window(*args):
+            windows.append(args[0].shape[0])
+            return count_window(*args)
+
+        def counted_histograms(*args):
+            roots.append(len(args) > 5)
+            return histograms(*args)
+
+        monkeypatch.setattr(tree_module, "_count_window", counted_window)
+        monkeypatch.setattr(tree_module, "_histograms", counted_histograms)
+        rng = np.random.default_rng(12)
+        x = rng.standard_normal((300, 6))
+        y = (x[:, 0] > 0).astype(int) + 2 * (x[:, 1] > 0)
+        params = TrainParams(max_rounds=5, early_stop_rounds=0, min_data_in_leaf=5,
+                             num_leaves=6, top_rate=0.2, other_rate=0.1)
+        model = train(x, y, params=params)
+        assert model.n_classes == 4 and model.n_rounds == 5
+        # one count plane per round, on the round's 90 sampled rows
+        assert windows == [90] * 5
+        # every class root reads it; no child histogram does
+        assert roots.count(True) == 5 * 4
+        assert len(roots) > 5 * 4

@@ -366,6 +366,8 @@ class TestTransferReport:
         for rate in (float("nan"), float("inf")):
             with pytest.raises(ValueError, match="positive and finite"):
                 TransferConfig(learning_rate=rate)
+        with pytest.raises(ValueError, match="learning_rate must be a number, not True"):
+            TransferConfig(learning_rate=True)
 
 
 ROWS_2D = "features must be a 2-D array with at least one row"
