@@ -155,11 +155,11 @@ def _best_split(
 
     window, given for a root, is (lo, valid) of _RowCoding.root_counts:
     valid[f, k] tells whether cut lo + k of local feature f leaves at least
-    min_data rows on each side, and no cut outside those bins does. Then
-    only gradient and Hessian are summed, up to the window's last bin, and
-    only the window is scored. Prefix sums are sequential, so truncated
-    ones equal the leading ones, and every cell left out would be refused,
-    so the same (feature, cut) wins.
+    min_data rows on each side, and no cut outside those bins does (valid
+    is overwritten). Then only gradient and Hessian are summed, up to the
+    window's last bin, and only the window is scored. Prefix sums are
+    sequential, so truncated ones equal the leading ones, and every cell
+    left out would be refused, so the same (feature, cut) wins.
     """
     g_total, h_total, c_total = totals
     if c_total < 2 * min_data:
