@@ -32,7 +32,9 @@ import numpy as np
 from .binning import MAX_BINS_LIMIT, apply_bins, bin_features
 from .objective import LossSpec, grad_hess, softmax, weighted_cross_entropy
 from .sampling import goss_sample
-from .tree import Tree, _code_rows, _grow, column_twins
+from .tree import (
+    Tree, _code_rows, _grow, _grow_stumps, _stump_outputs, column_twins,
+)
 
 
 @dataclass(frozen=True)
@@ -323,12 +325,20 @@ def _boost(
         sub_grad = grad[idx] * weight[:, None]
         sub_hess = hess[idx] * weight[:, None]
 
-        round_trees: List[Tree] = []
-        for c in range(n_classes):
-            tree = _grow(coding, sub_grad[:, c], sub_hess[:, c], params, rng)
-            tree = replace(tree, value=params.learning_rate * tree.value)
-            round_trees.append(tree)
-            all_raw[:, c] += tree.predict_binned(scored)
+        if idx.size < 3 * params.min_data_in_leaf:
+            # no child can split: each class tree is its root's best split
+            round_trees = [
+                replace(tree, value=params.learning_rate * tree.value)
+                for tree in _grow_stumps(coding, sub_grad, sub_hess, params, rng)
+            ]
+            all_raw += _stump_outputs(round_trees, scored)
+        else:
+            round_trees = []
+            for c in range(n_classes):
+                tree = _grow(coding, sub_grad[:, c], sub_hess[:, c], params, rng)
+                tree = replace(tree, value=params.learning_rate * tree.value)
+                round_trees.append(tree)
+                all_raw[:, c] += tree.predict_binned(scored)
         trees.append(round_trees)
         history["train_loss"].append(
             float(weighted_cross_entropy(raw, encoded, class_weights))

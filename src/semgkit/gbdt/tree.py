@@ -21,12 +21,13 @@ for training speed.
 Histograms span only the bins the rows occupy. A _RowCoding replaces each
 row's bin code by its rank among the codes present in its column, and
 histograms are as wide as the most such codes in any column: a sampled
-boosting round of 44 rows fills about 40 of 63 bins. _boost codes each
-round's rows once for all its class trees. An empty bin adds exactly 0.0
-to every prefix sum and repeats the gain of the bin before it, so the
-first-occurrence argmax picks the same (column, cut) either way; a chosen
-rank is stored as its original bin code, and leaf totals are summed over
-the rebuilt dense row, so trees are bit-identical to a scan of every bin.
+boosting round of 44 rows fills about 40 of 63 bins, one of about 100
+rows most of them. _boost codes each round's rows once for all its class
+trees. An empty bin adds exactly 0.0 to every prefix sum and repeats the
+gain of the bin before it, so the first-occurrence argmax picks the same
+(column, cut) either way; a chosen rank is stored as its original bin
+code, and leaf totals are summed over the rebuilt dense row, so trees are
+bit-identical to a scan of every bin.
 
 All class trees of a round share their root rows, so the coding also makes
 the roots' count state once per round (_RowCoding.root_counts, as in
@@ -35,13 +36,26 @@ every column, its prefix counts, the count-valid mask (both sides hold at
 least min_data_in_leaf rows) and the bin span lo..hi that holds every
 valid cut. A root copies its columns' count rows into its histogram, so
 it bincounts only gradient and Hessian; it sums them only over bins
-0..hi and scores only lo..hi. At min_data_in_leaf 20 a 44-row sample
-leaves only cuts with 20 to 24 rows on the left, about a tenth of the
-root's cells. This is exact: counts are integers, prefix sums are
-sequential, so truncated ones equal the leading ones, gains are
+0..hi and scores only lo..hi. A root that keeps every column reads the
+round's planes themselves. This is exact: counts are integers, prefix
+sums are sequential, so truncated ones equal the leading ones, gains are
 elementwise, and every cell outside the span is refused anyway, so the
 first-occurrence argmax picks the same (column, cut). Child scans cover
 every bin.
+
+Stump rounds. A round of n < 3 * min_data_in_leaf rows cannot split a
+child: a valid cut leaves at most n - min_data_in_leaf < 2 *
+min_data_in_leaf rows on the larger side. So each class tree is its
+root's best split or a single leaf, whatever num_leaves is, and
+_grow_stumps grows all of them at once: one pair of bincounts over bins
+0..hi for every class, one running prefix sum, and gains scored only in
+the round's count-valid cells, which all classes share. At
+min_data_in_leaf 20 a 44-row sample leaves only cuts with 20 to 24 rows
+on the left, about a quarter of the cells in lo..hi. _boost adds such a
+round to its scores with one gather (_stump_outputs). The trees are
+bit-identical to _grow's: the same rng draws, the same sequential sums
+and gain expressions, the same first-occurrence argmax, and the same
+dense leaf totals.
 
 Columns that can never win a split get no histogram and no scan (as
 LightGBM drops single-bin features when it builds a Dataset). A column
@@ -156,8 +170,8 @@ def _best_split(
     window, given for a root, is (lo, valid) of _RowCoding.root_counts:
     valid[f, k] tells whether cut lo + k of local feature f leaves at least
     min_data rows on each side, and no cut outside those bins does (valid
-    is overwritten). Then only gradient and Hessian are summed, up to the
-    window's last bin, and only the window is scored. Prefix sums are
+    is read, not written). Then only gradient and Hessian are summed, up to
+    the window's last bin, and only the window is scored. Prefix sums are
     sequential, so truncated ones equal the leading ones, and every cell
     left out would be refused, so the same (feature, cut) wins.
     """
@@ -168,16 +182,15 @@ def _best_split(
     if window is None:
         lo, end, planes = 0, width, 3
     else:
-        lo, valid = window
-        end, planes = lo + valid.shape[1], 2
+        lo, end, planes = window[0], window[0] + window[1].shape[1], 2
     # scratch buffers viewed as contiguous arrays of this scan's shape
     cum = scratch.cum.ravel()[:planes * n_features * end].reshape(planes, n_features, end)
     np.cumsum(hist[:planes, :, :end], axis=2, out=cum)
     gl, hl = cum[0, :, lo:], cum[1, :, lo:]
     shape, size = gl.shape, gl.size
-    gains, t1, t2, mask = (
+    gains, t1, t2, valid, mask = (
         buf.ravel()[:size].reshape(shape)
-        for buf in (scratch.gains, scratch.t1, scratch.t2, scratch.mask)
+        for buf in (scratch.gains, scratch.t1, scratch.t2, scratch.valid, scratch.mask)
     )
 
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -194,13 +207,14 @@ def _best_split(
         np.add(gains, t2, out=gains)
         gains -= parent
 
+    np.isfinite(gains, out=valid)
     if window is None:
-        valid, cl = scratch.valid, cum[2]
-        np.greater_equal(cl, min_data, out=valid)
-        np.less_equal(cl, c_total - min_data, out=mask)
+        np.greater_equal(cum[2], min_data, out=mask)
         valid &= mask
-    np.isfinite(gains, out=mask)
-    valid &= mask
+        np.less_equal(cum[2], c_total - min_data, out=mask)
+        valid &= mask
+    else:
+        valid &= window[1]
     if not valid.any():
         return None
     np.copyto(gains, -np.inf, where=~valid)
@@ -244,16 +258,19 @@ class _RowCoding:
     def width(self) -> int:
         return self.codes.shape[1]
 
-    def columns(self, drawn: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(columns, cells, codes) of the drawn columns that can win a split.
-
-        Those are the first drawn column of each twin group, constant
-        columns left out. cells[i, k] = ranks[i, columns[k]] + width * k
-        indexes row i's histogram cell of the k-th column, and codes holds
-        the columns' rows of self.codes.
-        """
+    def kept(self, drawn: np.ndarray) -> np.ndarray:
+        """The drawn columns that can win a split, ascending: the first drawn
+        column of each twin group, constant columns left out."""
         groups, first = np.unique(self.twins[drawn], return_index=True)
-        kept = drawn[np.sort(first[groups >= 0])]
+        return drawn[np.sort(first[groups >= 0])]
+
+    def columns(self, drawn: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(columns, cells, codes) of the drawn columns that can win a split
+        (kept). cells[i, k] = ranks[i, columns[k]] + width * k indexes row
+        i's histogram cell of the k-th column, and codes holds the columns'
+        rows of self.codes.
+        """
+        kept = self.kept(drawn)
         cells = self.ranks[:, kept].astype(np.int64)
         cells += np.arange(kept.size) * self.width
         return kept, cells, self.codes[kept]
@@ -272,16 +289,26 @@ class _RowCoding:
         row_of[kept] = np.arange(kept.size)
         return (row_of,) + _count_window(cells, kept.size, self.width, self.min_data)
 
-    def root_counts(self, kept: np.ndarray) -> Tuple[np.ndarray, int, np.ndarray]:
+    def root_counts(
+        self, kept: Optional[np.ndarray] = None
+    ) -> Tuple[np.ndarray, int, np.ndarray]:
         """(counts, lo, valid) of a root over the columns kept, as columns()
-        returns them: their count plane and _best_split's window.
+        returns them, or over all_columns if kept is None: their count
+        plane and _best_split's window.
 
         A kept column's rows are those of its twin, which all_columns keeps
-        and whose codes on these rows are the same.
+        and whose codes on these rows are the same. For all_columns the
+        round's own planes are returned, to be read, not written.
         """
-        row_of, counts, lo, valid = self._root_window
-        rows = row_of[self.twins[kept]]
+        _, counts, lo, valid = self._root_window
+        if kept is None:
+            return counts, lo, valid
+        rows = self.plane_rows(kept)
         return counts[rows], lo, valid[rows]
+
+    def plane_rows(self, kept: np.ndarray) -> np.ndarray:
+        """Each kept column's row in all_columns and the round's planes."""
+        return self._root_window[0][self.twins[kept]]
 
 
 def _count_window(
@@ -370,8 +397,10 @@ def _grow(
         n_sel = max(1, _ceil_frac(params.feature_fraction, n_features))
         drawn = np.sort(rng.choice(n_features, size=n_sel, replace=False))
         feat_sel, cells, bin_codes = coding.columns(drawn)
+        root_counts, lo, valid = coding.root_counts(feat_sel)
     else:
         feat_sel, cells, bin_codes = coding.all_columns
+        root_counts, lo, valid = coding.root_counts()
     f_sel = feat_sel.size
     scratch = _SplitScratch(f_sel, width)
 
@@ -399,7 +428,6 @@ def _grow(
             heapq.heappush(heap, (-cand[0], node, cand[1], cand[2], rows, hist, totals))
 
     # the root's counts and count-valid cuts are the round's (root_counts)
-    root_counts, lo, valid = coding.root_counts(feat_sel)
     root_hist = _histograms(cells, g, h, f_sel, width, root_counts)
     add_leaf(np.arange(n), root_hist, (float(g.sum()), float(h.sum()), n), (lo, valid))
     n_leaves = 1
@@ -444,3 +472,137 @@ def _grow(
         *(np.asarray(column, dtype=np.int32) for column in columns[:4]),
         value=np.asarray(columns[4], dtype=np.float64),
     )
+
+
+def _grow_stumps(
+    coding: _RowCoding, g: np.ndarray, h: np.ndarray, params, rng: np.random.Generator
+) -> List[Tree]:
+    """_grow of every class column of g and h, in class order, on rows too
+    few for any child to split: fewer than 3 * min_data_in_leaf.
+
+    A valid cut leaves at most n - min_data < 2 * min_data rows on the
+    larger side, so _grow gives neither child a histogram, and each tree is
+    its root's best split or a single leaf, whatever num_leaves is. The
+    classes' columns are drawn first, in class order, by _grow's rng calls.
+    Two bincounts histogram bins 0..hi of every class over all_columns,
+    bin-major; one running sum over those bins gives cumsum's prefix sums
+    for all of them, and gains are scored only in the round's count-valid
+    cells (root_counts), which every class shares. Each class takes the
+    first-occurrence argmax over its kept columns in their local order,
+    and leaf totals are summed over the rebuilt dense row, as in _grow, so
+    every tree is bit-identical to _grow's.
+    """
+    n_features = coding.ranks.shape[1]
+    n_classes = g.shape[1]
+    l2 = params.l2_regularization
+    columns = coding.all_columns[0]
+    f_all = columns.size
+    _, lo, valid = coding.root_counts()
+    if params.feature_fraction < 1.0:
+        n_sel = max(1, _ceil_frac(params.feature_fraction, n_features))
+        kept = [
+            coding.kept(np.sort(rng.choice(n_features, size=n_sel, replace=False)))
+            for _ in range(n_classes)
+        ]
+    else:
+        kept = None
+    # _grow's g.sum() and h.sum() of each class
+    g_total = np.ascontiguousarray(g.T).sum(axis=1)
+    h_total = np.ascontiguousarray(h.T).sum(axis=1)
+
+    # the count-valid cells, column by column, cuts ascending
+    plane, cut = divmod(np.flatnonzero(valid), max(valid.shape[1], 1))
+    cut += lo
+    splits: List[Optional[Tuple[int, int, int]]] = [None] * n_classes
+    if plane.size:
+        end = lo + valid.shape[1]
+        # bin-major histograms of bins 0..hi, cell (rank, class, plane row),
+        # filled in row order as _histograms fills them
+        ranks = coding.ranks[:, columns]
+        row, col = np.nonzero(ranks < end)
+        cells = ranks[row, col].astype(np.intp) * (n_classes * f_all) + col
+        cells = (cells[:, None] + np.arange(n_classes) * f_all).ravel()
+        hist = [
+            np.bincount(cells, weights=np.take(w, row, axis=0).ravel(),
+                        minlength=end * n_classes * f_all)
+            .reshape(end, n_classes, f_all)
+            for w in (g, h)
+        ]
+        # cumsum's sequential prefix sums, a bin at a time
+        cum = [part.copy() for part in hist]
+        for part in cum:
+            for b in range(1, end):
+                part[b] += part[b - 1]
+        gl, hl = (part[cut, :, plane] for part in cum)
+        # _best_split's expressions, in its order, on every valid cell
+        with np.errstate(divide="ignore", invalid="ignore"):
+            h_l2 = h_total + l2
+            parent = np.where(h_l2 > 0, g_total * g_total / h_l2, 0.0)
+            gains = gl * gl
+            gains /= hl + l2
+            right = g_total - gl
+            right *= right
+            right /= h_l2 - hl
+            gains += right
+            gains -= parent
+        gains[~np.isfinite(gains)] = -np.inf
+        if kept is None:
+            best = [(i, int(columns[plane[i]])) for i in np.argmax(gains, axis=0)]
+        else:
+            best = []
+            for c, k in enumerate(kept):
+                local = np.full(f_all, -1)
+                local[coding.plane_rows(k)] = np.arange(k.size)
+                mine = np.flatnonzero(local[plane] >= 0)
+                # a stable sort by local column keeps each column's cuts ascending
+                order = mine[np.argsort(local[plane[mine]], kind="stable")]
+                i = order[np.argmax(gains[order, c])] if order.size else None
+                best.append((i, None if i is None else int(k[local[plane[i]]])))
+        for c, (i, column) in enumerate(best):
+            if i is not None and gains[i, c] > 0.0:
+                splits[c] = (column, int(plane[i]), int(cut[i]))
+
+    def leaf(g_sum: float, h_sum: float) -> float:
+        denom = h_sum + l2
+        return 0.0 if denom <= 0.0 else float(-g_sum / denom)
+
+    trees = []
+    for c, split in enumerate(splits):
+        g_sum, h_sum = float(g_total[c]), float(h_total[c])
+        if split is None:
+            trees.append(Tree(
+                *(np.array([-1], dtype=np.int32) for _ in range(4)),
+                value=np.array([leaf(g_sum, h_sum)]),
+            ))
+            continue
+        column, plane_row, bin_cut = split
+        # sum the left bins at their codes, empty bins included, as _grow does
+        code = coding.codes[column, :bin_cut + 1]
+        dense = np.zeros((2, code[-1] + 1))
+        dense[:, code] = [part[:bin_cut + 1, c, plane_row] for part in hist]
+        g_left, h_left = float(dense[0].sum()), float(dense[1].sum())
+        trees.append(Tree(
+            feature=np.array([column, -1, -1], dtype=np.int32),
+            threshold=np.array([code[-1], -1, -1], dtype=np.int32),
+            left=np.array([1, -1, -1], dtype=np.int32),
+            right=np.array([2, -1, -1], dtype=np.int32),
+            value=np.array([
+                0.0, leaf(g_left, h_left), leaf(g_sum - g_left, h_sum - h_left)
+            ]),
+        ))
+    return trees
+
+
+def _stump_outputs(trees: List[Tree], codes: np.ndarray) -> np.ndarray:
+    """(rows, trees) leaf values of trees of at most one split on a bin-code
+    matrix, in one gather: column c equals trees[c].predict_binned(codes)."""
+    feature = np.zeros(len(trees), dtype=np.intp)
+    threshold = np.zeros(len(trees), dtype=np.int32)
+    left, right = np.empty(len(trees)), np.empty(len(trees))
+    for c, tree in enumerate(trees):
+        if tree.feature[0] >= 0:
+            feature[c], threshold[c] = tree.feature[0], tree.threshold[0]
+            left[c], right[c] = tree.value[tree.left[0]], tree.value[tree.right[0]]
+        else:
+            left[c] = right[c] = tree.value[0]
+    return np.where(codes[:, feature] <= threshold, left, right)

@@ -702,3 +702,144 @@ class TestSharedRootWindow:
         # every class root reads it; no child histogram does
         assert roots.count(True) == 5 * 4
         assert len(roots) > 5 * 4
+
+
+def equal_trees(got: Tree, want: Tree) -> bool:
+    """Node arrays of the same dtype and the same bytes."""
+    return all(
+        a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        for a, b in (
+            (getattr(got, name), getattr(want, name))
+            for name in ("feature", "threshold", "left", "right", "value")
+        )
+    )
+
+
+# 29 rows at min_data 10: every column's codes 2 apart, so a left side's dense
+# row holds empty bins between its 10 to 19 occupied ones, and gradients of
+# no common scale, so summing it without them groups the values differently
+_GAPPED = np.random.default_rng(89)
+_GAPPED_ROUND = (
+    np.stack([_GAPPED.permutation(29) * 2 for _ in range(3)], axis=1).astype(np.uint8),
+    _GAPPED.standard_normal((29, 3)), _GAPPED.uniform(0.1, 2.0, (29, 3)),
+    2, 10, 0.0, 1.0,
+)
+
+
+def floats(low: float, high: float) -> st.SearchStrategy:
+    return st.floats(low, high, allow_subnormal=False)
+
+
+@st.composite
+def stump_round_instances(draw):
+    """(codes, grad, hess, num_leaves, min_data, l2, fraction) of a boosting
+    round too small for any child to split: 1 to 3 * min_data - 1 rows, so
+    rounds below 2 * min_data rows grow single leaves. Columns hold 1 to 8
+    drawn codes of 0..62; a constant column and a copy of the first join
+    them in a drawn order. One gradient and Hessian column per class: the
+    gradients either tied, drawn from four values, or any normal floats."""
+    min_data = draw(st.integers(1, 10))
+    n = draw(st.integers(1, 3 * min_data - 1))
+    columns = []
+    for _ in range(draw(st.integers(1, 5))):
+        used = draw(st.lists(st.integers(0, 62), min_size=1, max_size=8, unique=True))
+        columns.append(draw(st.lists(st.sampled_from(used), min_size=n, max_size=n)))
+    columns.append([draw(st.integers(0, 62))] * n)
+    columns.append(list(columns[0]))
+    order = draw(st.permutations(range(len(columns))))
+    codes = np.array([columns[j] for j in order], dtype=np.uint8).T
+    size = n * draw(st.integers(1, 4))
+    if draw(st.booleans()):
+        grad = draw(st.lists(st.sampled_from([-1.0, -0.5, 0.5, 1.0]), min_size=size, max_size=size))
+    else:
+        grad = draw(st.lists(floats(-4.0, 4.0), min_size=size, max_size=size))
+    hess = draw(st.lists(floats(1 / 16, 2.0), min_size=size, max_size=size))
+    return (
+        codes, np.array(grad).reshape(n, -1), np.array(hess).reshape(n, -1),
+        draw(st.integers(2, 8)), min_data, draw(st.sampled_from([0.0, 1.0])),
+        draw(st.sampled_from([1.0, 0.6, 0.3])),
+    )
+
+
+class TestStumpRounds:
+    """A round of fewer than 3 * min_data_in_leaf rows grows its class trees
+    in one batched root scan (tree._grow_stumps), bit-identical to _grow,
+    and adds them to the scores in one gather (tree._stump_outputs)."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(instance=stump_round_instances())
+    @example(instance=_GAPPED_ROUND)
+    def test_every_class_tree_and_the_rng_equal_grow(self, instance):
+        codes, grad, hess, num_leaves, min_data, l2, fraction = instance
+        params = TrainParams(
+            num_leaves=num_leaves, min_data_in_leaf=min_data, l2_regularization=l2,
+            feature_fraction=fraction,
+        )
+        coding = tree_module._code_rows(codes, column_twins(codes), min_data)
+        rng_grow, rng_stumps = np.random.default_rng(5), np.random.default_rng(5)
+        want = [
+            tree_module._grow(coding, grad[:, c], hess[:, c], params, rng_grow)
+            for c in range(grad.shape[1])
+        ]
+        got = tree_module._grow_stumps(coding, grad, hess, params, rng_stumps)
+        assert len(got) == len(want)
+        for c, (a, b) in enumerate(zip(got, want)):
+            assert equal_trees(a, b), (c, a, b)
+        assert rng_stumps.bit_generator.state == rng_grow.bit_generator.state
+        outputs = tree_module._stump_outputs(got, codes)
+        for c, tree in enumerate(got):
+            assert outputs[:, c].tobytes() == tree.predict_binned(codes).tobytes()
+
+    @staticmethod
+    def grown(monkeypatch, n_rows, min_data):
+        """The _grow and _grow_stumps calls of a 3-round, 4-class fit on
+        n_rows rows, every row in every round."""
+        calls = {"grow": 0, "stumps": 0}
+        grow, stumps = booster._grow, booster._grow_stumps
+
+        def counted_grow(*args):
+            calls["grow"] += 1
+            return grow(*args)
+
+        def counted_stumps(*args):
+            calls["stumps"] += 1
+            return stumps(*args)
+
+        monkeypatch.setattr(booster, "_grow", counted_grow)
+        monkeypatch.setattr(booster, "_grow_stumps", counted_stumps)
+        rng = np.random.default_rng(13)
+        x = rng.standard_normal((n_rows, 5))
+        y = np.arange(n_rows) % 4
+        params = TrainParams(max_rounds=3, early_stop_rounds=0, min_data_in_leaf=min_data)
+        model = train(x, y, params=params)
+        assert model.n_rounds == 3 and model.n_classes == 4
+        return calls
+
+    @pytest.mark.parametrize("min_data", [2, 4, 7])
+    def test_rounds_below_three_min_data_make_no_grow_call(self, monkeypatch, min_data):
+        calls = self.grown(monkeypatch, 3 * min_data - 1, min_data)
+        assert calls == {"grow": 0, "stumps": 3}
+
+    @pytest.mark.parametrize("min_data", [2, 4, 7])
+    def test_rounds_of_three_min_data_grow_every_class_tree(self, monkeypatch, min_data):
+        calls = self.grown(monkeypatch, 3 * min_data, min_data)
+        assert calls == {"grow": 3 * 4, "stumps": 0}
+
+
+class TestRoundPlanes:
+    def test_roots_keeping_every_column_read_the_round_planes(self):
+        # a tree that keeps every column gets the round's count plane and
+        # count-valid window themselves, and its scan leaves them unchanged
+        rng = np.random.default_rng(17)
+        codes = rng.integers(0, 20, (60, 6)).astype(np.uint8)
+        coding = tree_module._code_rows(codes, column_twins(codes), 5)
+        _, counts, lo, valid = coding._root_window
+        before = counts.copy(), valid.copy()
+        shared = coding.root_counts()
+        assert shared[0] is counts and shared[1] == lo and shared[2] is valid
+        params = TrainParams(num_leaves=4, min_data_in_leaf=5)
+        for c in range(3):
+            grad = rng.standard_normal(60)
+            tree_module._grow(coding, grad, np.ones(60), params, rng)
+        np.testing.assert_array_equal(counts, before[0])
+        np.testing.assert_array_equal(valid, before[1])
