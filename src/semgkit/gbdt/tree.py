@@ -484,10 +484,11 @@ def _grow_stumps(
     larger side, so _grow gives neither child a histogram, and each tree is
     its root's best split or a single leaf, whatever num_leaves is. The
     classes' columns are drawn first, in class order, by _grow's rng calls.
-    Two bincounts histogram bins 0..hi of every class over all_columns,
-    bin-major; one running sum over those bins gives cumsum's prefix sums
-    for all of them, and gains are scored only in the round's count-valid
-    cells (root_counts), which every class shares. Each class takes the
+    One bincount histograms gradient and Hessian of every class over
+    all_columns in bins 0..hi, bin-major; one running sum over those bins
+    gives cumsum's prefix sums for all of them, and gains are scored only
+    in the round's count-valid cells (root_counts), which every class
+    shares. Each class takes the
     first-occurrence argmax over its kept columns in their local order,
     and leaf totals are summed over the rebuilt dense row, as in _grow, so
     every tree is bit-identical to _grow's.
@@ -506,34 +507,33 @@ def _grow_stumps(
         ]
     else:
         kept = None
-    # _grow's g.sum() and h.sum() of each class
-    g_total = np.ascontiguousarray(g.T).sum(axis=1)
-    h_total = np.ascontiguousarray(h.T).sum(axis=1)
+    # class-major gradients and Hessians; their row sums are _grow's g.sum()
+    # and h.sum() of each class
+    by_class = np.ascontiguousarray(np.concatenate([g, h], axis=1).T)
+    g_total, h_total = np.split(by_class.sum(axis=1), 2)
 
-    # the count-valid cells, column by column, cuts ascending
-    plane, cut = divmod(np.flatnonzero(valid), max(valid.shape[1], 1))
-    cut += lo
+    # the count-valid cells as (row of all_columns, cut), cuts ascending
+    cell_row, cell_cut = divmod(np.flatnonzero(valid), max(valid.shape[1], 1))
+    cell_cut += lo
     splits: List[Optional[Tuple[int, int, int]]] = [None] * n_classes
-    if plane.size:
+    if cell_row.size:
         end = lo + valid.shape[1]
-        # bin-major histograms of bins 0..hi, cell (rank, class, plane row),
-        # filled in row order as _histograms fills them
-        ranks = coding.ranks[:, columns]
-        row, col = np.nonzero(ranks < end)
-        cells = ranks[row, col].astype(np.intp) * (n_classes * f_all) + col
-        cells = (cells[:, None] + np.arange(n_classes) * f_all).ravel()
-        hist = [
-            np.bincount(cells, weights=np.take(w, row, axis=0).ravel(),
-                        minlength=end * n_classes * f_all)
-            .reshape(end, n_classes, f_all)
-            for w in (g, h)
-        ]
+        # histogram cells (bin, gradient or Hessian, class, row of
+        # all_columns), each filled in row order as _histograms fills it
+        ranks = coding.ranks[:, columns].ravel()
+        entry = np.flatnonzero(ranks < end)
+        row, col = divmod(entry, f_all)
+        cells = ranks[entry].astype(np.intp) * (2 * n_classes * f_all) + col
+        cells = (cells + (np.arange(2 * n_classes) * f_all)[:, None]).ravel()
+        hist = np.bincount(
+            cells, weights=np.take(by_class, row, axis=1).ravel(),
+            minlength=end * 2 * n_classes * f_all,
+        ).reshape(end, 2, n_classes, f_all)
         # cumsum's sequential prefix sums, a bin at a time
-        cum = [part.copy() for part in hist]
-        for part in cum:
-            for b in range(1, end):
-                part[b] += part[b - 1]
-        gl, hl = (part[cut, :, plane] for part in cum)
+        cum = hist.copy()
+        for b in range(1, end):
+            cum[b] += cum[b - 1]
+        gl, hl = (cum[cell_cut, k, :, cell_row] for k in (0, 1))
         # _best_split's expressions, in its order, on every valid cell
         with np.errstate(divide="ignore", invalid="ignore"):
             h_l2 = h_total + l2
@@ -547,20 +547,20 @@ def _grow_stumps(
             gains -= parent
         gains[~np.isfinite(gains)] = -np.inf
         if kept is None:
-            best = [(i, int(columns[plane[i]])) for i in np.argmax(gains, axis=0)]
+            best = [(i, int(columns[cell_row[i]])) for i in np.argmax(gains, axis=0)]
         else:
             best = []
             for c, k in enumerate(kept):
                 local = np.full(f_all, -1)
                 local[coding.plane_rows(k)] = np.arange(k.size)
-                mine = np.flatnonzero(local[plane] >= 0)
+                mine = np.flatnonzero(local[cell_row] >= 0)
                 # a stable sort by local column keeps each column's cuts ascending
-                order = mine[np.argsort(local[plane[mine]], kind="stable")]
+                order = mine[np.argsort(local[cell_row[mine]], kind="stable")]
                 i = order[np.argmax(gains[order, c])] if order.size else None
-                best.append((i, None if i is None else int(k[local[plane[i]]])))
+                best.append((i, None if i is None else int(k[local[cell_row[i]]])))
         for c, (i, column) in enumerate(best):
             if i is not None and gains[i, c] > 0.0:
-                splits[c] = (column, int(plane[i]), int(cut[i]))
+                splits[c] = (column, int(cell_row[i]), int(cell_cut[i]))
 
     def leaf(g_sum: float, h_sum: float) -> float:
         denom = h_sum + l2
@@ -575,12 +575,12 @@ def _grow_stumps(
                 value=np.array([leaf(g_sum, h_sum)]),
             ))
             continue
-        column, plane_row, bin_cut = split
+        column, hist_row, cut = split
         # sum the left bins at their codes, empty bins included, as _grow does
-        code = coding.codes[column, :bin_cut + 1]
+        code = coding.codes[column, :cut + 1]
         dense = np.zeros((2, code[-1] + 1))
-        dense[:, code] = [part[:bin_cut + 1, c, plane_row] for part in hist]
-        g_left, h_left = float(dense[0].sum()), float(dense[1].sum())
+        dense[:, code] = hist[:cut + 1, :, c, hist_row].T
+        g_left, h_left = (float(total) for total in dense.sum(axis=1))
         trees.append(Tree(
             feature=np.array([column, -1, -1], dtype=np.int32),
             threshold=np.array([code[-1], -1, -1], dtype=np.int32),
