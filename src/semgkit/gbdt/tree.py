@@ -488,10 +488,10 @@ def _grow_stumps(
     all_columns in bins 0..hi, bin-major; one running sum over those bins
     gives cumsum's prefix sums for all of them, and gains are scored only
     in the round's count-valid cells (root_counts), which every class
-    shares. Each class takes the
-    first-occurrence argmax over its kept columns in their local order,
-    and leaf totals are summed over the rebuilt dense row, as in _grow, so
-    every tree is bit-identical to _grow's.
+    shares. Each class takes the first-occurrence argmax over its kept
+    columns in their local order, and leaf totals are summed over the
+    rebuilt dense row, as in _grow, so every tree is bit-identical to
+    _grow's.
     """
     n_features = coding.ranks.shape[1]
     n_classes = g.shape[1]
@@ -533,7 +533,7 @@ def _grow_stumps(
         cum = hist.copy()
         for b in range(1, end):
             cum[b] += cum[b - 1]
-        gl, hl = (cum[cell_cut, k, :, cell_row] for k in (0, 1))
+        gl, hl = (cum[cell_cut, plane, :, cell_row] for plane in (0, 1))
         # _best_split's expressions, in its order, on every valid cell
         with np.errstate(divide="ignore", invalid="ignore"):
             h_l2 = h_total + l2
@@ -550,14 +550,14 @@ def _grow_stumps(
             best = [(i, int(columns[cell_row[i]])) for i in np.argmax(gains, axis=0)]
         else:
             best = []
-            for c, k in enumerate(kept):
+            for c, class_kept in enumerate(kept):
                 local = np.full(f_all, -1)
-                local[coding.plane_rows(k)] = np.arange(k.size)
+                local[coding.plane_rows(class_kept)] = np.arange(class_kept.size)
                 mine = np.flatnonzero(local[cell_row] >= 0)
                 # a stable sort by local column keeps each column's cuts ascending
                 order = mine[np.argsort(local[cell_row[mine]], kind="stable")]
                 i = order[np.argmax(gains[order, c])] if order.size else None
-                best.append((i, None if i is None else int(k[local[cell_row[i]]])))
+                best.append((i, None if i is None else int(class_kept[local[cell_row[i]]])))
         for c, (i, column) in enumerate(best):
             if i is not None and gains[i, c] > 0.0:
                 splits[c] = (column, int(cell_row[i]), int(cell_cut[i]))

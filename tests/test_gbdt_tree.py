@@ -717,7 +717,8 @@ def equal_trees(got: Tree, want: Tree) -> bool:
 
 # 29 rows at min_data 10: every column's codes 2 apart, so a left side's dense
 # row holds empty bins between its 10 to 19 occupied ones, and gradients of
-# no common scale, so summing it without them groups the values differently
+# no common scale, so summing it without them groups the values differently;
+# at this seed that changes the last bit of some leaf totals
 _GAPPED = np.random.default_rng(89)
 _GAPPED_ROUND = (
     np.stack([_GAPPED.permutation(29) * 2 for _ in range(3)], axis=1).astype(np.uint8),
@@ -750,7 +751,8 @@ def stump_round_instances(draw):
     codes = np.array([columns[j] for j in order], dtype=np.uint8).T
     size = n * draw(st.integers(1, 4))
     if draw(st.booleans()):
-        grad = draw(st.lists(st.sampled_from([-1.0, -0.5, 0.5, 1.0]), min_size=size, max_size=size))
+        tied = st.sampled_from([-1.0, -0.5, 0.5, 1.0])
+        grad = draw(st.lists(tied, min_size=size, max_size=size))
     else:
         grad = draw(st.lists(floats(-4.0, 4.0), min_size=size, max_size=size))
     hess = draw(st.lists(floats(1 / 16, 2.0), min_size=size, max_size=size))
