@@ -74,10 +74,13 @@ def bin_features(features: np.ndarray, max_bins: int = 255) -> BinnedMatrix:
 
 
 def apply_bins(features: np.ndarray, edges: Sequence[np.ndarray]) -> np.ndarray:
-    """Map raw features to bin codes using stored edges."""
+    """Map raw features to bin codes using stored edges; features must be
+    finite."""
     x = np.asarray(features, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != len(edges):
         raise ValueError(f"features of shape {x.shape} do not match {len(edges)} edge arrays")
+    if not np.isfinite(x).all():
+        raise ValueError("features must be finite: no NaN or infinity")
     codes = np.empty(x.shape, dtype=np.uint8)
     for j, e in enumerate(edges):
         codes[:, j] = np.searchsorted(e, x[:, j], side="left").astype(np.uint8)

@@ -33,7 +33,7 @@ from .binning import MAX_BINS_LIMIT, apply_bins, bin_features
 from .objective import LossSpec, grad_hess, softmax, weighted_cross_entropy
 from .sampling import goss_sample
 from .tree import (
-    Tree, _code_rows, _grow, _grow_stumps, _stump_outputs, column_twins,
+    Tree, _code_rows, _forest_outputs, _grow, _grow_stumps, column_twins,
 )
 
 
@@ -261,13 +261,15 @@ def _valid_rows(
 def _scores(model: BoostedModel, codes: np.ndarray, n_rounds: int) -> np.ndarray:
     """Raw scores of binned rows after the first n_rounds rounds.
 
-    Scores accumulate sequentially in one buffer, so extending a model by
-    more rounds reproduces its prefix scores bit for bit.
+    Each round's class trees are applied as one forest (_forest_outputs),
+    and scores accumulate sequentially in one buffer, one addition per
+    (row, class) cell and round, in round order, as _boost adds them. So
+    extending a model by more rounds reproduces its prefix scores bit for
+    bit.
     """
     raw = np.broadcast_to(model.init_score, (codes.shape[0], model.n_classes)).copy()
     for r in range(n_rounds):
-        for c, tree in enumerate(model.trees[r]):
-            raw[:, c] += tree.predict_binned(codes)
+        raw += _forest_outputs(model.trees[r], codes)
     return raw
 
 
@@ -284,8 +286,11 @@ def _boost(
     weights and params. codes are the training rows binned with those
     edges and encoded their class positions; valid is (bin codes, labels)
     of the validation rows or None. Scores start from that prefix and are
-    kept in one matrix, the training rows first, then the validation rows,
-    so each grown tree is applied to both in one call.
+    kept in one matrix, the training rows first, then the validation rows.
+    A round grows its class trees, all at once (_grow_stumps) when it has
+    fewer than 3 * min_data_in_leaf rows and one by one (_grow) otherwise,
+    shrinks their leaves by the learning rate and adds them to both row
+    sets in one _forest_outputs call.
     """
     params = start.params
     class_weights = start.class_weights
@@ -327,18 +332,16 @@ def _boost(
 
         if idx.size < 3 * params.min_data_in_leaf:
             # no child can split: each class tree is its root's best split
-            round_trees = [
-                replace(tree, value=params.learning_rate * tree.value)
-                for tree in _grow_stumps(coding, sub_grad, sub_hess, params, rng)
-            ]
-            all_raw += _stump_outputs(round_trees, scored)
+            grown = _grow_stumps(coding, sub_grad, sub_hess, params, rng)
         else:
-            round_trees = []
-            for c in range(n_classes):
-                tree = _grow(coding, sub_grad[:, c], sub_hess[:, c], params, rng)
-                tree = replace(tree, value=params.learning_rate * tree.value)
-                round_trees.append(tree)
-                all_raw[:, c] += tree.predict_binned(scored)
+            grown = [
+                _grow(coding, sub_grad[:, c], sub_hess[:, c], params, rng)
+                for c in range(n_classes)
+            ]
+        round_trees = [
+            replace(tree, value=params.learning_rate * tree.value) for tree in grown
+        ]
+        all_raw += _forest_outputs(round_trees, scored)
         trees.append(round_trees)
         history["train_loss"].append(
             float(weighted_cross_entropy(raw, encoded, class_weights))

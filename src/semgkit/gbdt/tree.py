@@ -51,11 +51,18 @@ _grow_stumps grows all of them at once: one pair of bincounts over bins
 0..hi for every class, one running prefix sum, and gains scored only in
 the round's count-valid cells, which all classes share. At
 min_data_in_leaf 20 a 44-row sample leaves only cuts with 20 to 24 rows
-on the left, about a quarter of the cells in lo..hi. _boost adds such a
-round to its scores with one gather (_stump_outputs). The trees are
+on the left, about a quarter of the cells in lo..hi. The trees are
 bit-identical to _grow's: the same rng draws, the same sequential sums
 and gain expressions, the same first-occurrence argmax, and the same
 dense leaf totals.
+
+Prediction. _forest_outputs applies a list of trees, a round's class
+trees say, to a bin-code matrix as one forest (the "tree traversal"
+layout of Hummingbird, Nakandala et al., OSDI 2020): their nodes in flat
+arrays and one gather per tree level over the (row, tree) pairs still at
+a split, so a round of stumps costs one column gather. Every round's
+trees, in training and in prediction, are applied this way, bit for bit
+as Tree's own per-tree walk, which stays as the tests' reference.
 
 Columns that can never win a split get no histogram and no scan (as
 LightGBM drops single-bin features when it builds a Dataset). A column
@@ -193,7 +200,7 @@ def _best_split(
         for buf in (scratch.gains, scratch.t1, scratch.t2, scratch.valid, scratch.mask)
     )
 
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         parent = g_total * g_total / (h_total + l2) if h_total + l2 > 0 else 0.0
         # left term: GL^2 / (HL + l2)
         np.multiply(gl, gl, out=gains)
@@ -535,7 +542,7 @@ def _grow_stumps(
             cum[b] += cum[b - 1]
         gl, hl = (cum[cell_cut, plane, :, cell_row] for plane in (0, 1))
         # _best_split's expressions, in its order, on every valid cell
-        with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             h_l2 = h_total + l2
             parent = np.where(h_l2 > 0, g_total * g_total / h_l2, 0.0)
             gains = gl * gl
@@ -593,16 +600,41 @@ def _grow_stumps(
     return trees
 
 
-def _stump_outputs(trees: List[Tree], codes: np.ndarray) -> np.ndarray:
-    """(rows, trees) leaf values of trees of at most one split on a bin-code
-    matrix, in one gather: column c equals trees[c].predict_binned(codes)."""
-    feature = np.zeros(len(trees), dtype=np.intp)
-    threshold = np.zeros(len(trees), dtype=np.int32)
-    left, right = np.empty(len(trees)), np.empty(len(trees))
-    for c, tree in enumerate(trees):
-        if tree.feature[0] >= 0:
-            feature[c], threshold[c] = tree.feature[0], tree.threshold[0]
-            left[c], right[c] = tree.value[tree.left[0]], tree.value[tree.right[0]]
-        else:
-            left[c] = right[c] = tree.value[0]
-    return np.where(codes[:, feature] <= threshold, left, right)
+def _forest_outputs(trees: List[Tree], codes: np.ndarray) -> np.ndarray:
+    """(rows, trees) leaf values of trees on a bin-code matrix: column t
+    holds the leaf value of trees[t] that each row reaches.
+
+    The trees' nodes are concatenated into flat arrays, each tree's child
+    indices offset by its start, and every (row, tree) pair starts at its
+    tree's root. A leaf points both children at itself, so the first level
+    steps every pair with one gather of the roots' columns; each later
+    level steps only the pairs still at a split. Every child comes after
+    its parent (as growth appends nodes and io._check_trees requires), so
+    the walk ends.
+    """
+    sizes = np.array([tree.feature.size for tree in trees])
+    start = np.cumsum(sizes) - sizes
+    offset = np.repeat(start, sizes)
+    feature = np.concatenate([tree.feature for tree in trees]).astype(np.intp)
+    threshold = np.concatenate([tree.threshold for tree in trees])
+    left = np.concatenate([tree.left for tree in trees]) + offset
+    right = np.concatenate([tree.right for tree in trees]) + offset
+    value = np.concatenate([tree.value for tree in trees])
+    split = feature >= 0
+    own = np.flatnonzero(~split)
+    feature[own] = 0
+    left[own] = right[own] = own
+
+    node = np.where(
+        np.take(codes, feature[start], axis=1) <= threshold[start],
+        left[start], right[start],
+    )
+    flat = node.ravel()
+    pairs = np.flatnonzero(split[flat])
+    while pairs.size:
+        at = flat[pairs]
+        go_left = codes[pairs // len(trees), feature[at]] <= threshold[at]
+        at = np.where(go_left, left[at], right[at])
+        flat[pairs] = at
+        pairs = pairs[split[at]]
+    return value[flat].reshape(node.shape)

@@ -208,6 +208,17 @@ class TestGrowth:
                 used.add(int(tree.feature[0]))
         assert len(used) > 1  # different draws pick different single features
 
+    def test_subnormal_hessians_overflow_no_gain_silently(self):
+        # with l2 = 0, gains G^2 / H overflow to inf; the scan drops them
+        # without a RuntimeWarning, which the test settings make an error
+        codes = (np.arange(60) % 6).astype(np.uint8)[:, None]
+        binned = BinnedMatrix(codes, (np.arange(5.0),))
+        grad = np.where(codes[:, 0] < 3, -1.0, 1.0)
+        params = TrainParams(num_leaves=4, min_data_in_leaf=5)
+        tree = grow_tree(binned, grad, np.full(60, 1e-310), params,
+                         np.random.default_rng(0))
+        assert tree.n_leaves == 1
+
     def test_grad_shape_validation(self):
         binned = bin_features(np.zeros((5, 1)) + np.arange(5)[:, None])
         with pytest.raises(ValueError):
@@ -360,6 +371,63 @@ class TestPredictBinned:
         )
         codes = np.array([[3], [4]], dtype=np.uint8)
         np.testing.assert_array_equal(tree.predict_binned(codes), [-1.0, 1.0])
+
+
+def forest_of(kinds, rng, n_features=5):
+    """One tree per kind: a single leaf for 1, else a grow_tree tree of at
+    most that many leaves (a stump for 2) on 200 rows of codes 0..9."""
+    codes = rng.integers(0, 10, size=(200, n_features), dtype=np.uint8)
+    binned = BinnedMatrix(codes, tuple(np.arange(9.0) for _ in range(n_features)))
+    trees = []
+    for leaves in kinds:
+        if leaves == 1:
+            trees.append(Tree(
+                *(np.array([-1], dtype=np.int32) for _ in range(4)),
+                value=rng.standard_normal(1),
+            ))
+            continue
+        params = TrainParams(num_leaves=leaves, min_data_in_leaf=2)
+        trees.append(grow_tree(
+            binned, rng.standard_normal(200), rng.uniform(0.5, 2.0, 200), params, rng
+        ))
+    return trees
+
+
+class TestForestOutputs:
+    """tree._forest_outputs applies a list of trees as one forest; its
+    column t is trees[t].predict_binned, byte for byte."""
+
+    @staticmethod
+    def check(trees, codes):
+        out = tree_module._forest_outputs(trees, codes)
+        assert out.shape == (codes.shape[0], len(trees)) and out.dtype == np.float64
+        for t, tree in enumerate(trees):
+            assert out[:, t].tobytes() == tree.predict_binned(codes).tobytes(), t
+
+    @pytest.mark.parametrize("n_rows", [0, 1, 300])
+    @pytest.mark.parametrize("kinds", [
+        list(range(2, 32)),  # every num_leaves from 2 to 31
+        [2] * 8,  # a round of stumps
+        [1] * 3,  # single leaves only
+        [1, 31, 2, 1, 4, 2, 17],  # mixed
+    ])
+    def test_every_column_equals_predict_binned(self, kinds, n_rows):
+        rng = np.random.default_rng(len(kinds) + n_rows)
+        trees = forest_of(kinds, rng)
+        assert [tree.n_leaves for tree in trees] == kinds
+        codes = rng.integers(0, 10, size=(n_rows, 5), dtype=np.uint8)
+        self.check(trees, codes)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        kinds=st.lists(st.integers(1, 31), min_size=1, max_size=12),
+        n_rows=st.sampled_from([0, 1, 2, 97]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_random_forests(self, kinds, n_rows, seed):
+        rng = np.random.default_rng(seed)
+        trees = forest_of(kinds, rng)
+        self.check(trees, rng.integers(0, 10, size=(n_rows, 5), dtype=np.uint8))
 
 
 def best_first_reference(codes, grad, hess, num_leaves, min_data, l2):
@@ -766,7 +834,8 @@ def stump_round_instances(draw):
 class TestStumpRounds:
     """A round of fewer than 3 * min_data_in_leaf rows grows its class trees
     in one batched root scan (tree._grow_stumps), bit-identical to _grow,
-    and adds them to the scores in one gather (tree._stump_outputs)."""
+    and its trees, applied as one forest (tree._forest_outputs), score as
+    predict_binned does."""
 
     @settings(max_examples=400, deadline=None)
     @given(instance=stump_round_instances())
@@ -788,9 +857,23 @@ class TestStumpRounds:
         for c, (a, b) in enumerate(zip(got, want)):
             assert equal_trees(a, b), (c, a, b)
         assert rng_stumps.bit_generator.state == rng_grow.bit_generator.state
-        outputs = tree_module._stump_outputs(got, codes)
+        outputs = tree_module._forest_outputs(got, codes)
         for c, tree in enumerate(got):
             assert outputs[:, c].tobytes() == tree.predict_binned(codes).tobytes()
+
+    def test_subnormal_hessians_overflow_no_gain_silently(self):
+        # as in _grow, gains G^2 / H overflow to inf without a RuntimeWarning
+        codes = (np.arange(29) % 6).astype(np.uint8)[:, None]
+        grad = np.stack([np.where(codes[:, 0] < 3, -1.0, 1.0), np.ones(29)], axis=1)
+        hess = np.full((29, 2), 1e-310)
+        params = TrainParams(min_data_in_leaf=10)
+        coding = tree_module._code_rows(codes, column_twins(codes), 10)
+        got = tree_module._grow_stumps(coding, grad, hess, params, np.random.default_rng(0))
+        assert [tree.n_leaves for tree in got] == [1, 1]
+        rng = np.random.default_rng(0)
+        want = [tree_module._grow(coding, grad[:, c], hess[:, c], params, rng)
+                for c in range(2)]
+        assert all(equal_trees(a, b) for a, b in zip(got, want))
 
     @staticmethod
     def grown(monkeypatch, n_rows, min_data):

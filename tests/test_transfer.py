@@ -8,8 +8,11 @@ from concurrent.futures import Executor, Future
 import numpy as np
 import pytest
 
-from semgkit.ensemble import train_bagged
-from semgkit.gbdt import TrainParams, load_model, predict_raw, save_model, train
+from semgkit.ensemble import predict_bagged, train_bagged
+from semgkit.gbdt import (
+    TrainParams, Tree, booster, load_model, predict_label, predict_proba, predict_raw,
+    save_model, train,
+)
 from semgkit.transfer import (
     TransferConfig,
     _paired_split,
@@ -413,3 +416,57 @@ class TestRowChecks:
             with pytest.raises(ValueError, match=message):
                 call(features, labels)
         call(x, y)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_prediction_refuses_non_finite_features(self, base_setup, bad):
+        base, draw = base_setup
+        x = draw(8, seed=31)[0]
+        x[3, 2] = bad
+        for predict in (predict_raw, predict_proba, predict_label):
+            with pytest.raises(ValueError, match=FINITE):
+                predict(base, x)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_bagged_prediction_refuses_non_finite_features(self, base_setup, bad):
+        x, y = base_setup[1](8, seed=31)
+        bagged = train_bagged(x, y, params=TrainParams(max_rounds=1), k=2)
+        x[3, 2] = bad
+        with pytest.raises(ValueError, match=FINITE):
+            predict_bagged(bagged, x)
+
+
+class TestOneForestPath:
+    """Every application of trees, in training and in prediction, goes
+    through tree._forest_outputs; Tree.predict_binned is only the per-tree
+    reference of the tests."""
+
+    def test_no_library_path_calls_predict_binned(self, base_setup, monkeypatch):
+        base, draw = base_setup
+        x, y = draw(40, seed=40)
+        rounds = {"stumps": 0, "grow": 0}
+        grow_stumps, grow = booster._grow_stumps, booster._grow
+
+        def counted_stumps(*args):
+            rounds["stumps"] += 1
+            return grow_stumps(*args)
+
+        def counted_grow(*args):
+            rounds["grow"] += 1
+            return grow(*args)
+
+        def refuse(tree, codes):
+            raise AssertionError("a library path walked one tree")
+
+        monkeypatch.setattr(booster, "_grow_stumps", counted_stumps)
+        monkeypatch.setattr(booster, "_grow", counted_grow)
+        monkeypatch.setattr(Tree, "predict_binned", refuse)
+        # 120 rows a round: stump rounds at min_data_in_leaf 50, general at 20
+        for min_data in (50, 20):
+            params = TrainParams(max_rounds=2, min_data_in_leaf=min_data, early_stop_rounds=0)
+            predict_raw(train(x, y, x, y, params=params), x)
+        assert rounds == {"stumps": 2, "grow": 2 * 3}
+        cfg = TransferConfig(max_rounds=2, early_stop_rounds=0)
+        predict_label(warm_start(base, x, y, cfg=cfg), x)
+        predict_bagged(train_bagged(x, y, params=TrainParams(max_rounds=2), k=2), x)
+        report = transfer_report(x, y, base, cfg=cfg, seeds=(0,))
+        assert report.after_accuracy.shape == (1,)
