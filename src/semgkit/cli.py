@@ -54,14 +54,20 @@ def _cmd_pipeline(args: argparse.Namespace, mode: str) -> int:
 
 
 def _read_per_movement(path: str) -> List[tuple]:
+    """(movement, value) rows of a per_movement.csv; a row that is not two
+    fields raises a ValueError naming the file and line."""
     rows = []
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline()
         if not header.startswith("movement,"):
             raise ValueError(f"{path} is not a per-movement table")
-        for line in fh:
-            name, value = line.strip().split(",")
-            rows.append((name, value))
+        for number, line in enumerate(fh, start=2):
+            fields = line.strip().split(",")
+            if len(fields) != 2:
+                raise ValueError(
+                    f"{path}, line {number}: expected 2 fields, got {line.strip()!r}"
+                )
+            rows.append(tuple(fields))
     return rows
 
 

@@ -32,9 +32,7 @@ import numpy as np
 from .binning import MAX_BINS_LIMIT, apply_bins, bin_features
 from .objective import LossSpec, grad_hess, softmax, weighted_cross_entropy
 from .sampling import goss_sample
-from .tree import (
-    Tree, _code_rows, _forest_outputs, _grow, _grow_stumps, column_twins,
-)
+from .tree import Tree, _code_rows, _forest_outputs, _grow_round, column_twins
 
 
 @dataclass(frozen=True)
@@ -287,14 +285,14 @@ def _boost(
     edges and encoded their class positions; valid is (bin codes, labels)
     of the validation rows or None. Scores start from that prefix and are
     kept in one matrix, the training rows first, then the validation rows.
-    A round grows its class trees, all at once (_grow_stumps) when it has
-    fewer than 3 * min_data_in_leaf rows and one by one (_grow) otherwise,
-    shrinks their leaves by the learning rate and adds them to both row
-    sets in one _forest_outputs call.
+    A round codes its rows once, grows its class trees on that coding
+    (tree._grow_round, which picks how), shrinks their leaves by the
+    learning rate and adds them to both row sets in one _forest_outputs
+    call.
     """
     params = start.params
     class_weights = start.class_weights
-    n, n_classes = codes.shape[0], start.n_classes
+    n = codes.shape[0]
     rng = np.random.default_rng(params.seed)
     # columns that can never win a split on these rows, listed once per fit
     twins = column_twins(codes)
@@ -327,17 +325,9 @@ def _boost(
             idx, weight = np.arange(n), np.ones(n)
         # one coding of the round's bins serves all its class trees
         coding = _code_rows(codes[idx], twins, params.min_data_in_leaf)
-        sub_grad = grad[idx] * weight[:, None]
-        sub_hess = hess[idx] * weight[:, None]
-
-        if idx.size < 3 * params.min_data_in_leaf:
-            # no child can split: each class tree is its root's best split
-            grown = _grow_stumps(coding, sub_grad, sub_hess, params, rng)
-        else:
-            grown = [
-                _grow(coding, sub_grad[:, c], sub_hess[:, c], params, rng)
-                for c in range(n_classes)
-            ]
+        grown = _grow_round(
+            coding, grad[idx] * weight[:, None], hess[idx] * weight[:, None], params, rng
+        )
         round_trees = [
             replace(tree, value=params.learning_rate * tree.value) for tree in grown
         ]

@@ -46,15 +46,19 @@ every bin.
 Stump rounds. A round of n < 3 * min_data_in_leaf rows cannot split a
 child: a valid cut leaves at most n - min_data_in_leaf < 2 *
 min_data_in_leaf rows on the larger side. So each class tree is its
-root's best split or a single leaf, whatever num_leaves is, and
-_grow_stumps grows all of them at once: one pair of bincounts over bins
-0..hi for every class, one running prefix sum, and gains scored only in
-the round's count-valid cells, which all classes share. At
+root's best split or a single leaf, whatever num_leaves is. _grow_round,
+which grows every boosting round's class trees, makes the choice: such a
+round goes to _grow_stumps, which grows all its trees at once (one pair
+of bincounts over bins 0..hi for every class, one running prefix sum, and
+gains scored only in the round's count-valid cells, which all classes
+share), and any other round to _grow, one class tree at a time. At
 min_data_in_leaf 20 a 44-row sample leaves only cuts with 20 to 24 rows
-on the left, about a quarter of the cells in lo..hi. The trees are
-bit-identical to _grow's: the same rng draws, the same sequential sums
-and gain expressions, the same first-occurrence argmax, and the same
-dense leaf totals.
+on the left, about a quarter of the cells in lo..hi. The two growers
+share one gain computation (_gains), one leaf value (_leaf_row), one
+per-tree column draw (_draw_columns), one dense left-side sum
+(_left_sums) and one node-row builder (_tree). With the same sequential
+prefix sums and the same first-occurrence argmax, their trees are
+bit-identical and they leave the rng in the same state.
 
 Prediction. _forest_outputs applies a list of trees, a round's class
 trees say, to a bin-code matrix as one forest (the "tree traversal"
@@ -159,6 +163,60 @@ class _SplitScratch:
         self.mask = np.empty(shape, dtype=bool)
 
 
+def _gains(
+    gl: np.ndarray, hl: np.ndarray, g_total, h_total, l2: float,
+    gains: np.ndarray, t1: np.ndarray, t2: np.ndarray,
+) -> None:
+    """Write the gains of cuts with left sums gl, hl into gains.
+
+    g_total and h_total are the parent's sums: scalars, or one per column
+    of gl. t1 and t2 are scratch buffers of gains' shape. A parent with
+    H + l2 <= 0 scores 0. Overflow and 0/0 are left as inf and nan, for
+    the caller's finite mask. Every split scan computes its gains here,
+    so all of them round alike.
+    """
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        h_l2 = np.add(h_total, l2)
+        parent = np.where(h_l2 > 0, g_total * g_total / h_l2, 0.0)
+        # left term: GL^2 / (HL + l2)
+        np.multiply(gl, gl, out=gains)
+        np.add(hl, l2, out=t1)
+        np.divide(gains, t1, out=gains)
+        # right term: (G - GL)^2 / ((H + l2) - HL)
+        np.subtract(g_total, gl, out=t2)
+        np.multiply(t2, t2, out=t2)
+        np.subtract(h_l2, hl, out=t1)
+        np.divide(t2, t1, out=t2)
+        np.add(gains, t2, out=gains)
+        gains -= parent
+
+
+def _leaf_row(g_sum: float, h_sum: float, l2: float) -> list:
+    """The [feature, threshold, left, right, value] node row of a leaf with
+    gradient sum g_sum and Hessian sum h_sum: value -G/(H + l2), or 0.0
+    where H + l2 <= 0."""
+    denom = h_sum + l2
+    return [-1, -1, -1, -1, 0.0 if denom <= 0.0 else float(-g_sum / denom)]
+
+
+def _left_sums(code: np.ndarray, planes: np.ndarray) -> np.ndarray:
+    """Per-plane sums of a cut's left bins, planes[:, k] the bin of code
+    code[k]: the bins are placed at their codes, empty bins included, and
+    each plane is summed, as a histogram over every bin would be."""
+    dense = np.zeros((planes.shape[0], code[-1] + 1))
+    dense[:, code] = planes
+    return dense.sum(axis=1)
+
+
+def _tree(nodes: List[list]) -> Tree:
+    """The Tree of [feature, threshold, left, right, value] node rows."""
+    columns = list(zip(*nodes))
+    return Tree(
+        *(np.asarray(column, dtype=np.int32) for column in columns[:4]),
+        value=np.asarray(columns[4], dtype=np.float64),
+    )
+
+
 def _best_split(
     hist: np.ndarray,
     totals: Tuple[float, float, int],
@@ -200,20 +258,7 @@ def _best_split(
         for buf in (scratch.gains, scratch.t1, scratch.t2, scratch.valid, scratch.mask)
     )
 
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        parent = g_total * g_total / (h_total + l2) if h_total + l2 > 0 else 0.0
-        # left term: GL^2 / (HL + l2)
-        np.multiply(gl, gl, out=gains)
-        np.add(hl, l2, out=t1)
-        np.divide(gains, t1, out=gains)
-        # right term: (G - GL)^2 / ((H + l2) - HL)
-        np.subtract(g_total, gl, out=t2)
-        np.multiply(t2, t2, out=t2)
-        np.subtract(h_total + l2, hl, out=t1)
-        np.divide(t2, t1, out=t2)
-        np.add(gains, t2, out=gains)
-        gains -= parent
-
+    _gains(gl, hl, g_total, h_total, l2, gains, t1, t2)
     np.isfinite(gains, out=valid)
     if window is None:
         np.greater_equal(cum[2], min_data, out=mask)
@@ -271,27 +316,30 @@ class _RowCoding:
         groups, first = np.unique(self.twins[drawn], return_index=True)
         return drawn[np.sort(first[groups >= 0])]
 
-    def columns(self, drawn: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(columns, cells, codes) of the drawn columns that can win a split
-        (kept). cells[i, k] = ranks[i, columns[k]] + width * k indexes row
-        i's histogram cell of the k-th column, and codes holds the columns'
-        rows of self.codes.
+    def columns(
+        self, kept: Optional[np.ndarray] = None
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """(columns, cells) of the columns kept, as kept() returns them, or
+        all_columns if kept is None. cells[i, k] = ranks[i, columns[k]] +
+        width * k indexes row i's histogram cell of the k-th column.
         """
-        kept = self.kept(drawn)
+        if kept is None:
+            return self.all_columns
         cells = self.ranks[:, kept].astype(np.int64)
         cells += np.arange(kept.size) * self.width
-        return kept, cells, self.codes[kept]
+        return kept, cells
 
     @cached_property
-    def all_columns(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """columns() of every column, made once for all trees of a round."""
-        return self.columns(np.arange(self.ranks.shape[1]))
+    def all_columns(self) -> Tuple[np.ndarray, np.ndarray]:
+        """columns() of every column that can win a split, made once for
+        all trees of a round."""
+        return self.columns(self.kept(np.arange(self.ranks.shape[1])))
 
     @cached_property
     def _root_window(self) -> Tuple[np.ndarray, np.ndarray, int, np.ndarray]:
         """(plane row of each column, count plane, lo, count-valid window)
         of all_columns on these rows, made once for all trees of a round."""
-        kept, cells, _ = self.all_columns
+        kept, cells = self.all_columns
         row_of = np.zeros(self.twins.size, dtype=np.intp)
         row_of[kept] = np.arange(kept.size)
         return (row_of,) + _count_window(cells, kept.size, self.width, self.min_data)
@@ -390,24 +438,51 @@ def grow_tree(
     )
 
 
+def _draw_columns(
+    coding: _RowCoding, params, rng: np.random.Generator
+) -> Optional[np.ndarray]:
+    """One tree's feature subsample: the kept columns of a draw of
+    ceil(feature_fraction * columns) of all columns, or None, with no rng
+    call, when feature_fraction is 1 and the tree keeps all_columns."""
+    if params.feature_fraction >= 1.0:
+        return None
+    n_features = coding.ranks.shape[1]
+    n_sel = max(1, _ceil_frac(params.feature_fraction, n_features))
+    return coding.kept(np.sort(rng.choice(n_features, size=n_sel, replace=False)))
+
+
+def _grow_round(
+    coding: _RowCoding, grad: np.ndarray, hess: np.ndarray, params,
+    rng: np.random.Generator,
+) -> List[Tree]:
+    """The class trees of one boosting round on coded rows, in class order:
+    column c of the (rows, classes) float64 grad and hess is class c's.
+
+    A round of fewer than 3 * min_data rows cannot split a child (see
+    Stump rounds above), so _grow_stumps grows its trees at once; any
+    other round grows them one by one with _grow. Both give the same
+    trees and leave the rng in the same state.
+    """
+    if coding.ranks.shape[0] < 3 * coding.min_data:
+        return _grow_stumps(coding, grad, hess, params, rng)
+    return [
+        _grow(coding, grad[:, c], hess[:, c], params, rng) for c in range(grad.shape[1])
+    ]
+
+
 def _grow(
     coding: _RowCoding, g: np.ndarray, h: np.ndarray, params, rng: np.random.Generator
 ) -> Tree:
     """grow_tree on coded rows, with float64 gradient and Hessian; the
     rows' coding fixes min_data_in_leaf."""
-    n, n_features = coding.ranks.shape
+    n = coding.ranks.shape[0]
     l2 = params.l2_regularization
     min_data = coding.min_data
     width = coding.width
 
-    if params.feature_fraction < 1.0:
-        n_sel = max(1, _ceil_frac(params.feature_fraction, n_features))
-        drawn = np.sort(rng.choice(n_features, size=n_sel, replace=False))
-        feat_sel, cells, bin_codes = coding.columns(drawn)
-        root_counts, lo, valid = coding.root_counts(feat_sel)
-    else:
-        feat_sel, cells, bin_codes = coding.all_columns
-        root_counts, lo, valid = coding.root_counts()
+    kept = _draw_columns(coding, params, rng)
+    feat_sel, cells = coding.columns(kept)
+    root_counts, lo, valid = coding.root_counts(kept)
     f_sel = feat_sel.size
     scratch = _SplitScratch(f_sel, width)
 
@@ -423,10 +498,8 @@ def _grow(
         window: Optional[Tuple[int, np.ndarray]] = None,
     ) -> None:
         """Append a leaf and queue its best split, if hist is given and has one."""
-        g_total, h_total, _ = totals
-        denom = h_total + l2
         node = len(nodes)
-        nodes.append([-1, -1, -1, -1, 0.0 if denom <= 0.0 else float(-g_total / denom)])
+        nodes.append(_leaf_row(totals[0], totals[1], l2))
         cand = (
             None if hist is None
             else _best_split(hist, totals, min_data, l2, scratch, window)
@@ -444,20 +517,16 @@ def _grow(
         go_left = cells[rows, feat_local] <= feat_local * width + cut
         left_rows = rows[go_left]
         right_rows = rows[~go_left]
-        # sum the left bins at their codes, empty bins included, as a
-        # histogram over every bin would
-        code = bin_codes[feat_local, :cut + 1]
-        dense = np.zeros((3, code[-1] + 1))
-        dense[:, code] = hist[:, feat_local, :cut + 1]
-        left_totals = (float(dense[0].sum()), float(dense[1].sum()), int(dense[2].sum()))
+        column = int(feat_sel[feat_local])
+        code = coding.codes[column, :cut + 1]
+        g_left, h_left, c_left = _left_sums(code, hist[:, feat_local, :cut + 1])
+        left_totals = (float(g_left), float(h_left), int(c_left))
         right_totals = (
             totals[0] - left_totals[0],
             totals[1] - left_totals[1],
             totals[2] - left_totals[2],
         )
-        nodes[node] = [
-            int(feat_sel[feat_local]), int(code[-1]), len(nodes), len(nodes) + 1, 0.0
-        ]
+        nodes[node] = [column, int(code[-1]), len(nodes), len(nodes) + 1, 0.0]
         n_leaves += 1
         # neither child can be split when both are this small: no histograms
         left_hist = right_hist = None
@@ -474,11 +543,7 @@ def _grow(
         add_leaf(left_rows, left_hist, left_totals)
         add_leaf(right_rows, right_hist, right_totals)
 
-    columns = list(zip(*nodes))
-    return Tree(
-        *(np.asarray(column, dtype=np.int32) for column in columns[:4]),
-        value=np.asarray(columns[4], dtype=np.float64),
-    )
+    return _tree(nodes)
 
 
 def _grow_stumps(
@@ -490,30 +555,21 @@ def _grow_stumps(
     A valid cut leaves at most n - min_data < 2 * min_data rows on the
     larger side, so _grow gives neither child a histogram, and each tree is
     its root's best split or a single leaf, whatever num_leaves is. The
-    classes' columns are drawn first, in class order, by _grow's rng calls.
+    classes' columns are drawn first, in class order, as _grow draws them.
     One bincount histograms gradient and Hessian of every class over
     all_columns in bins 0..hi, bin-major; one running sum over those bins
     gives cumsum's prefix sums for all of them, and gains are scored only
     in the round's count-valid cells (root_counts), which every class
     shares. Each class takes the first-occurrence argmax over its kept
-    columns in their local order, and leaf totals are summed over the
-    rebuilt dense row, as in _grow, so every tree is bit-identical to
-    _grow's.
+    columns in their local order; gains, leaf totals and leaf values are
+    those of _grow, so every tree is bit-identical to _grow's.
     """
-    n_features = coding.ranks.shape[1]
     n_classes = g.shape[1]
     l2 = params.l2_regularization
     columns = coding.all_columns[0]
     f_all = columns.size
     _, lo, valid = coding.root_counts()
-    if params.feature_fraction < 1.0:
-        n_sel = max(1, _ceil_frac(params.feature_fraction, n_features))
-        kept = [
-            coding.kept(np.sort(rng.choice(n_features, size=n_sel, replace=False)))
-            for _ in range(n_classes)
-        ]
-    else:
-        kept = None
+    kept = [_draw_columns(coding, params, rng) for _ in range(n_classes)]
     # class-major gradients and Hessians; their row sums are _grow's g.sum()
     # and h.sum() of each class
     by_class = np.ascontiguousarray(np.concatenate([g, h], axis=1).T)
@@ -541,19 +597,10 @@ def _grow_stumps(
         for b in range(1, end):
             cum[b] += cum[b - 1]
         gl, hl = (cum[cell_cut, plane, :, cell_row] for plane in (0, 1))
-        # _best_split's expressions, in its order, on every valid cell
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            h_l2 = h_total + l2
-            parent = np.where(h_l2 > 0, g_total * g_total / h_l2, 0.0)
-            gains = gl * gl
-            gains /= hl + l2
-            right = g_total - gl
-            right *= right
-            right /= h_l2 - hl
-            gains += right
-            gains -= parent
+        gains, t1, t2 = (np.empty_like(gl) for _ in range(3))
+        _gains(gl, hl, g_total, h_total, l2, gains, t1, t2)
         gains[~np.isfinite(gains)] = -np.inf
-        if kept is None:
+        if kept[0] is None:
             best = [(i, int(columns[cell_row[i]])) for i in np.argmax(gains, axis=0)]
         else:
             best = []
@@ -569,34 +616,22 @@ def _grow_stumps(
             if i is not None and gains[i, c] > 0.0:
                 splits[c] = (column, int(cell_row[i]), int(cell_cut[i]))
 
-    def leaf(g_sum: float, h_sum: float) -> float:
-        denom = h_sum + l2
-        return 0.0 if denom <= 0.0 else float(-g_sum / denom)
-
     trees = []
     for c, split in enumerate(splits):
         g_sum, h_sum = float(g_total[c]), float(h_total[c])
         if split is None:
-            trees.append(Tree(
-                *(np.array([-1], dtype=np.int32) for _ in range(4)),
-                value=np.array([leaf(g_sum, h_sum)]),
-            ))
+            trees.append(_tree([_leaf_row(g_sum, h_sum, l2)]))
             continue
         column, hist_row, cut = split
-        # sum the left bins at their codes, empty bins included, as _grow does
         code = coding.codes[column, :cut + 1]
-        dense = np.zeros((2, code[-1] + 1))
-        dense[:, code] = hist[:cut + 1, :, c, hist_row].T
-        g_left, h_left = (float(total) for total in dense.sum(axis=1))
-        trees.append(Tree(
-            feature=np.array([column, -1, -1], dtype=np.int32),
-            threshold=np.array([code[-1], -1, -1], dtype=np.int32),
-            left=np.array([1, -1, -1], dtype=np.int32),
-            right=np.array([2, -1, -1], dtype=np.int32),
-            value=np.array([
-                0.0, leaf(g_left, h_left), leaf(g_sum - g_left, h_sum - h_left)
-            ]),
-        ))
+        g_left, h_left = (
+            float(total) for total in _left_sums(code, hist[:cut + 1, :, c, hist_row].T)
+        )
+        trees.append(_tree([
+            [column, int(code[-1]), 1, 2, 0.0],
+            _leaf_row(g_left, h_left, l2),
+            _leaf_row(g_sum - g_left, h_sum - h_left, l2),
+        ]))
     return trees
 
 

@@ -242,12 +242,20 @@ def optimize(
     loaded first and count toward n_trials, so rerunning resumes, and a
     resumed search equals an uninterrupted one. A torn last line left by
     an interrupted run is dropped and cut from the log before appending.
+    A logged trial whose parameters are not the space's dimensions comes
+    from another search, and the log is refused with a ValueError.
     """
     if n_trials < 1:
         raise ValueError("n_trials must be at least 1")
     study = Study(seed=seed)
     if log_path is not None and os.path.exists(log_path):
         study.trials = load_trials(log_path)
+        for trial in study.trials:
+            if set(trial.params) != set(space):
+                raise ValueError(
+                    f"{os.fspath(log_path)}: trial {trial.number} holds parameters "
+                    f"{sorted(trial.params)}, but the search space has {sorted(space)}"
+                )
         _cut_torn_tail(log_path)
 
     log_fh = None

@@ -1,14 +1,22 @@
 """extract_standardized and the plan rows built from it, against the
 per-window reference extract_features(standardize(stats, window)), plus
-metamorphic checks of the front end: channel gains and channel order."""
+metamorphic checks of the front end (channel gains and channel order) and
+of a whole train run under power-of-two channel gains."""
 from __future__ import annotations
 
+import json
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from semgkit.dataset import SyntheticSpec, generate_synthetic, make_cv_plans, segment
+from semgkit.dataset import (
+    SyntheticSpec,
+    generate_synthetic,
+    make_cv_plans,
+    save_recording,
+    segment,
+)
 from semgkit.dsp import ChannelStats, standardize
 from semgkit.features import (
     FeatureConfig,
@@ -20,12 +28,14 @@ from semgkit.features import (
     stft_psd,
     time_domain,
 )
+from semgkit.gbdt import TrainParams
 from semgkit.pipeline import (
     PipelineConfig,
     _filter_recording,
     _plan_rows,
     _plan_sides,
     _worker_pool,
+    run_pipeline,
 )
 
 N_TD = 72  # the time-domain block of 12 channels
@@ -160,3 +170,40 @@ def test_channel_gains_leave_every_plan_row_unchanged():
     for (_, *a), (_, *b) in zip(plain, gained):
         for x, y in zip(a, b):
             np.testing.assert_allclose(y, x, rtol=1e-9, atol=0.0)
+
+
+def test_power_of_two_channel_gains_change_only_the_saved_scales(tmp_path):
+    # scaling by 2^m commutes with every rounded +, x and sqrt (short of
+    # overflow and subnormals), so the filtered channels are the scaled
+    # ones, every standardized row is the same, and so is every tree
+    recording = generate_synthetic(SPEC)
+    exponents = np.array([-7, -6, -5, -3, -2, -1, 0, 1, 2, 4, 5, 6])
+    gains = np.ldexp(1.0, exponents)
+    recordings = {
+        "plain": recording,
+        "gained": replace(recording, channels=np.ldexp(recording.channels, exponents[:, None])),
+    }
+    # no GOSS: every round keeps all rows, so that the trees split
+    params = TrainParams(num_leaves=4, max_rounds=3, min_data_in_leaf=5, max_bins=15)
+    for name, rec in recordings.items():
+        save_recording(rec, tmp_path / f"{name}.csv")
+        run_pipeline(PipelineConfig(
+            data_path=str(tmp_path / f"{name}.csv"), params=params, use_ensemble=False,
+            out_dir=str(tmp_path / name),
+        ), mode="train")
+    plain, gained = tmp_path / "plain", tmp_path / "gained"
+    for report in ("metrics.csv", "per_movement.csv", "confusion.csv"):
+        assert (gained / report).read_bytes() == (plain / report).read_bytes(), report
+    models = sorted(path.relative_to(plain) for path in plain.glob("model/*/model.json"))
+    assert len(models) == 3
+    for model in models:
+        want, got = (json.loads((root / model).read_text()) for root in (plain, gained))
+        scales = want.pop("standardization"), got.pop("standardization")
+        for key in ("mean", "std"):
+            assert np.array_equal(np.array(scales[1][key]), np.array(scales[0][key]) * gains)
+        assert json.dumps(got, sort_keys=True) == json.dumps(want, sort_keys=True)
+        splits = sum(
+            np.count_nonzero(np.array(tree["feature"]) >= 0)
+            for rnd in want["trees"] for tree in rnd
+        )
+        assert splits > 0

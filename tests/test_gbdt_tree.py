@@ -880,7 +880,7 @@ class TestStumpRounds:
         """The _grow and _grow_stumps calls of a 3-round, 4-class fit on
         n_rows rows, every row in every round."""
         calls = {"grow": 0, "stumps": 0}
-        grow, stumps = booster._grow, booster._grow_stumps
+        grow, stumps = tree_module._grow, tree_module._grow_stumps
 
         def counted_grow(*args):
             calls["grow"] += 1
@@ -890,8 +890,8 @@ class TestStumpRounds:
             calls["stumps"] += 1
             return stumps(*args)
 
-        monkeypatch.setattr(booster, "_grow", counted_grow)
-        monkeypatch.setattr(booster, "_grow_stumps", counted_stumps)
+        monkeypatch.setattr(tree_module, "_grow", counted_grow)
+        monkeypatch.setattr(tree_module, "_grow_stumps", counted_stumps)
         rng = np.random.default_rng(13)
         x = rng.standard_normal((n_rows, 5))
         y = np.arange(n_rows) % 4

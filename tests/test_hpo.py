@@ -206,6 +206,21 @@ class TestOptimize:
         with pytest.raises(json.JSONDecodeError):
             load_trials(log)
 
+    @pytest.mark.parametrize("logged, resumed", [("narrow", "full"), ("full", "narrow")])
+    def test_resume_refuses_a_log_of_another_space(self, tmp_path, logged, resumed):
+        # as tune drops bagging_fraction under GOSS
+        spaces = {"full": default_space(), "narrow": default_space()}
+        del spaces["narrow"]["bagging_fraction"]
+        log = tmp_path / "trials.log"
+        optimize(spaces[logged], 11, lambda p: p["learning_rate"], seed=9, log_path=log)
+        before = log.read_bytes()
+        calls = []
+        with pytest.raises(ValueError, match=r"trials\.log: trial 0 .*bagging_fraction"):
+            optimize(spaces[resumed], 12, lambda p: calls.append(1) or 0.0,
+                     seed=9, log_path=log)
+        assert not calls
+        assert log.read_bytes() == before
+
     def test_resume_skips_when_target_reached(self, tmp_path):
         log = tmp_path / "trials.log"
         space = {"x": uniform_dim(0.0, 1.0)}

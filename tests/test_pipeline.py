@@ -1244,6 +1244,20 @@ class TestCli:
         assert main(["report", str(tmp_path / "empty")]) == 1
         assert "no per_movement.csv" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("rows, line", [
+        ("1,0.5\n2,0.5\n\n", "line 4: expected 2 fields, got ''"),
+        ("1,0.5\n2,0.5,0.25\n", "line 3: expected 2 fields, got '2,0.5,0.25'"),
+    ])
+    def test_report_names_the_file_and_line_of_a_malformed_row(
+        self, tmp_path, capsys, rows, line
+    ):
+        (tmp_path / "r").mkdir()
+        table = tmp_path / "r" / "per_movement.csv"
+        table.write_text("movement,accuracy\n" + rows)
+        assert main(["report", str(tmp_path / "r"), "--out", str(tmp_path / "cmp")]) == 1
+        assert capsys.readouterr().err == f"error: {table}, {line}\n"
+        assert not (tmp_path / "cmp").exists()
+
     def test_report_mismatched_rows_fail(self, tmp_path, capsys):
         for name, rows in (("p", "1,0.5\n2,0.5\n"), ("q", "1,0.5\n3,0.5\n")):
             d = tmp_path / name

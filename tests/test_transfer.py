@@ -10,9 +10,10 @@ import pytest
 
 from semgkit.ensemble import predict_bagged, train_bagged
 from semgkit.gbdt import (
-    TrainParams, Tree, booster, load_model, predict_label, predict_proba, predict_raw,
+    TrainParams, Tree, load_model, predict_label, predict_proba, predict_raw,
     save_model, train,
 )
+from semgkit.gbdt import tree as tree_module
 from semgkit.transfer import (
     TransferConfig,
     _paired_split,
@@ -444,7 +445,7 @@ class TestOneForestPath:
         base, draw = base_setup
         x, y = draw(40, seed=40)
         rounds = {"stumps": 0, "grow": 0}
-        grow_stumps, grow = booster._grow_stumps, booster._grow
+        grow_stumps, grow = tree_module._grow_stumps, tree_module._grow
 
         def counted_stumps(*args):
             rounds["stumps"] += 1
@@ -457,8 +458,8 @@ class TestOneForestPath:
         def refuse(tree, codes):
             raise AssertionError("a library path walked one tree")
 
-        monkeypatch.setattr(booster, "_grow_stumps", counted_stumps)
-        monkeypatch.setattr(booster, "_grow", counted_grow)
+        monkeypatch.setattr(tree_module, "_grow_stumps", counted_stumps)
+        monkeypatch.setattr(tree_module, "_grow", counted_grow)
         monkeypatch.setattr(Tree, "predict_binned", refuse)
         # 120 rows a round: stump rounds at min_data_in_leaf 50, general at 20
         for min_data in (50, 20):
