@@ -458,9 +458,9 @@ def _grow_round(
     """The class trees of one boosting round on coded rows, in class order:
     column c of the (rows, classes) float64 grad and hess is class c's.
 
-    A round of fewer than 3 * min_data rows cannot split a child (see
-    Stump rounds above), so _grow_stumps grows its trees at once; any
-    other round grows them one by one with _grow. Both give the same
+    A round of fewer than 3 * min_data rows cannot split a child (Stump
+    rounds, in the module docstring), so _grow_stumps grows its trees at
+    once; any other round grows them one by one with _grow. Both give the same
     trees and leave the rng in the same state.
     """
     if coding.ranks.shape[0] < 3 * coding.min_data:
