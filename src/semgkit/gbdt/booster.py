@@ -12,13 +12,20 @@ caller builds. It extends a starting model's first best_iteration rounds:
 the no-round class priors of _prior_start for train and each member of
 ensemble.train_bagged, a trained base model for transfer.warm_start.
 
-Early stopping: with patience on (early_stop_rounds > 0), growing stops after
-early_stop_rounds rounds without a strict gain in validation accuracy, or
-as soon as the best validation accuracy is 1.0, checked before the first
-round too. A later round can never beat 1.0, so such rounds could not
-change best_iteration or any prediction; a model stopped this way holds no
-rounds after best_iteration. With patience 0 every round up to max_rounds
-is grown.
+Early stopping, the one rule of every fit: with validation rows,
+history["valid_accuracy"] lists the validation accuracy of the starting
+scores (round 0) and then of each grown round. The best round is the
+first maximum of that list, so the earliest round wins ties and a later
+round must gain strictly to replace it; best_iteration is the starting
+model's kept rounds plus the best round. With patience on
+(early_stop_rounds > 0), before each round growing stops once
+early_stop_rounds rounds have passed since the best round, or once the
+best accuracy is 1.0, which holds before the first round too. A later
+round can never beat 1.0, so such rounds could not change best_iteration
+or any prediction; a model stopped this way holds no rounds after
+best_iteration. With patience 0 every round up to max_rounds is grown.
+Without validation rows every round is grown and best_iteration is the
+final round.
 """
 from __future__ import annotations
 
@@ -183,39 +190,6 @@ def _encode_labels(
     return classes, encoded.astype(np.int64)
 
 
-class _EarlyStopping:
-    """Validation accuracy per round and the rule that stops a boosting loop.
-
-    Round 0 is the starting scores. best_round is the round with the
-    highest accuracy, the earliest on ties. With patience > 0, stop turns
-    true once patience rounds pass without a strict gain, or once the best
-    accuracy is 1.0, which no later round can beat.
-    """
-
-    def __init__(
-        self, classes: np.ndarray, valid_labels: np.ndarray, patience: int
-    ) -> None:
-        self.classes = classes
-        self.valid_labels = valid_labels
-        self.patience = patience
-        self.accuracy: List[float] = []
-        self.best_round = 0
-
-    def observe(self, valid_raw: np.ndarray) -> None:
-        pred = self.classes[np.argmax(valid_raw, axis=1)]
-        acc = float(np.mean(pred == self.valid_labels))
-        if self.accuracy and acc > self.accuracy[self.best_round]:
-            self.best_round = len(self.accuracy)
-        self.accuracy.append(acc)
-
-    @property
-    def stop(self) -> bool:
-        if not self.patience:
-            return False
-        since_best = len(self.accuracy) - 1 - self.best_round
-        return self.accuracy[self.best_round] >= 1.0 or since_best >= self.patience
-
-
 def _checked_rows(
     features: np.ndarray, labels: np.ndarray, width: Optional[int] = None
 ) -> Tuple[np.ndarray, np.ndarray]:
@@ -300,18 +274,24 @@ def _boost(
     all_raw = _scores(start, scored, start.best_iteration)
     raw, vraw = all_raw[:n], all_raw[n:]
 
+    def valid_accuracy() -> float:
+        return float(np.mean(start.classes[np.argmax(vraw, axis=1)] == valid[1]))
+
     history: Dict[str, List[float]] = {
         "train_loss": [float(weighted_cross_entropy(raw, encoded, class_weights))],
     }
     trees: List[List[Tree]] = []
     if valid is not None:
-        stopping = _EarlyStopping(start.classes, valid[1], params.early_stop_rounds)
-        stopping.observe(vraw)
-        history["valid_accuracy"] = stopping.accuracy
+        accuracy = history["valid_accuracy"] = [valid_accuracy()]
 
     for _ in range(params.max_rounds):
-        if valid is not None and stopping.stop:
-            break
+        if valid is not None and params.early_stop_rounds:
+            # the stopping rule of the module docstring; the first maximum is
+            # the earliest best round
+            best = int(np.argmax(accuracy))
+            since_best = len(accuracy) - 1 - best
+            if accuracy[best] >= 1.0 or since_best >= params.early_stop_rounds:
+                break
         grad, hess = grad_hess(raw, encoded, class_weights)
 
         # this round's rows and their histogram weights
@@ -338,13 +318,13 @@ def _boost(
         )
 
         if valid is not None:
-            stopping.observe(vraw)
+            accuracy.append(valid_accuracy())
 
     kept = start.best_iteration
     return replace(
         start,
         trees=list(start.trees[:kept]) + trees,
-        best_iteration=kept + (stopping.best_round if valid is not None else len(trees)),
+        best_iteration=kept + (int(np.argmax(accuracy)) if valid is not None else len(trees)),
         history=history,
     )
 
@@ -359,13 +339,9 @@ def train(
 ) -> BoostedModel:
     """Fit a boosted model; early stop on validation accuracy if given.
 
-    Returns the model with all grown rounds retained and best_iteration
-    pointing at the round (0 = priors only) with the highest validation
-    accuracy, earliest round winning ties. Without a validation set,
-    best_iteration is the final round. With early_stop_rounds > 0, growing
-    stops after that many rounds without a gain, or as soon as validation
-    accuracy reaches 1.0 (before round 1 if the priors already score 1.0);
-    in the latter case the model ends at best_iteration.
+    Returns the model with all grown rounds retained; round 0 is the class
+    priors. Growing stops, and best_iteration is chosen, by the early
+    stopping rule of this module's docstring.
     """
     return _boost(*_train_args(
         train_features, train_labels, valid_features, valid_labels, params, loss

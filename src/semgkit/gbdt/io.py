@@ -10,17 +10,20 @@ learning rate, so a model is its init scores plus a sum of trees.
 The reader refuses, naming the key path, a value that does not convert,
 an integer field (a tree's node arrays, classes, best_iteration, the
 integer params, fold_assignment, seed) that holds a fractional or
-non-finite number, a bool or a string, a float param that holds a bool
-or a string, a tree that prediction could not walk to a leaf or whose
-split sends every row one way, a non-finite score or weight, and classes
-that are not strictly increasing. Floats keep repr-level precision, so a round
+non-finite number, a bool or a string, a float field (init_score,
+class_weights, bin_edges, a tree's values, the float params) that holds
+a bool or a string, a tree that prediction could not walk to a leaf or
+whose split sends every row one way, a non-finite score, weight or leaf
+value, a bin-edge array that holds NaN or decreases, and classes that
+are not strictly increasing. Bin edges may tie or be infinite: midpoints
+of adjacent floats can round to one value, and midpoints near the float
+maximum can overflow. Floats keep repr-level precision, so a round
 trip reproduces predictions bit for bit. Other format versions, earlier ones included,
 are rejected. Files are replaced atomically (write_atomic).
 """
 from __future__ import annotations
 
 import dataclasses
-import functools
 import json
 import os
 import uuid
@@ -108,11 +111,30 @@ def _integers(dtype):
     return lambda values: to_array([_integer(v) for v in values])
 
 
+def _numbers(values) -> np.ndarray:
+    """A JSON list of numbers (as _number takes them) as a 1-D float64 array."""
+    return _list_of(np.float64)([_number(v) for v in values])
+
+
+def _bin_edges(columns) -> Tuple[np.ndarray, ...]:
+    """Every column's bin edges as _numbers; an array that holds NaN or
+    decreases is refused, since searchsorted needs sorted edges."""
+    edges = tuple(map(_numbers, columns))
+    for j, column in enumerate(edges):
+        where = f"bin_edges[{j}]"
+        _refuse(column, np.isnan(column), where, "bin edges must not be NaN")
+        _refuse(
+            column, np.r_[False, column[1:] < column[:-1]], where,
+            "bin edges must be non-decreasing",
+        )
+    return edges
+
+
 def _tree_from_dict(obj: dict, prefix: str) -> Tree:
     nodes = _integers(np.int32)
     return Tree(
         *(_field(obj, key, nodes, prefix) for key in _NODE_KEYS[:4]),
-        value=_field(obj, "value", functools.partial(np.asarray, dtype=np.float64), prefix),
+        value=_field(obj, "value", _numbers, prefix),
     )
 
 
@@ -221,10 +243,10 @@ def _member_from_dict(
 
     model = BoostedModel(
         classes=read("classes", _integers(np.int64)),
-        init_score=read("init_score", _list_of(np.float64)),
+        init_score=read("init_score", _numbers),
         trees=read("trees", trees),
         bin_edges=bin_edges,
-        class_weights=read("class_weights", _list_of(np.float64)),
+        class_weights=read("class_weights", _numbers),
         best_iteration=read("best_iteration", _integer),
         params=read("params", lambda v: _params_from_dict(v, prefix)),
         history=(
@@ -277,7 +299,7 @@ def model_from_dict(doc: dict) -> Model:
     model_type = doc.get("model_type")
     if model_type not in (MODEL_TYPE, BAGGED_TYPE) or "bin_edges" not in doc:
         raise ModelFormatError(f"not a model document with bin_edges: {model_type!r}")
-    edges = _field(doc, "bin_edges", lambda es: tuple(map(_list_of(np.float64), es)), "")
+    edges = _field(doc, "bin_edges", _bin_edges, "")
     if model_type == MODEL_TYPE:
         return _member_from_dict(doc, edges)
     members = _field(doc, "member_bodies", lambda bodies: [

@@ -593,6 +593,7 @@ def _grow_stumps(
             minlength=end * 2 * n_classes * f_all,
         ).reshape(end, 2, n_classes, f_all)
         # cumsum's sequential prefix sums, a bin at a time
+        # (np.cumsum(axis=0) gives these bits but ran ~4x slower on (40, 2, 8, 300))
         cum = hist.copy()
         for b in range(1, end):
             cum[b] += cum[b - 1]

@@ -788,7 +788,13 @@ def _run_evaluate(config: PipelineConfig, timings: Dict[str, float]) -> Dict:
 
     for i, plan in enumerate(make_cv_plans(), start=1):
         with _stage("load_model", timings):
-            model, stats = _load_plan(os.path.join(model_root, f"plan_{i}"))
+            plan_dir = os.path.join(model_root, f"plan_{i}")
+            model, stats = _load_plan(plan_dir)
+            if not np.array_equal(model.classes, class_ids):
+                raise PipelineError("load_model", (
+                    f"{os.path.join(plan_dir, 'model.json')} was trained on classes "
+                    f"{model.classes.tolist()}, not the recording's {class_ids.tolist()}"
+                ))
         with _stage("features", timings):
             _, test_w = _plan_sides(windows, plan, i)
             X_test = _window_rows(test_w, [stats], config.features)[0]

@@ -68,14 +68,12 @@ def warm_start(
 
     The base contributes its rounds up to best_iteration, bit for bit; new
     rounds use the base bin edges, class weights recomputed from the target
-    labels, and leaves shrunk by cfg.learning_rate. Early stopping follows
-    target validation accuracy under the same rule as booster.train: with
-    cfg.early_stop_rounds > 0 it stops after that many rounds without a
-    gain, or as soon as target validation accuracy is 1.0 (before the
-    first new round if the base already scores 1.0), in which case the
-    result ends at best_iteration. best_iteration of the result counts
-    base rounds plus the best number of new rounds. Target labels outside
-    the base class set are a domain error.
+    labels, and leaves shrunk by cfg.learning_rate. Growing stops on target
+    validation accuracy by the early stopping rule of the booster module
+    docstring, with cfg.early_stop_rounds as patience; round 0 is the
+    base's scores, so best_iteration counts base rounds plus the best
+    number of new rounds. Target labels outside the base class set are a
+    domain error.
     """
     return _boost(*_warm_args(
         base, target_train_features, target_train_labels,

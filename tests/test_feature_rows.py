@@ -1,7 +1,8 @@
 """extract_standardized and the plan rows built from it, against the
 per-window reference extract_features(standardize(stats, window)), plus
 metamorphic checks of the front end (channel gains and channel order) and
-of a whole train run under power-of-two channel gains."""
+of whole train runs under power-of-two channel gains and a monotone class
+relabeling."""
 from __future__ import annotations
 
 import json
@@ -172,6 +173,14 @@ def test_channel_gains_leave_every_plan_row_unchanged():
             np.testing.assert_allclose(y, x, rtol=1e-9, atol=0.0)
 
 
+def _splits(body):
+    """The number of split nodes in a saved model body's trees."""
+    return sum(
+        np.count_nonzero(np.array(tree["feature"]) >= 0)
+        for rnd in body["trees"] for tree in rnd
+    )
+
+
 def test_power_of_two_channel_gains_change_only_the_saved_scales(tmp_path):
     # scaling by 2^m commutes with every rounded +, x and sqrt (short of
     # overflow and subnormals), so the filtered channels are the scaled
@@ -202,8 +211,55 @@ def test_power_of_two_channel_gains_change_only_the_saved_scales(tmp_path):
         for key in ("mean", "std"):
             assert np.array_equal(np.array(scales[1][key]), np.array(scales[0][key]) * gains)
         assert json.dumps(got, sort_keys=True) == json.dumps(want, sort_keys=True)
-        splits = sum(
-            np.count_nonzero(np.array(tree["feature"]) >= 0)
-            for rnd in want["trees"] for tree in rnd
+        assert _splits(want) > 0
+
+
+def _relabeled(text, columns):
+    """A report's text with the class ids s in its first column (and, with
+    columns, in its pred_<s> header cells) written as 2s + 1."""
+    def relabel(cell):
+        return str(2 * int(cell) + 1) if cell.isdigit() else cell
+
+    header, *rows = text.splitlines()
+    if columns:
+        header = ",".join(
+            f"pred_{relabel(cell[5:])}" if cell.startswith("pred_") else cell
+            for cell in header.split(",")
         )
-        assert splits > 0
+    rows = [",".join([relabel(row.split(",")[0])] + row.split(",")[1:]) for row in rows]
+    return "\n".join([header] + rows) + "\n"
+
+
+@pytest.mark.parametrize("use_ensemble", [False, True])
+def test_monotone_class_relabeling_changes_only_the_class_ids(tmp_path, use_ensemble):
+    # classes are sorted ids and every fit works on class positions, so
+    # s -> 2s + 1 keeps every tree, score and split; only the ids move
+    recording = generate_synthetic(SPEC)
+    stimulus = np.where(recording.stimulus > 0, 2 * recording.stimulus + 1, 0)
+    recordings = {"plain": recording, "relabeled": replace(recording, stimulus=stimulus)}
+    # no GOSS: every round keeps all rows, so that the trees split
+    params = TrainParams(num_leaves=4, max_rounds=3, min_data_in_leaf=5, max_bins=15)
+    for name, rec in recordings.items():
+        save_recording(rec, tmp_path / f"{name}.csv")
+        run_pipeline(PipelineConfig(
+            data_path=str(tmp_path / f"{name}.csv"), params=params,
+            use_ensemble=use_ensemble, ensemble_k=3, out_dir=str(tmp_path / name),
+        ), mode="train")
+    plain, relabeled = tmp_path / "plain", tmp_path / "relabeled"
+    assert (relabeled / "metrics.csv").read_bytes() == (plain / "metrics.csv").read_bytes()
+    for report, columns in (("per_movement.csv", False), ("confusion.csv", True)):
+        want = _relabeled((plain / report).read_text(), columns)
+        assert want != (plain / report).read_text()
+        assert (relabeled / report).read_text() == want, report
+    models = sorted(path.relative_to(plain) for path in plain.glob("model/*/model.json"))
+    assert len(models) == 3
+    for model in models:
+        want, got = (json.loads((root / model).read_text()) for root in (plain, relabeled))
+        for doc in (want, got):
+            assert ("member_bodies" in doc) == use_ensemble
+        bodies = list(zip(want.get("member_bodies", [want]), got.get("member_bodies", [got])))
+        for body, relabeled_body in bodies:
+            classes = body.pop("classes")
+            assert relabeled_body.pop("classes") == [2 * c + 1 for c in classes]
+        assert sum(_splits(body) for body, _ in bodies) > 0
+        assert json.dumps(got, sort_keys=True) == json.dumps(want, sort_keys=True)

@@ -395,3 +395,61 @@ class TestNonIntegerDocuments:
         target[path[-1]] = value
         with pytest.raises(ModelFormatError):
             model_from_dict(doc)
+
+
+# float fields set to a string or a bool, or bin edges that searchsorted
+# cannot use, which the reader once took (start of the error after the file
+# name); {leaf} is the first leaf of the first tree
+NON_NUMBERS = {
+    "init-score-string": (
+        lambda d: d["init_score"].__setitem__(0, "0.5"),
+        "init_score is malformed: '0.5' is not a number",
+    ),
+    "class-weight-true": (
+        lambda d: d["class_weights"].__setitem__(1, True),
+        "class_weights is malformed: True is not a number",
+    ),
+    "bin-edge-string": (
+        lambda d: d["bin_edges"][2].__setitem__(0, "1.5"),
+        "bin_edges is malformed: '1.5' is not a number",
+    ),
+    "leaf-value-string": (
+        lambda d: d["trees"][0][0]["value"].__setitem__(leaf(d["trees"][0][0]), "0.1"),
+        "trees[0][0].value is malformed: '0.1' is not a number",
+    ),
+    "nan-bin-edge": (
+        lambda d: d["bin_edges"][1].__setitem__(3, math.nan),
+        "bin_edges[1][3] is nan: bin edges must not be NaN",
+    ),
+    "descending-bin-edges": (
+        lambda d: d["bin_edges"][1].reverse(),
+        "bin_edges[1][1] is {second}: bin edges must be non-decreasing",
+    ),
+}
+
+
+class TestFloatFields:
+    """A float field is read by the number rule of the float params, and bin
+    edges must be sorted for searchsorted."""
+
+    @pytest.mark.parametrize("name", sorted(NON_NUMBERS))
+    def test_single_model(self, tmp_path, name):
+        edit, message = NON_NUMBERS[name]
+        doc = json.loads(saved("single"))
+        edit(doc)
+        message = message.format(second=doc["bin_edges"][1][1])
+        assert probe(doc, tmp_path).startswith(f"{tmp_path / 'model.json'}: {message}")
+
+    def test_tied_and_infinite_edges_round_trip(self):
+        # bin_features puts edges at midpoints: those of three adjacent floats
+        # can round to one value, and those near the float maximum overflow
+        doc = json.loads(saved("single"))
+        edges = doc["bin_edges"][0]
+        edges[0], edges[-1] = -math.inf, math.inf
+        edges[2] = edges[1]
+        model = model_from_dict(doc)
+        assert model.bin_edges[0].tolist() == edges
+        assert model_to_dict(model) == doc
+        features, _ = blobs()
+        want = model_from_dict(json.loads(saved("single"))).predict_raw(features)
+        assert np.array_equal(model.predict_raw(features), want)

@@ -524,6 +524,27 @@ class TestRunModes:
             == Path(result["files"]["metrics"]).read_bytes()
         )
 
+    @pytest.mark.parametrize("n_classes", [3, 5])
+    def test_evaluate_refuses_a_recording_of_other_classes(self, tmp_path, n_classes):
+        # before, 3 classes failed after feature work on "labels outside
+        # the model classes: [4]", and 5 classes scored silently
+        spec = replace(TINY_SPEC, n_classes=4)
+        params = TrainParams(num_leaves=4, max_rounds=3, min_data_in_leaf=5, max_bins=15)
+        config = PipelineConfig(synthetic=spec, params=params, use_ensemble=False,
+                                out_dir=str(tmp_path / "train"))
+        model_dir = run_pipeline(config, mode="train")["model_dir"]
+        eval_config = replace(config, synthetic=replace(spec, n_classes=n_classes),
+                              out_dir=str(tmp_path / "eval"), model_dir=model_dir)
+        with pytest.raises(PipelineError) as err:
+            run_pipeline(eval_config, mode="evaluate")
+        assert err.value.stage == "load_model"
+        recording = list(range(1, n_classes + 1))
+        assert str(err.value) == (
+            f"[load_model] {os.path.join(model_dir, 'plan_1', 'model.json')} was trained "
+            f"on classes [1, 2, 3, 4], not the recording's {recording}"
+        )
+        assert not (tmp_path / "eval").exists()
+
     def test_evaluate_mode_needs_model_dir(self, tmp_path):
         config = tiny_config(tmp_path / "out")
         config.model_dir = str(tmp_path / "missing")
