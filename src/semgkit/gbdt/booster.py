@@ -18,10 +18,10 @@ scores (round 0) and then of each grown round. The best round is the
 first maximum of that list, so the earliest round wins ties and a later
 round must gain strictly to replace it; best_iteration is the starting
 model's kept rounds plus the best round. With patience on
-(early_stop_rounds > 0), before each round growing stops once
-early_stop_rounds rounds have passed since the best round, or once the
-best accuracy is 1.0, which holds before the first round too. A later
-round can never beat 1.0, so such rounds could not change best_iteration
+(early_stop_rounds > 0), growing stops once early_stop_rounds rounds
+have passed since the best round, or once the best accuracy is 1.0; the
+test runs before every round, the first included. A later round can
+never beat 1.0, so such rounds could not change best_iteration
 or any prediction; a model stopped this way holds no rounds after
 best_iteration. With patience 0 every round up to max_rounds is grown.
 Without validation rows every round is grown and best_iteration is the
