@@ -11,14 +11,14 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import replace
 from typing import List, Optional, Sequence
 
 from .dataset import generate_synthetic, save_recording
+from .gbdt.io import write_table
 from .pipeline import (
     PipelineConfig,
     PipelineError,
-    _write_table,
+    _effective,
     default_config,
     load_config,
     run_pipeline,
@@ -36,9 +36,7 @@ def _load(args: argparse.Namespace) -> PipelineConfig:
 
 def _cmd_synth(args: argparse.Namespace) -> int:
     config = _load(args)
-    spec = replace(config.synthetic, seed=config.seed)
-    recording = generate_synthetic(spec)
-    os.makedirs(config.out_dir, exist_ok=True)
+    recording = generate_synthetic(_effective(config)[0])
     path = os.path.join(config.out_dir, "recording.csv")
     save_recording(recording, path)
     print(f"wrote {path} ({recording.n_samples} samples, "
@@ -94,7 +92,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
             return 1
-    path = _write_table(
+    path = write_table(
         os.path.join(out_dir, "comparison.csv"),
         ["movement"] + names,
         [[m] + [t[i][1] for t in tables] for i, m in enumerate(movements)],

@@ -8,16 +8,16 @@ overlapping windows can never straddle the split.
 """
 from __future__ import annotations
 
-import csv
 import warnings
 from dataclasses import dataclass
 from itertools import islice
 from pathlib import Path
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from . import dsp
+from .gbdt.io import write_table
 
 CSV_COLUMNS: Tuple[str, ...] = tuple(f"ch{i}" for i in range(1, 13)) + (
     "stimulus",
@@ -234,23 +234,26 @@ def load_recording(
     )
 
 
+def _data_lines(handle) -> Iterator[Tuple[int, List[str]]]:
+    """(file line number, cells) of each data row after the header line,
+    by np.loadtxt's rule: text from a '#' on is a comment, and a line
+    empty without its comment and line end is skipped."""
+    for number, text in enumerate(handle, 2):
+        data = text.split("#", 1)[0].rstrip("\r\n")
+        if data:
+            yield number, data.split(",")
+
+
 def _data_line(path: Path, row: int) -> int:
-    """The file line of data row row, counting the header and the lines
-    np.loadtxt skips: empty ones and those that hold only a '#' comment."""
+    """The file line of data row row."""
     with path.open("r", encoding="utf-8", newline="") as handle:
         handle.readline()
-        lines = (
-            n for n, text in enumerate(handle, 2) if text.split("#")[0].rstrip("\r\n")
-        )
-        return next(islice(lines, row, None))
+        return next(islice(_data_lines(handle), row, None))[0]
 
 
 def _locate_bad_cell(handle) -> None:
     """Re-scan the data rows to name the first unparseable cell."""
-    reader = csv.reader(handle)
-    for line_no, row in enumerate(reader, start=2):
-        if not row:
-            continue
+    for line_no, row in _data_lines(handle):
         if len(row) != len(CSV_COLUMNS):
             raise RecordingFormatError(
                 f"line {line_no}: expected {len(CSV_COLUMNS)} fields, got {len(row)}"
@@ -265,22 +268,20 @@ def _locate_bad_cell(handle) -> None:
 
 
 def save_recording(recording: Recording, path) -> None:
-    """Write a recording in the CSV layout that load_recording reads.
+    """Write a recording in the CSV layout that load_recording reads,
+    replacing path atomically (write_table).
 
     Channel values are written with repr precision, so a save/load round
     trip reproduces the arrays bit for bit.
     """
-    path = Path(path)
-    ch = recording.channels
-    stim = recording.stimulus
-    rep = recording.repetition
-    with path.open("w", encoding="utf-8", newline="\n") as handle:
-        handle.write(",".join(CSV_COLUMNS) + "\n")
-        for t in range(recording.n_samples):
-            cells = [repr(float(v)) for v in ch[:, t]]
-            cells.append(str(int(stim[t])))
-            cells.append(str(int(rep[t])))
-            handle.write(",".join(cells) + "\n")
+    channels = recording.channels
+    stimulus = recording.stimulus.tolist()
+    repetition = recording.repetition.tolist()
+    rows = (
+        channels[:, t].tolist() + [stimulus[t], repetition[t]]
+        for t in range(recording.n_samples)
+    )
+    write_table(path, CSV_COLUMNS, rows)
 
 
 def generate_synthetic(spec: SyntheticSpec) -> Recording:

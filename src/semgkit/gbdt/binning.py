@@ -69,7 +69,8 @@ def bin_features(features: np.ndarray, max_bins: int = 255) -> BinnedMatrix:
         edges[j] = np.unique(column)
     for j in np.flatnonzero(n_distinct <= max_bins):
         unique = np.unique(x[:, j])
-        edges[j] = (unique[:-1] + unique[1:]) / 2.0
+        # halved before the sum, which cannot overflow near the float maximum
+        edges[j] = unique[:-1] / 2.0 + unique[1:] / 2.0
     return BinnedMatrix(apply_bins(x, edges), tuple(edges))
 
 

@@ -1,4 +1,6 @@
 """Versioned JSON persistence for boosted models; the only module that knows model.json.
+It also holds write_atomic, which writes every file semgkit replaces, and
+write_table, its CSV table writer.
 
 A model document holds a header (format_version, model_type) and the bin
 edges. A single model (MODEL_TYPE) adds its body, every other model field,
@@ -16,7 +18,7 @@ a bool or a string, a tree that prediction could not walk to a leaf or
 whose split sends every row one way, a non-finite score, weight or leaf
 value, a bin-edge array that holds NaN or decreases, and classes that
 are not strictly increasing. Bin edges may tie or be infinite: midpoints
-of adjacent floats can round to one value, and midpoints near the float
+of adjacent floats can round to one value, and quantiles near the float
 maximum can overflow. Floats keep repr-level precision, so a round
 trip reproduces predictions bit for bit. Other format versions, earlier ones included,
 are rejected. Files are replaced atomically (write_atomic).
@@ -27,7 +29,7 @@ import dataclasses
 import json
 import os
 import uuid
-from typing import List, Tuple, Union
+from typing import Iterable, Iterator, List, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -313,29 +315,50 @@ def model_from_dict(doc: dict) -> Model:
         raise ModelFormatError(f"member_bodies: {exc}") from exc
 
 
-def write_atomic(path: Union[str, os.PathLike], text: str) -> None:
-    """Replace path with the UTF-8 text in one step.
+def write_atomic(path: Union[str, os.PathLike], chunks: Iterable[str]) -> None:
+    """Replace path with the UTF-8 text chunks in one step.
 
-    The text goes to a temp file in the same directory whose random name
-    ends in .tmp, created exclusively, so concurrent writers never share
-    one; os.replace then swaps it in. On any failure the temp file is
-    removed and path keeps its previous content, or stays absent.
+    The chunks go, as they are produced, to a temp file in the same
+    directory whose random name ends in .tmp, created exclusively, so
+    concurrent writers never share one; os.replace then swaps it in. On
+    any failure, in the chunks' producer too, the temp file is removed and
+    path keeps its previous content, or stays absent.
     """
     directory, name = os.path.split(os.fspath(path))
     tmp = os.path.join(directory, f"{name}.{uuid.uuid4().hex}.tmp")
     fh = open(tmp, "x", encoding="utf-8", newline="\n")
     try:
         with fh:
-            fh.write(text)
+            for chunk in chunks:
+                fh.write(chunk)
         os.replace(tmp, path)
     except BaseException:
         os.remove(tmp)
         raise
 
 
+def write_table(
+    path: Union[str, os.PathLike], header: Sequence[str], rows: Iterable[Sequence[object]]
+) -> Union[str, os.PathLike]:
+    """Write a CSV table atomically, creating its directory; return its path.
+
+    Float cells are written as repr(float), so they read back exactly;
+    any other cell by str. Rows are written as they are produced.
+    """
+    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+
+    def lines() -> Iterator[str]:
+        yield ",".join(header) + "\n"
+        for row in rows:
+            yield ",".join([repr(float(v)) if isinstance(v, float) else str(v) for v in row]) + "\n"
+
+    write_atomic(path, lines())
+    return path
+
+
 def write_document(path: Union[str, os.PathLike], doc: dict) -> None:
     """doc as compact, key-sorted JSON, written atomically: equal docs, equal bytes."""
-    write_atomic(path, json.dumps(doc, separators=(",", ":"), sort_keys=True) + "\n")
+    write_atomic(path, [json.dumps(doc, separators=(",", ":"), sort_keys=True), "\n"])
 
 
 def read_document(path: Union[str, os.PathLike]) -> dict:

@@ -6,6 +6,10 @@ objective into good and bad sets, each dimension gets a Gaussian kernel
 density per set (Scott bandwidth), and the suggestion is the best of
 N_CANDIDATES candidates drawn from the good density, ranked by the summed
 log ratio of good to bad density. The objective is maximized.
+
+The trial log (trials.log under tune) is append-only, one JSON line per
+trial, so an interrupted search resumes from it. Only the last line can
+be torn by an interruption; resuming drops it and cuts it from the file.
 """
 from __future__ import annotations
 
@@ -14,7 +18,7 @@ import math
 import os
 import warnings
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Union
+from typing import Callable, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -197,15 +201,22 @@ def load_trials(log_path: Union[str, os.PathLike]) -> List[Trial]:
     newline is the torn end of an interrupted write: it is dropped with a
     RuntimeWarning. A malformed complete line still raises.
     """
-    with open(log_path, "r", encoding="utf-8") as fh:
-        *lines, torn = fh.read().split("\n")
+    return _read_trials(log_path)[0]
+
+
+def _read_trials(log_path: Union[str, os.PathLike]) -> Tuple[List[Trial], int]:
+    """(load_trials(log_path), the byte length of the log's complete records)."""
+    with open(log_path, "rb") as fh:
+        data = fh.read()
+    end = data.rfind(b"\n") + 1
+    torn = data[end:].decode("utf-8", "replace")
     if torn.strip():
         warnings.warn(
             f"dropping the torn last line of {os.fspath(log_path)}: {torn[:60]!r}",
             RuntimeWarning,
         )
     trials: List[Trial] = []
-    for line in lines:
+    for line in data[:end].decode("utf-8").split("\n"):
         line = line.strip()
         if not line:
             continue
@@ -218,14 +229,7 @@ def load_trials(log_path: Union[str, os.PathLike]) -> List[Trial]:
                 status=str(rec["status"]),
             )
         )
-    return trials
-
-
-def _cut_torn_tail(log_path: Union[str, os.PathLike]) -> None:
-    """Truncate the log after its last newline so appends start a line."""
-    with open(log_path, "rb+") as fh:
-        data = fh.read()
-        fh.truncate(data.rfind(b"\n") + 1)
+    return trials, end
 
 
 def optimize(
@@ -249,14 +253,14 @@ def optimize(
         raise ValueError("n_trials must be at least 1")
     study = Study(seed=seed)
     if log_path is not None and os.path.exists(log_path):
-        study.trials = load_trials(log_path)
+        study.trials, complete = _read_trials(log_path)
         for trial in study.trials:
             if set(trial.params) != set(space):
                 raise ValueError(
                     f"{os.fspath(log_path)}: trial {trial.number} holds parameters "
                     f"{sorted(trial.params)}, but the search space has {sorted(space)}"
                 )
-        _cut_torn_tail(log_path)
+        os.truncate(log_path, complete)  # appends then start a line
 
     log_fh = None
     if log_path is not None:

@@ -29,7 +29,7 @@ from concurrent.futures import Executor, Future, ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from itertools import repeat
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -64,7 +64,7 @@ from .gbdt.booster import (
     detect_hard_classes,
     train,
 )
-from .gbdt.io import BAGGED_TYPE, _read_model, model_to_dict, write_atomic, write_document
+from .gbdt.io import BAGGED_TYPE, _numbers, _read_model, model_to_dict, write_document, write_table
 from .gbdt.objective import LossSpec
 from .hpo import default_space, optimize
 from .transfer import TransferConfig, TransferReport, transfer_report
@@ -362,23 +362,6 @@ def load_config(path: Union[str, os.PathLike]) -> PipelineConfig:
 # ------------------------------------------------------------- file output
 
 
-def _write_table(
-    path: str, header: Sequence[str], rows: Iterable[Sequence[object]]
-) -> str:
-    """Write a CSV table atomically, creating its directory; return its path.
-
-    Float cells are written as repr(float), so they read back exactly;
-    any other cell by str.
-    """
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    lines = [",".join(header)]
-    for row in rows:
-        cells = (repr(float(v)) if isinstance(v, float) else str(v) for v in row)
-        lines.append(",".join(cells))
-    write_atomic(path, "\n".join(lines) + "\n")
-    return path
-
-
 def emit_report(
     plan_metrics: Sequence[Metrics],
     class_ids: Sequence[int],
@@ -401,22 +384,22 @@ def emit_report(
     means = [float(np.mean(column)) for column in zip(*scores)]
     pooled = _confusion_metrics(sum(m.confusion for m in plan_metrics))
     return {
-        "metrics": _write_table(
+        "metrics": write_table(
             os.path.join(out_dir, "metrics.csv"),
             ["plan"] + names,
             [[i] + row for i, row in enumerate(scores, start=1)] + [["mean"] + means],
         ),
-        "per_movement": _write_table(
+        "per_movement": write_table(
             os.path.join(out_dir, "per_movement.csv"),
             ["movement", "accuracy"],
             [*zip(class_ids, pooled.per_class_recall), ("mean", pooled.macro_recall)],
         ),
-        "confusion": _write_table(
+        "confusion": write_table(
             os.path.join(out_dir, "confusion.csv"),
             ["true"] + [f"pred_{c}" for c in class_ids],
             [[cls] + list(row) for cls, row in zip(class_ids, pooled.confusion)],
         ),
-        "summary": _write_table(
+        "summary": write_table(
             os.path.join(out_dir, "summary.csv"),
             names + ["train_seconds"],
             [means + [float(train_seconds)]],
@@ -689,14 +672,16 @@ def _load_plan(path: str) -> Tuple[Union[BaggedModel, BoostedModel], ChannelStat
     stats = doc["standardization"]
     if not isinstance(stats, dict):
         raise ValueError(f"{model_file}: standardization must map mean and std to lists")
+    values = {}
     for key in ("mean", "std"):
-        value = stats.get(key)
-        if not isinstance(value, list) or not all(
-            isinstance(v, (int, float)) and not isinstance(v, bool) for v in value
-        ):
-            raise ValueError(f"{model_file}: standardization.{key} must be a list of numbers")
+        try:
+            values[key] = _numbers(stats.get(key))
+        except (TypeError, ValueError):
+            raise ValueError(
+                f"{model_file}: standardization.{key} must be a list of numbers"
+            ) from None
     try:
-        return model, ChannelStats(stats["mean"], stats["std"])
+        return model, ChannelStats(values["mean"], values["std"])
     except ValueError as exc:
         raise ValueError(f"{model_file}: standardization: {exc}") from exc
 
@@ -913,7 +898,7 @@ def write_transfer_csv(
     report: TransferReport, out_dir: Union[str, os.PathLike]
 ) -> str:
     """Per-class before/after table plus a mean row."""
-    return _write_table(
+    return write_table(
         os.path.join(out_dir, "transfer_report.csv"),
         ["movement", "before_accuracy", "after_accuracy"],
         report.per_class_rows() + [("mean",) + report.mean_row()],

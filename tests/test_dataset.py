@@ -118,21 +118,46 @@ class TestCsvRoundTrip:
         )
 
     def test_bad_value_line_counts_skipped_lines(self, tmp_path):
-        # np.loadtxt skips blank and comment lines; the message names the
-        # file line all the same
+        # np.loadtxt skips blank and comment lines and drops a trailing
+        # comment; the message names the file line all the same
         rec = small_recording(n=30)
         path = tmp_path / "bad.csv"
         save_recording(rec, path)
         lines = path.read_text().splitlines()
-        for at, column, cell in ((6, 3, "nan"), (9, 12, "1.5")):
-            edited = list(lines)
-            cells = edited[at].split(",")
-            cells[column] = cell
-            edited[at] = ",".join(cells)
-            edited[2:2] = ["", "# a comment"]
-            path.write_text("\n".join(edited) + "\n")
-            with pytest.raises(RecordingParseError, match=f"^line {at + 3}: "):
-                load_recording(path)
+        lines[1] += " # a trailing comment"
+        for at, column, cell in ((6, 3, "nan"), (9, 12, "1.5"), (7, 2, "oops")):
+            for skipped in ([], ["", "# a comment"]):
+                edited = list(lines)
+                cells = edited[at].split(",")
+                cells[column] = cell
+                edited[at] = ",".join(cells)
+                edited[2:2] = skipped
+                path.write_text("\n".join(edited) + "\n")
+                line = at + 1 + len(skipped)
+                with pytest.raises(RecordingParseError, match=f"^line {line}: "):
+                    load_recording(path)
+
+    def test_interrupted_save_keeps_the_previous_file(self, tmp_path):
+        class StopsAtSample:
+            """Channels whose sample 100 raises, as a Ctrl-C mid-write would."""
+
+            def __init__(self, channels):
+                self.channels, self.shape = channels, channels.shape
+
+            def __getitem__(self, key):
+                if key[1] == 100:
+                    raise KeyboardInterrupt
+                return self.channels[key]
+
+        path = tmp_path / "rec.csv"
+        save_recording(small_recording(seed=1), path)
+        before = path.read_bytes()
+        rec = small_recording(seed=2)
+        object.__setattr__(rec, "channels", StopsAtSample(rec.channels))
+        with pytest.raises(KeyboardInterrupt):
+            save_recording(rec, path)
+        assert path.read_bytes() == before
+        assert list(tmp_path.iterdir()) == [path]
 
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "empty.csv"

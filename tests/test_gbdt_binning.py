@@ -1,6 +1,8 @@
 """Quantile binning and code reproducibility."""
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -31,6 +33,16 @@ class TestBinFeatures:
         for j in range(3):
             assert binned.codes[:, j].max() <= 15
             assert len(binned.edges[j]) + 1 <= 16
+
+    def test_midpoints_near_the_float_maximum(self):
+        # (a + b) / 2 overflows for -max and -max / 2; a / 2 + b / 2 does not
+        top = np.finfo(np.float64).max
+        column = np.array([[-top], [-top / 2], [top / 2], [top]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            binned = bin_features(column)
+        assert np.isfinite(binned.edges[0]).all()
+        np.testing.assert_array_equal(binned.codes[:, 0], [0, 1, 2, 3])
 
     def test_edge_value_goes_left(self):
         edges = (np.array([1.5, 2.5]),)
