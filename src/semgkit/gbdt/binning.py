@@ -60,9 +60,12 @@ def bin_features(features: np.ndarray, max_bins: int = 255) -> BinnedMatrix:
     n_distinct = 1 + np.count_nonzero(ordered[1:] != ordered[:-1], axis=0)
     del ordered
     quantiled = np.flatnonzero(n_distinct > max_bins)
-    # x[:, quantiled] is a copy, which quantile may partition in place
-    quantiles = np.quantile(
-        x[:, quantiled], np.arange(1, max_bins) / max_bins, axis=0, overwrite_input=True
+    # the quantiles of the halved columns, doubled back: halving is exact but
+    # for subnormals, and the interpolation's b - a of halves cannot overflow
+    # near the float maximum; the halves are a copy, which quantile may
+    # partition in place
+    quantiles = 2.0 * np.quantile(
+        x[:, quantiled] * 0.5, np.arange(1, max_bins) / max_bins, axis=0, overwrite_input=True
     )
     edges = [None] * x.shape[1]
     for j, column in zip(quantiled, quantiles.T):

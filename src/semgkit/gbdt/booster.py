@@ -441,6 +441,31 @@ def _per_class_recall(
     return recalls
 
 
+def _warmup_job(
+    X: np.ndarray, y: np.ndarray, X_valid: np.ndarray, y_valid: np.ndarray,
+    params: TrainParams, warmup_rounds: int = 50,
+) -> Tuple[tuple, np.ndarray]:
+    """detect_hard_classes' warm-up fit as a transfer._fit_labels job: the
+    _train_args of an unweighted fit (LossSpec()) of at most warmup_rounds
+    rounds, and the validation rows it labels."""
+    warm_params = replace(params, max_rounds=warmup_rounds)
+    return _train_args(X, y, X_valid, y_valid, warm_params, LossSpec()), X_valid
+
+
+def _flag_hard_classes(boost_args: tuple, pred: np.ndarray, margin: float = 0.5) -> frozenset:
+    """The classes that detect_hard_classes flags, given the labels pred
+    that the warm-up fit of the _boost arguments boost_args predicts for
+    its validation rows: recall below mean - margin * std."""
+    start, _, _, (_, truth) = boost_args
+    recalls = _per_class_recall(pred, truth, start.classes)
+    if np.isnan(recalls).all():
+        warnings.warn("no classes measurable on the validation set", RuntimeWarning)
+        return frozenset()
+    cutoff = np.nanmean(recalls) - margin * np.nanstd(recalls)
+    # a class absent from the validation rows has recall NaN, never below
+    return frozenset(start.classes[recalls < cutoff].tolist())
+
+
 def detect_hard_classes(
     train_features: np.ndarray,
     train_labels: np.ndarray,
@@ -452,24 +477,12 @@ def detect_hard_classes(
 ) -> frozenset:
     """Classes whose warm-up recall falls below mean - margin * std.
 
-    Runs a short unweighted training pass, measures per-class recall on
-    the validation set, and flags the stragglers. Classes absent from the
-    validation set are skipped.
+    Runs a short unweighted training pass (_warmup_job), measures
+    per-class recall on the validation set, and flags the stragglers
+    (_flag_hard_classes). Classes absent from the validation set are
+    skipped.
     """
-    warm_params = replace(params, max_rounds=warmup_rounds)
-    model = train(
-        train_features, train_labels, valid_features, valid_labels,
-        params=warm_params, loss=LossSpec(),
+    boost_args, rows = _warmup_job(
+        train_features, train_labels, valid_features, valid_labels, params, warmup_rounds
     )
-    pred = predict_label(model, valid_features)
-    recalls = _per_class_recall(pred, np.asarray(valid_labels), model.classes)
-    if np.isnan(recalls).all():
-        warnings.warn("no classes measurable on the validation set", RuntimeWarning)
-        return frozenset()
-    cutoff = np.nanmean(recalls) - margin * np.nanstd(recalls)
-    flagged = [
-        int(model.classes[i])
-        for i in range(model.n_classes)
-        if not np.isnan(recalls[i]) and recalls[i] < cutoff
-    ]
-    return frozenset(flagged)
+    return _flag_hard_classes(boost_args, _boost(*boost_args).predict_label(rows), margin)

@@ -14,13 +14,15 @@ an integer field (a tree's node arrays, classes, best_iteration, the
 integer params, fold_assignment, seed) that holds a fractional or
 non-finite number, a bool or a string, a float field (init_score,
 class_weights, bin_edges, a tree's values, the float params) that holds
-a bool or a string, a tree that prediction could not walk to a leaf or
-whose split sends every row one way, a non-finite score, weight or leaf
-value, a bin-edge array that holds NaN or decreases, and classes that
-are not strictly increasing. Bin edges may tie or be infinite: midpoints
-of adjacent floats can round to one value, and quantiles near the float
-maximum can overflow. Floats keep repr-level precision, so a round
-trip reproduces predictions bit for bit. Other format versions, earlier ones included,
+a bool or a string, any of these arrays given as anything but a JSON
+list (a string or an object, say), a tree that prediction could not walk
+to a leaf or whose split sends every row one way, a non-finite score,
+weight or leaf value, a bin-edge array that holds NaN or decreases, and
+classes that are not strictly increasing. Bin edges may tie or be
+infinite: midpoints of adjacent floats can round to one value, and
+binning before midpoints and quantiles were taken of halved values could
+overflow near the float maximum. Floats keep repr-level precision, so a
+round trip reproduces predictions bit for bit. Other format versions, earlier ones included,
 are rejected. Files are replaced atomically (write_atomic).
 """
 from __future__ import annotations
@@ -76,13 +78,13 @@ def _refuse(values: np.ndarray, bad: np.ndarray, where: str, rule: str) -> None:
         raise ModelFormatError(f"{where}[{i}] is {values[i]}: {rule}")
 
 
-def _list_of(dtype):
-    """Converter of a JSON list to a 1-D array of dtype."""
+def _list_of(dtype, read):
+    """Converter of a JSON list, each value read by read, to a 1-D array of
+    dtype; anything but a list, a string or an object say, is a TypeError."""
     def convert(values) -> np.ndarray:
-        array = np.asarray(values, dtype=dtype)
-        if array.ndim != 1:
-            raise ValueError("not a flat list of numbers")
-        return array
+        if not isinstance(values, list):
+            raise TypeError(f"{values!r} is not a list")
+        return np.array([read(v) for v in values], dtype=dtype)
     return convert
 
 
@@ -106,34 +108,32 @@ def _number(value):
     raise ValueError(f"{value!r} is not a number")
 
 
-def _integers(dtype):
-    """Converter of a JSON list of integers (as _integer takes them) to a
-    1-D array of dtype."""
-    to_array = _list_of(dtype)
-    return lambda values: to_array([_integer(v) for v in values])
-
-
-def _numbers(values) -> np.ndarray:
-    """A JSON list of numbers (as _number takes them) as a 1-D float64 array."""
-    return _list_of(np.float64)([_number(v) for v in values])
+# a JSON list of numbers (as _number takes them) as a 1-D float64 array
+_numbers = _list_of(np.float64, _number)
 
 
 def _bin_edges(columns) -> Tuple[np.ndarray, ...]:
-    """Every column's bin edges as _numbers; an array that holds NaN or
-    decreases is refused, since searchsorted needs sorted edges."""
-    edges = tuple(map(_numbers, columns))
-    for j, column in enumerate(edges):
+    """Every column's bin edges as _numbers, a column that is not a list
+    named bin_edges[j]; an array that holds NaN or decreases is refused,
+    since searchsorted needs sorted edges."""
+    edges = []
+    for j, column in enumerate(columns):
         where = f"bin_edges[{j}]"
+        try:
+            column = _numbers(column)
+        except TypeError as exc:
+            raise ModelFormatError(f"{where} is malformed: {exc}") from exc
         _refuse(column, np.isnan(column), where, "bin edges must not be NaN")
         _refuse(
             column, np.r_[False, column[1:] < column[:-1]], where,
             "bin edges must be non-decreasing",
         )
-    return edges
+        edges.append(column)
+    return tuple(edges)
 
 
 def _tree_from_dict(obj: dict, prefix: str) -> Tree:
-    nodes = _integers(np.int32)
+    nodes = _list_of(np.int32, _integer)
     return Tree(
         *(_field(obj, key, nodes, prefix) for key in _NODE_KEYS[:4]),
         value=_field(obj, "value", _numbers, prefix),
@@ -244,7 +244,7 @@ def _member_from_dict(
         ]
 
     model = BoostedModel(
-        classes=read("classes", _integers(np.int64)),
+        classes=read("classes", _list_of(np.int64, _integer)),
         init_score=read("init_score", _numbers),
         trees=read("trees", trees),
         bin_edges=bin_edges,
@@ -307,7 +307,7 @@ def model_from_dict(doc: dict) -> Model:
     members = _field(doc, "member_bodies", lambda bodies: [
         _member_from_dict(body, edges, f"member_bodies[{m}].") for m, body in enumerate(bodies)
     ], "")
-    assignment = _field(doc, "fold_assignment", _integers(np.int64), "")
+    assignment = _field(doc, "fold_assignment", _list_of(np.int64, _integer), "")
     seed = _field(doc, "seed", _integer, "")
     try:
         return BaggedModel(members, assignment, seed)

@@ -199,7 +199,8 @@ def load_trials(log_path: Union[str, os.PathLike]) -> List[Trial]:
 
     A record counts once its line ends in a newline. Text after the last
     newline is the torn end of an interrupted write: it is dropped with a
-    RuntimeWarning. A malformed complete line still raises.
+    RuntimeWarning. A malformed complete line raises a ValueError naming
+    the log and the line, numbered from 1.
     """
     return _read_trials(log_path)[0]
 
@@ -216,19 +217,23 @@ def _read_trials(log_path: Union[str, os.PathLike]) -> Tuple[List[Trial], int]:
             RuntimeWarning,
         )
     trials: List[Trial] = []
-    for line in data[:end].decode("utf-8").split("\n"):
-        line = line.strip()
-        if not line:
+    for number, line in enumerate(data[:end].decode("utf-8").split("\n"), start=1):
+        if not line.strip():
             continue
-        rec = json.loads(line)
-        trials.append(
-            Trial(
-                number=int(rec["trial"]),
-                params=dict(rec["params"]),
-                value=rec["value"],
-                status=str(rec["status"]),
+        try:
+            rec = json.loads(line)
+            trials.append(
+                Trial(
+                    number=int(rec["trial"]),
+                    params=dict(rec["params"]),
+                    value=rec["value"],
+                    status=str(rec["status"]),
+                )
             )
-        )
+        except (ValueError, LookupError, TypeError) as exc:
+            raise ValueError(
+                f"{os.fspath(log_path)}, line {number}: not a trial record: {exc!r}"
+            ) from exc
     return trials, end
 
 

@@ -9,14 +9,10 @@ plans. Every stochastic component derives its seed from the single run
 seed, so a rerun with the same config reproduces models and metric files
 byte for byte; wall-clock timing is reported separately in summary.csv.
 
-train makes every window's feature rows of all plans, and then fits every
-plan's models (each bagged member, or the single model), in one pool of
-worker processes; tune makes its plans' rows the same way, and transfer
-makes the target's rows and then fits both arms of every paired seed in
-one such pool. Every fit is one booster._boost job, and each stage reads
-its results through the pool's map, in submission order, so the outputs
-are byte-identical to a serial run. Prediction, saving and evaluation
-stay in the calling process, in plan order.
+Each of train, tune and transfer makes its feature rows and runs every
+fit in one pool of worker processes (_worker_pool), and reads the results
+through the pool's map, in submission order, so the outputs are
+byte-identical to a serial run; evaluate fits nothing.
 """
 from __future__ import annotations
 
@@ -60,14 +56,14 @@ from .gbdt.booster import (
     TrainParams,
     _boost,
     _encode_labels,
+    _flag_hard_classes,
     _train_args,
-    detect_hard_classes,
-    train,
+    _warmup_job,
 )
 from .gbdt.io import BAGGED_TYPE, _numbers, _read_model, model_to_dict, write_document, write_table
 from .gbdt.objective import LossSpec
 from .hpo import default_space, optimize
-from .transfer import TransferConfig, TransferReport, transfer_report
+from .transfer import TransferConfig, TransferReport, _fit_labels, transfer_report
 
 
 class PipelineError(RuntimeError):
@@ -621,24 +617,27 @@ def _holdout_fit(
 ) -> object:
     """Call fit with fold 0 of a 5-fold stratified deal as validation rows.
 
-    fit is train or detect_hard_classes, called as fit(train X, train y,
-    valid X, valid y, params=params, **kwargs); the deal is seeded by
-    params.seed.
+    fit, such as _train_args or _warmup_job, is called as fit(train X,
+    train y, valid X, valid y, params=params, **kwargs); the deal is seeded
+    by params.seed.
     """
     hold = stratified_kfold(y, k=5, seed=params.seed) == 0
     return fit(X[~hold], y[~hold], X[hold], y[hold], params=params, **kwargs)
 
 
-def _loss_for_plan(
-    config: PipelineConfig,
-    params: TrainParams,
-    X: np.ndarray,
-    y: np.ndarray,
-) -> LossSpec:
+def _plan_losses(
+    config: PipelineConfig, params: TrainParams, plan_rows: Sequence[tuple], pool: Executor
+) -> List[LossSpec]:
+    """Each plan's loss: config.loss, whose hard classes are, under
+    auto_hard_classes, those flagged by the plan's warm-up fit on its
+    hold-out fold. The warm-ups of all plans are one map of _fit_labels jobs."""
     if not config.auto_hard_classes:
-        return config.loss
-    detected = _holdout_fit(detect_hard_classes, X, y, params)
-    return replace(config.loss, hard_classes=detected)
+        return [config.loss] * len(plan_rows)
+    jobs = [_holdout_fit(_warmup_job, X, y, params) for _, X, y, _, _ in plan_rows]
+    return [
+        replace(config.loss, hard_classes=_flag_hard_classes(boost_args, pred))
+        for (boost_args, _), pred in zip(jobs, pool.map(_fit_labels, jobs))
+    ]
 
 
 def _score_plan(
@@ -728,8 +727,8 @@ def _run_train(config: PipelineConfig, timings: Dict[str, float]) -> Dict:
         plan_rows = _plan_rows(config, windows, plans, timings, pool)
         fits = []
         with _stage("train", timings):
-            for _, X_train, y_train, _, _ in plan_rows:
-                loss = _loss_for_plan(config, params, X_train, y_train)
+            losses = _plan_losses(config, params, plan_rows, pool)
+            for (_, X_train, y_train, _, _), loss in zip(plan_rows, losses):
                 if config.use_ensemble:
                     assignment, jobs = _member_jobs(X_train, y_train, params, loss, k)
                 else:
@@ -796,34 +795,31 @@ def _run_tune(config: PipelineConfig, timings: Dict[str, float]) -> Dict:
     plans = make_cv_plans()
     if config.hpo_fast:
         plans = plans[:1]
-    with _worker_pool(windows) as pool:
-        plan_data = [
-            rows[1:] for rows in _plan_rows(config, windows, plans, timings, pool)
-        ]
-
     space = default_space()
     if params.goss_enabled:
         # GOSS is the row sampler then, and bagging_fraction is never read
         del space["bagging_fraction"]
 
-    def objective(point: Dict) -> float:
-        trial_params = replace(params, **point)
-        accs = []
-        for X_train, y_train, X_test, y_test in plan_data:
-            model = _holdout_fit(train, X_train, y_train, trial_params, loss=config.loss)
-            accs.append(float(np.mean(model.predict_label(X_test) == y_test)))
-        return float(np.mean(accs))
+    with _worker_pool(windows, len(plans)) as pool:
+        plan_rows = _plan_rows(config, windows, plans, timings, pool)
 
-    os.makedirs(config.out_dir, exist_ok=True)
-    log_path = os.path.join(config.out_dir, "trials.log")
-    with _stage("tune", timings):
-        study = optimize(
-            space,
-            config.hpo_trials,
-            objective,
-            seed=config.seed,
-            log_path=log_path,
-        )
+        def objective(point: Dict) -> float:
+            """The plans' mean test accuracy; their hold-out fits are one map
+            of _fit_labels jobs."""
+            trial_params = replace(params, **point)
+            labels = pool.map(_fit_labels, [
+                (_holdout_fit(_train_args, X, y, trial_params, loss=config.loss), X_test)
+                for _, X, y, X_test, _ in plan_rows
+            ])
+            accuracies = [np.mean(pred == y_test) for pred, (*_, y_test) in zip(labels, plan_rows)]
+            return float(np.mean(accuracies))
+
+        os.makedirs(config.out_dir, exist_ok=True)
+        log_path = os.path.join(config.out_dir, "trials.log")
+        with _stage("tune", timings):
+            study = optimize(
+                space, config.hpo_trials, objective, seed=config.seed, log_path=log_path
+            )
     best = {"value": study.best_value, "params": study.best_params}
     write_document(os.path.join(config.out_dir, "best_params.json"), best)
     return {

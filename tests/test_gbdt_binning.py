@@ -44,6 +44,30 @@ class TestBinFeatures:
         assert np.isfinite(binned.edges[0]).all()
         np.testing.assert_array_equal(binned.codes[:, 0], [0, 1, 2, 3])
 
+    def test_quantiles_near_the_float_maximum(self):
+        # quantile's interpolation takes b - a, which overflows for values of
+        # opposite signs near the float maximum; the edges are those of the
+        # column scaled down by a power of two, scaled back up
+        top = np.finfo(np.float64).max
+        column = np.array([[sign * top * (1 - k / 100)] for k in range(5) for sign in (1, -1)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            binned = bin_features(column, max_bins=4)
+        scaled = bin_features(column * 2.0**-10, max_bins=4)
+        np.testing.assert_array_equal(binned.edges[0], scaled.edges[0] * 2.0**10)
+        assert np.isfinite(binned.edges[0]).all()
+        np.testing.assert_array_equal(binned.codes, scaled.codes)
+
+    def test_quantile_edges_equal_numpy_quantiles(self):
+        # halving and doubling back is exact away from the subnormal range
+        rng = np.random.default_rng(8)
+        for scale in (1e-8, 1e-3, 1.0, 1e4, 1e7):
+            x = rng.normal(size=(150, 6)) * scale
+            binned = bin_features(x, max_bins=16)
+            for j in range(x.shape[1]):
+                want = np.unique(np.quantile(x[:, j], np.arange(1, 16) / 16))
+                np.testing.assert_array_equal(binned.edges[j], want)
+
     def test_edge_value_goes_left(self):
         edges = (np.array([1.5, 2.5]),)
         codes = apply_bins(np.array([[1.0], [1.5], [1.6], [2.5], [3.0]]), edges)

@@ -405,3 +405,12 @@ class TestHardClassDetection:
             warmup_rounds=15,
         )
         assert flagged == frozenset()
+
+    def test_no_measurable_class_warns_and_flags_none(self, make_blobs):
+        # validation rows of a class the fit never saw leave every recall NaN
+        features, labels = make_blobs(n_per_class=40, spread=0.3, seed=24)
+        with pytest.warns(RuntimeWarning, match="no classes measurable"):
+            flagged = detect_hard_classes(
+                features, labels, features[:10], np.full(10, 99), warmup_rounds=3,
+            )
+        assert flagged == frozenset()

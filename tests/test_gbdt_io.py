@@ -453,3 +453,52 @@ class TestFloatFields:
         features, _ = blobs()
         want = model_from_dict(json.loads(saved("single"))).predict_raw(features)
         assert np.array_equal(model.predict_raw(features), want)
+
+
+@functools.lru_cache(maxsize=None)
+def saved_with_constant_column() -> str:
+    """JSON text of a single model of blobs() plus a constant last column,
+    which no split can use: its bin_edges entry is the empty list."""
+    features, labels = blobs()
+    features = np.column_stack([features, np.zeros(labels.size)])
+    model = train(features, labels, params=TrainParams(max_rounds=2, min_data_in_leaf=5))
+    return json.dumps(model_to_dict(model))
+
+
+# (edit of that document, start of the error after the file name)
+NOT_LISTS = {
+    "unused-bin-edges-string": (
+        lambda d: d["bin_edges"].__setitem__(4, ""), "bin_edges[4] is malformed: '' is not a list",
+    ),
+    "unused-bin-edges-object": (
+        lambda d: d["bin_edges"].__setitem__(4, {}), "bin_edges[4] is malformed: {} is not a list",
+    ),
+    "init-score-object": (
+        lambda d: d.__setitem__("init_score", {}), "init_score is malformed: {} is not a list",
+    ),
+    "classes-string": (
+        lambda d: d.__setitem__("classes", "012"), "classes is malformed: '012' is not a list",
+    ),
+    "leaf-values-string": (
+        lambda d: d["trees"][0][0].__setitem__("value", ""),
+        "trees[0][0].value is malformed: '' is not a list",
+    ),
+}
+
+
+class TestListFields:
+    """A field that holds a list of numbers takes a JSON list and nothing
+    else: a string or an object is not read as a list of its characters or
+    keys."""
+
+    def test_the_unused_column_holds_no_edges(self):
+        doc = json.loads(saved_with_constant_column())
+        assert doc["bin_edges"][4] == []
+        assert all(4 not in tree["feature"] for rnd in doc["trees"] for tree in rnd)
+
+    @pytest.mark.parametrize("name", sorted(NOT_LISTS))
+    def test_single_model(self, tmp_path, name):
+        edit, message = NOT_LISTS[name]
+        doc = json.loads(saved_with_constant_column())
+        edit(doc)
+        assert probe(doc, tmp_path).startswith(f"{tmp_path / 'model.json'}: {message}")

@@ -196,15 +196,30 @@ class TestOptimize:
         assert [t.number for t in study.trials] == list(range(20))
         assert log.read_bytes() == straight_log.read_bytes()
 
-    def test_malformed_complete_line_still_raises(self, tmp_path):
+    @pytest.mark.parametrize("record, error", [
+        ("{not json", "JSONDecodeError"),
+        ('{"trial": 1}', "KeyError('params')"),
+        ("[1, 2]", "TypeError"),
+    ], ids=["not-json", "no-params", "not-an-object"])
+    def test_malformed_complete_line_names_file_and_line(self, tmp_path, record, error):
+        # a complete line that is not a trial record fails, in load_trials
+        # and in a resumed optimize, with the log and its line, counted
+        # with the blank line before it; the log is left as it was
         log = tmp_path / "trials.log"
         optimize({"x": uniform_dim(0.0, 1.0)}, 3, lambda p: p["x"],
                  seed=8, log_path=log)
         lines = log.read_text().splitlines()
-        lines[1] = lines[1][:10]
+        lines[1:2] = ["", record]
         log.write_text("\n".join(lines) + "\n")
-        with pytest.raises(json.JSONDecodeError):
-            load_trials(log)
+        before = log.read_bytes()
+        message = f"{log}, line 3: not a trial record: {error}"
+        for read in (load_trials,
+                     lambda path: optimize({"x": uniform_dim(0.0, 1.0)}, 5,
+                                           lambda p: p["x"], seed=8, log_path=path)):
+            with pytest.raises(ValueError) as err:
+                read(log)
+            assert str(err.value).startswith(message)
+        assert log.read_bytes() == before
 
     @pytest.mark.parametrize("logged, resumed", [("narrow", "full"), ("full", "narrow")])
     def test_resume_refuses_a_log_of_another_space(self, tmp_path, logged, resumed):

@@ -3,6 +3,7 @@ import configparser
 import json
 import multiprocessing
 import os
+import pickle
 import shutil
 import signal
 import subprocess
@@ -27,6 +28,7 @@ from semgkit.dsp import cascade, design_bandpass, design_notch, filter_channels
 from semgkit.ensemble import BaggedModel, load_bagged, train_bagged
 from semgkit.features import FeatureConfig
 from semgkit.gbdt import LossSpec, ModelFormatError, TrainParams, load_model, save_model
+from semgkit.gbdt import booster
 from semgkit.gbdt.booster import detect_hard_classes
 from semgkit.pipeline import (
     PipelineConfig,
@@ -818,6 +820,24 @@ class TestRunModes:
         assert err.value.stage == "load_model"
         assert str(err.value) == f"[load_model] {path}: {message}"
 
+    @pytest.mark.parametrize("key", ["mean", "std"])
+    @pytest.mark.parametrize("value", ["", {}], ids=["string", "object"])
+    def test_standardization_that_is_not_a_list_names_its_key(
+        self, trained_run, tmp_path, key, value
+    ):
+        # an empty string or object is not read as an empty list
+        _, result = trained_run
+        doc = json.loads(Path(result["model_dir"], "plan_1", "model.json").read_text())
+        doc["standardization"][key] = value
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc))
+        config = replace(tiny_config(tmp_path / "out"), transfer_base_model=str(path))
+        with pytest.raises(PipelineError) as err:
+            run_pipeline(config, mode="transfer")
+        assert str(err.value) == (
+            f"[load_model] {path}: standardization.{key} must be a list of numbers"
+        )
+
     def test_transfer_rejects_empty_seeds(self, trained_run, tmp_path):
         config, result = trained_run
         transfer_config = replace(
@@ -1057,6 +1077,91 @@ class TestTransferPool:
             run_pipeline(replace(transfer_config, data_path=str(csv)), mode="transfer")
         assert str(err.value) == "[transfer] training needs at least two classes"
         assert multiprocessing.active_children() == []
+
+
+NOISY_SPEC = replace(TINY_SPEC, snr_db=-20.0)  # flags hard classes on every plan
+# run -> (mode, config changes, _fit_labels jobs, the fits _worker_pool is
+# sized for); tune fits each of its plans once per trial, and an auto-hard
+# train warms each of its 3 plans up once before it fits their models
+POOLED_RUNS = {
+    "tune-fast": ("tune", dict(hpo_fast=True, hpo_trials=3), 3 * 1, 1),
+    "tune-full": ("tune", dict(hpo_fast=False, hpo_trials=3), 3 * 3, 3),
+    "hard-single": ("train", dict(auto_hard_classes=True, synthetic=NOISY_SPEC), 3, 3),
+    "hard-bagged": (
+        "train",
+        dict(auto_hard_classes=True, synthetic=NOISY_SPEC, use_ensemble=True, ensemble_k=3),
+        3,
+        3 * 3,
+    ),
+}
+POOL_JOBS = {
+    "semgkit.pipeline._pool_rows", "semgkit.gbdt.booster._boost", "semgkit.transfer._fit_labels",
+}
+
+
+def out_bytes(out_dir):
+    """Every file of a run but summary.csv, which holds the training time."""
+    return {
+        str(path.relative_to(out_dir)): path.read_bytes()
+        for path in sorted(out_dir.rglob("*"))
+        if path.is_file() and path.name != "summary.csv"
+    }
+
+
+class TestEveryFitInThePool:
+    """tune's trial fits and an auto-hard train's warm-up fits are pool jobs,
+    like every other fit: any worker count gives the same files, and no fit
+    runs in the calling process."""
+
+    @pytest.mark.parametrize("run", sorted(POOLED_RUNS))
+    def test_any_worker_count_gives_the_same_files(
+        self, tmp_path, monkeypatch, pool_sizes, run
+    ):
+        mode, changes, labelled, fits = POOLED_RUNS[run]
+        config = replace(tiny_config(tmp_path), **changes)
+        run_pipeline(replace(config, out_dir=str(tmp_path / "reference")), mode=mode)
+        want = out_bytes(tmp_path / "reference")
+        if mode == "tune":
+            records = [json.loads(line) for line in want["trials.log"].splitlines()]
+            assert [r["status"] for r in records] == ["ok"] * 3
+        pool_sizes.clear()
+
+        # the in-process fit entries raise, under every name a module holds
+        # them by; a replaced public name cannot be pickled either
+        def in_process(*args, **kwargs):
+            raise AssertionError("a fit ran in the calling process")
+
+        originals = {id(booster.train), id(booster.detect_hard_classes)}
+        for module in [m for name, m in sys.modules.items() if name.startswith("semgkit")]:
+            for key, value in list(vars(module).items()):
+                if id(value) in originals:
+                    monkeypatch.setattr(module, key, in_process)
+        submitted = []
+        submit = pipeline._CancellingPool.submit
+
+        def recorded(pool, fn, /, *args, **kwargs):
+            submitted.append(fn)
+            return submit(pool, fn, *args, **kwargs)
+
+        monkeypatch.setattr(pipeline._CancellingPool, "submit", recorded)
+        for cpus in (1, 2, 4):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid, n=cpus: set(range(n)))
+            out = tmp_path / f"cpus{cpus}"
+            run_pipeline(replace(config, out_dir=str(out)), mode=mode)
+            assert out_bytes(out) == want
+            assert multiprocessing.active_children() == []
+
+        windows = _prepare_windows(config, {}, _effective(config)[0])
+        feature_jobs = pipeline._feature_jobs(windows)
+        assert feature_jobs == 1
+        assert pool_sizes == [min(cpus, fits) for cpus in (1, 2, 4)]
+        # only private module-level functions reach the pool, in all 3 runs
+        names = [f"{fn.__module__}.{fn.__qualname__}" for fn in submitted]
+        assert set(names) <= POOL_JOBS
+        assert names.count("semgkit.pipeline._pool_rows") == 3 * feature_jobs
+        assert names.count("semgkit.transfer._fit_labels") == 3 * labelled
+        for fn in set(submitted):
+            assert pickle.loads(pickle.dumps(fn)) is fn
 
 
 def test_a_job_raising_in_a_worker_fails_the_run(trained_run, tmp_path, monkeypatch):
