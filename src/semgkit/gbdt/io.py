@@ -20,10 +20,10 @@ to a leaf or whose split sends every row one way, a non-finite score,
 weight or leaf value, a bin-edge array that holds NaN or decreases, and
 classes that are not strictly increasing. Bin edges may tie or be
 infinite: midpoints of adjacent floats can round to one value, and
-binning before midpoints and quantiles were taken of halved values could
-overflow near the float maximum. Floats keep repr-level precision, so a
-round trip reproduces predictions bit for bit. Other format versions, earlier ones included,
-are rejected. Files are replaced atomically (write_atomic).
+bin_features could overflow to an infinite edge near the float maximum
+before it halved its values. Floats keep repr-level precision, so a
+round trip reproduces predictions bit for bit. Other format versions,
+earlier ones included, are rejected. Files are replaced atomically (write_atomic).
 """
 from __future__ import annotations
 
