@@ -11,6 +11,8 @@ One round loop (_boost) grows every model, as one job on arguments its
 caller builds. It extends a starting model's first best_iteration rounds:
 the no-round class priors of _prior_start for train and each member of
 ensemble.train_bagged, a trained base model for transfer.warm_start.
+_restart gives binned rows a new prior start, so fits under other
+params or loss share one binning.
 
 Early stopping, the one rule of every fit: with validation rows,
 history["valid_accuracy"] lists the validation accuracy of the starting
@@ -441,15 +443,19 @@ def _per_class_recall(
     return recalls
 
 
-def _warmup_job(
-    X: np.ndarray, y: np.ndarray, X_valid: np.ndarray, y_valid: np.ndarray,
-    params: TrainParams, warmup_rounds: int = 50,
-) -> Tuple[tuple, np.ndarray]:
-    """detect_hard_classes' warm-up fit as a transfer._fit_labels job: the
-    _train_args of an unweighted fit (LossSpec()) of at most warmup_rounds
-    rounds, and the validation rows it labels."""
-    warm_params = replace(params, max_rounds=warmup_rounds)
-    return _train_args(X, y, X_valid, y_valid, warm_params, LossSpec()), X_valid
+def _restart(boost_args: tuple, params: TrainParams, loss: LossSpec) -> tuple:
+    """The _boost arguments boost_args with a new prior start under params
+    and loss (_prior_start): the binned rows, encoded labels and validation
+    rows are kept, so params must bin as boost_args' start did (max_bins)."""
+    start, codes, encoded, valid = boost_args
+    start = _prior_start(start.bin_edges, start.classes[encoded], params, loss)[0]
+    return start, codes, encoded, valid
+
+
+def _warmup_job(boost_args: tuple, params: TrainParams, warmup_rounds: int = 50) -> tuple:
+    """detect_hard_classes' warm-up fit: boost_args restarted as an
+    unweighted fit (LossSpec()) of at most warmup_rounds rounds."""
+    return _restart(boost_args, replace(params, max_rounds=warmup_rounds), LossSpec())
 
 
 def _flag_hard_classes(boost_args: tuple, pred: np.ndarray, margin: float = 0.5) -> frozenset:
@@ -482,7 +488,6 @@ def detect_hard_classes(
     (_flag_hard_classes). Classes absent from the validation set are
     skipped.
     """
-    boost_args, rows = _warmup_job(
-        train_features, train_labels, valid_features, valid_labels, params, warmup_rounds
-    )
-    return _flag_hard_classes(boost_args, _boost(*boost_args).predict_label(rows), margin)
+    boost_args = _warmup_job(_train_args(
+        train_features, train_labels, valid_features, valid_labels, params), params, warmup_rounds)
+    return _flag_hard_classes(boost_args, _boost(*boost_args).predict_label(valid_features), margin)

@@ -14,8 +14,10 @@ an integer field (a tree's node arrays, classes, best_iteration, the
 integer params, fold_assignment, seed) that holds a fractional or
 non-finite number, a bool or a string, a float field (init_score,
 class_weights, bin_edges, a tree's values, the float params) that holds
-a bool or a string, any of these arrays given as anything but a JSON
-list (a string or an object, say), a tree that prediction could not walk
+a bool or a string, any of these arrays, trees, a round of trees,
+member_bodies or a history series given as anything but a JSON list (a
+string or an object, say), a history value that is not a number, a tree
+that prediction could not walk
 to a leaf or whose split sends every row one way, a non-finite score,
 weight or leaf value, a bin-edge array that holds NaN or decreases, and
 classes that are not strictly increasing. Bin edges may tie or be
@@ -56,19 +58,20 @@ def _tree_to_dict(tree: Tree) -> dict:
     return {key: getattr(tree, key).tolist() for key in _NODE_KEYS}
 
 
-def _field(obj, key: str, convert, prefix: str):
-    """convert(obj[key]); ModelFormatError naming prefix + key if obj lacks
-    the key or its value does not convert."""
+def _field(obj, key: Union[str, int], convert, prefix: str):
+    """convert(obj[key]); ModelFormatError naming prefix + key, or prefix[key]
+    for a list index, if obj lacks the key or its value does not convert."""
+    where = f"{prefix}[{key}]" if isinstance(key, int) else prefix + key
     try:
         value = obj[key]
     except (LookupError, TypeError) as exc:
-        raise ModelFormatError(f"{prefix}{key} is missing") from exc
+        raise ModelFormatError(f"{where} is missing") from exc
     try:
         return convert(value)
     except ModelFormatError:
         raise
     except (TypeError, ValueError, OverflowError, AttributeError) as exc:
-        raise ModelFormatError(f"{prefix}{key} is malformed: {exc}") from exc
+        raise ModelFormatError(f"{where} is malformed: {exc}") from exc
 
 
 def _refuse(values: np.ndarray, bad: np.ndarray, where: str, rule: str) -> None:
@@ -78,14 +81,18 @@ def _refuse(values: np.ndarray, bad: np.ndarray, where: str, rule: str) -> None:
         raise ModelFormatError(f"{where}[{i}] is {values[i]}: {rule}")
 
 
+def _json_list(values) -> list:
+    """values if it is a JSON list; anything else, a string or an object
+    say, is a TypeError, so it is never read as its characters or keys."""
+    if not isinstance(values, list):
+        raise TypeError(f"{values!r} is not a list")
+    return values
+
+
 def _list_of(dtype, read):
-    """Converter of a JSON list, each value read by read, to a 1-D array of
-    dtype; anything but a list, a string or an object say, is a TypeError."""
-    def convert(values) -> np.ndarray:
-        if not isinstance(values, list):
-            raise TypeError(f"{values!r} is not a list")
-        return np.array([read(v) for v in values], dtype=dtype)
-    return convert
+    """Converter of a JSON list (_json_list), each value read by read, to a
+    1-D array of dtype."""
+    return lambda values: np.array([read(v) for v in _json_list(values)], dtype=dtype)
 
 
 def _integer(value) -> int:
@@ -113,16 +120,13 @@ _numbers = _list_of(np.float64, _number)
 
 
 def _bin_edges(columns) -> Tuple[np.ndarray, ...]:
-    """Every column's bin edges as _numbers, a column that is not a list
-    named bin_edges[j]; an array that holds NaN or decreases is refused,
-    since searchsorted needs sorted edges."""
+    """Every column's bin edges as _numbers, an error naming bin_edges[j];
+    an array that holds NaN or decreases is refused, since searchsorted
+    needs sorted edges."""
     edges = []
-    for j, column in enumerate(columns):
+    for j in range(len(_json_list(columns))):
         where = f"bin_edges[{j}]"
-        try:
-            column = _numbers(column)
-        except TypeError as exc:
-            raise ModelFormatError(f"{where} is malformed: {exc}") from exc
+        column = _field(columns, j, _numbers, "bin_edges")
         _refuse(column, np.isnan(column), where, "bin edges must not be NaN")
         _refuse(
             column, np.r_[False, column[1:] < column[:-1]], where,
@@ -239,9 +243,13 @@ def _member_from_dict(
 
     def trees(rounds) -> list:
         return [
-            [_tree_from_dict(t, f"{prefix}trees[{r}][{c}].") for c, t in enumerate(rnd)]
-            for r, rnd in enumerate(rounds)
+            [_tree_from_dict(t, f"{prefix}trees[{r}][{c}].")
+             for c, t in enumerate(_field(rounds, r, _json_list, f"{prefix}trees"))]
+            for r in range(len(_json_list(rounds)))
         ]
+
+    def history(series: dict) -> dict:
+        return {k: _field(series, k, _numbers, f"{prefix}history.").tolist() for k in series.keys()}
 
     model = BoostedModel(
         classes=read("classes", _list_of(np.int64, _integer)),
@@ -251,10 +259,7 @@ def _member_from_dict(
         class_weights=read("class_weights", _numbers),
         best_iteration=read("best_iteration", _integer),
         params=read("params", lambda v: _params_from_dict(v, prefix)),
-        history=(
-            read("history", lambda v: {k: list(h) for k, h in v.items()})
-            if "history" in obj else {}
-        ),
+        history=read("history", history) if "history" in obj else {},
     )
     classes = model.classes
     n_classes = classes.size
@@ -305,7 +310,8 @@ def model_from_dict(doc: dict) -> Model:
     if model_type == MODEL_TYPE:
         return _member_from_dict(doc, edges)
     members = _field(doc, "member_bodies", lambda bodies: [
-        _member_from_dict(body, edges, f"member_bodies[{m}].") for m, body in enumerate(bodies)
+        _member_from_dict(body, edges, f"member_bodies[{m}].")
+        for m, body in enumerate(_json_list(bodies))
     ], "")
     assignment = _field(doc, "fold_assignment", _list_of(np.int64, _integer), "")
     seed = _field(doc, "seed", _integer, "")

@@ -1,6 +1,6 @@
 """Hyperparameter search by density-ratio sampling.
 
-The first n_startup trials sample uniformly (log-uniform on log dims).
+The first N_STARTUP trials sample uniformly (log-uniform on log dims).
 After that the completed trials are split at the GAMMA quantile of the
 objective into good and bad sets, each dimension gets a Gaussian kernel
 density per set (Scott bandwidth), and the suggestion is the best of
@@ -24,6 +24,7 @@ import numpy as np
 
 Params = Dict[str, Union[int, float]]
 
+N_STARTUP = 10  # completed trials sampled uniformly before the density model
 GAMMA = 0.25  # share of completed trials, best first, in the good set
 N_CANDIDATES = 24
 
@@ -89,10 +90,9 @@ class Trial:
 
 @dataclass
 class Study:
-    """Search state: trial history plus sampler settings."""
+    """Search state: the sampler's seed and the trial history."""
 
     seed: int = 0
-    n_startup: int = 10
     trials: List[Trial] = field(default_factory=list)
 
     @property
@@ -151,7 +151,7 @@ def suggest(study: Study, space: SearchSpace) -> Params:
         raise ValueError("the search space has no dimensions")
     rng = np.random.default_rng([study.seed, len(study.trials)])
     done = study.completed
-    if len(done) < study.n_startup:
+    if len(done) < N_STARTUP:
         return _uniform_sample(space, rng)
 
     ranked = sorted(done, key=lambda t: t.value, reverse=True)

@@ -22,10 +22,10 @@ import os
 import time
 import weakref
 from concurrent.futures import Executor, Future, ProcessPoolExecutor
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field, replace
 from itertools import repeat
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -57,6 +57,7 @@ from .gbdt.booster import (
     _boost,
     _encode_labels,
     _flag_hard_classes,
+    _restart,
     _train_args,
     _warmup_job,
 )
@@ -608,32 +609,25 @@ def _plan_rows(
     return out
 
 
-def _holdout_fit(
-    fit: Callable[..., object],
-    X: np.ndarray,
-    y: np.ndarray,
-    params: TrainParams,
-    **kwargs,
-) -> object:
-    """Call fit with fold 0 of a 5-fold stratified deal as validation rows.
-
-    fit, such as _train_args or _warmup_job, is called as fit(train X,
-    train y, valid X, valid y, params=params, **kwargs); the deal is seeded
-    by params.seed.
-    """
+def _holdout_fit(X: np.ndarray, y: np.ndarray, params: TrainParams) -> Tuple[tuple, np.ndarray]:
+    """A plan's hold-out job: (the _train_args, under params and LossSpec(),
+    of fold 0 of a 5-fold stratified deal, seeded by params.seed, as
+    validation rows; X[fold 0]). A run builds it once per plan, and each
+    hold-out fit restarts it (booster._restart) instead of re-binning."""
     hold = stratified_kfold(y, k=5, seed=params.seed) == 0
-    return fit(X[~hold], y[~hold], X[hold], y[hold], params=params, **kwargs)
+    return _train_args(X[~hold], y[~hold], X[hold], y[hold], params), X[hold]
 
 
 def _plan_losses(
-    config: PipelineConfig, params: TrainParams, plan_rows: Sequence[tuple], pool: Executor
-) -> List[LossSpec]:
+    config: PipelineConfig, params: TrainParams, holdouts: Sequence[tuple], pool: Executor
+) -> Iterable[LossSpec]:
     """Each plan's loss: config.loss, whose hard classes are, under
-    auto_hard_classes, those flagged by the plan's warm-up fit on its
-    hold-out fold. The warm-ups of all plans are one map of _fit_labels jobs."""
+    auto_hard_classes, those flagged by the warm-up fit of the plan's
+    hold-out job (_holdout_fit). The warm-ups of all plans are one map of
+    _fit_labels jobs."""
     if not config.auto_hard_classes:
-        return [config.loss] * len(plan_rows)
-    jobs = [_holdout_fit(_warmup_job, X, y, params) for _, X, y, _, _ in plan_rows]
+        return repeat(config.loss)
+    jobs = [(_warmup_job(boost_args, params), rows) for boost_args, rows in holdouts]
     return [
         replace(config.loss, hard_classes=_flag_hard_classes(boost_args, pred))
         for (boost_args, _), pred in zip(jobs, pool.map(_fit_labels, jobs))
@@ -727,13 +721,15 @@ def _run_train(config: PipelineConfig, timings: Dict[str, float]) -> Dict:
         plan_rows = _plan_rows(config, windows, plans, timings, pool)
         fits = []
         with _stage("train", timings):
-            losses = _plan_losses(config, params, plan_rows, pool)
-            for (_, X_train, y_train, _, _), loss in zip(plan_rows, losses):
+            # a bagged run without auto_hard_classes makes no hold-out fit
+            holdouts = [_holdout_fit(X, y, params) for _, X, y, _, _ in plan_rows
+                        if config.auto_hard_classes or not config.use_ensemble]
+            losses = _plan_losses(config, params, holdouts, pool)
+            for p, ((_, X_train, y_train, _, _), loss) in enumerate(zip(plan_rows, losses)):
                 if config.use_ensemble:
                     assignment, jobs = _member_jobs(X_train, y_train, params, loss, k)
                 else:
-                    assignment = None
-                    jobs = [_holdout_fit(_train_args, X_train, y_train, params, loss=loss)]
+                    assignment, jobs = None, [_restart(holdouts[p][0], params, loss)]
                 # map submits the plan's jobs now and yields their models in order
                 fits.append((assignment, pool.map(_boost, *zip(*jobs))))
 
@@ -751,6 +747,10 @@ def _run_train(config: PipelineConfig, timings: Dict[str, float]) -> Dict:
                     )
                 pred = model.predict_label(X_test)
             with _stage("save", timings):
+                if i == 1:  # from here on a failure leaves missing plans, not an older run's
+                    for j in range(1, len(plans) + 1):
+                        with suppress(FileNotFoundError):
+                            os.remove(os.path.join(model_root, f"plan_{j}", "model.json"))
                 _save_plan(os.path.join(model_root, f"plan_{i}"), model, stats)
             with _stage("evaluate", timings):
                 plan_metrics.append(_score_plan(pred, y_test, class_ids))
@@ -802,21 +802,22 @@ def _run_tune(config: PipelineConfig, timings: Dict[str, float]) -> Dict:
 
     with _worker_pool(windows, len(plans)) as pool:
         plan_rows = _plan_rows(config, windows, plans, timings, pool)
-
-        def objective(point: Dict) -> float:
-            """The plans' mean test accuracy; their hold-out fits are one map
-            of _fit_labels jobs."""
-            trial_params = replace(params, **point)
-            labels = pool.map(_fit_labels, [
-                (_holdout_fit(_train_args, X, y, trial_params, loss=config.loss), X_test)
-                for _, X, y, X_test, _ in plan_rows
-            ])
-            accuracies = [np.mean(pred == y_test) for pred, (*_, y_test) in zip(labels, plan_rows)]
-            return float(np.mean(accuracies))
-
         os.makedirs(config.out_dir, exist_ok=True)
         log_path = os.path.join(config.out_dir, "trials.log")
         with _stage("tune", timings):
+            jobs = [(_holdout_fit(X, y, params)[0], X_test, y_test)
+                    for _, X, y, X_test, y_test in plan_rows]
+
+            def objective(point: Dict) -> float:
+                """The plans' mean test accuracy; each trial restarts the plans'
+                hold-out jobs, as one map of _fit_labels jobs."""
+                trial_params = replace(params, **point)
+                labels = pool.map(_fit_labels, [
+                    (_restart(boost_args, trial_params, config.loss), X_test)
+                    for boost_args, X_test, _ in jobs
+                ])
+                return float(np.mean([np.mean(pred == y) for pred, (*_, y) in zip(labels, jobs)]))
+
             study = optimize(
                 space, config.hpo_trials, objective, seed=config.seed, log_path=log_path
             )

@@ -411,7 +411,7 @@ NON_NUMBERS = {
     ),
     "bin-edge-string": (
         lambda d: d["bin_edges"][2].__setitem__(0, "1.5"),
-        "bin_edges is malformed: '1.5' is not a number",
+        "bin_edges[2] is malformed: '1.5' is not a number",
     ),
     "leaf-value-string": (
         lambda d: d["trees"][0][0]["value"].__setitem__(leaf(d["trees"][0][0]), "0.1"),
@@ -502,3 +502,67 @@ class TestListFields:
         doc = json.loads(saved_with_constant_column())
         edit(doc)
         assert probe(doc, tmp_path).startswith(f"{tmp_path / 'model.json'}: {message}")
+
+
+# (model kind, edit of its document, start of the error after the file name):
+# containers of trees, bodies and history series that are not JSON lists,
+# and history values that are not numbers
+NOT_LIST_CONTAINERS = {
+    "trees-object": (
+        "single", lambda d: d.update(trees={}, best_iteration=0),
+        "trees is malformed: {} is not a list",
+    ),
+    "trees-string": (
+        "single", lambda d: d.update(trees="", best_iteration=0),
+        "trees is malformed: '' is not a list",
+    ),
+    "round-object": (
+        "single", lambda d: d["trees"].__setitem__(1, {}), "trees[1] is malformed: {} is not a list",
+    ),
+    "round-string": (
+        "single", lambda d: d["trees"].__setitem__(0, "abc"),
+        "trees[0] is malformed: 'abc' is not a list",
+    ),
+    "member-bodies-object": (
+        "bagged", lambda d: d.__setitem__("member_bodies", {}),
+        "member_bodies is malformed: {} is not a list",
+    ),
+    "member-bodies-string": (
+        "bagged", lambda d: d.__setitem__("member_bodies", "ab"),
+        "member_bodies is malformed: 'ab' is not a list",
+    ),
+    "history-string": (
+        "single", lambda d: d["history"].__setitem__("train_loss", "abc"),
+        "history.train_loss is malformed: 'abc' is not a list",
+    ),
+    "history-string-value": (
+        "bagged", lambda d: d["member_bodies"][1]["history"]["valid_accuracy"].__setitem__(0, "1"),
+        "member_bodies[1].history.valid_accuracy is malformed: '1' is not a number",
+    ),
+    "history-null-value": (
+        "single", lambda d: d["history"]["train_loss"].append(None),
+        "history.train_loss is malformed: None is not a number",
+    ),
+    "bin-edges-object": (
+        "single", lambda d: d.__setitem__("bin_edges", {}),
+        "bin_edges is malformed: {} is not a list",
+    ),
+}
+
+
+class TestListContainers:
+    """trees, each round, member_bodies, each history series and bin_edges
+    take a JSON list and nothing else, and history holds numbers: once, an
+    object or a string there read as its keys or characters."""
+
+    @pytest.mark.parametrize("name", sorted(NOT_LIST_CONTAINERS))
+    def test_refused_naming_the_key_path(self, tmp_path, name):
+        kind, edit, message = NOT_LIST_CONTAINERS[name]
+        doc = json.loads(saved(kind))
+        edit(doc)
+        assert probe(doc, tmp_path).startswith(f"{tmp_path / 'model.json'}: {message}")
+
+    @pytest.mark.parametrize("kind", ["single", "bagged"])
+    def test_history_round_trips(self, kind):
+        doc = json.loads(saved(kind))
+        assert model_to_dict(model_from_dict(doc)) == doc

@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from semgkit import hpo
 from semgkit.gbdt import TrainParams
 from semgkit.hpo import (
     Dimension,
@@ -59,21 +60,23 @@ class TestDimension:
 class TestSuggest:
     def test_startup_phase_is_uniform_in_bounds(self):
         space = {"x": uniform_dim(-2.0, 3.0), "n": int_dim(1, 9)}
-        study = Study(seed=0, n_startup=10)
+        assert hpo.N_STARTUP == 10
+        study = Study(seed=0)
         for number in range(10):
             point = suggest(study, space)
             assert -2.0 <= point["x"] <= 3.0
             assert 1 <= point["n"] <= 9 and isinstance(point["n"], int)
             study.trials.append(Trial(number, point, 0.0, "ok"))
 
-    def test_model_phase_stays_in_bounds(self):
+    def test_model_phase_stays_in_bounds(self, monkeypatch):
         space = {
             "lr": log_dim(1e-4, 1.0),
             "leaves": int_dim(2, 64),
             "frac": uniform_dim(0.5, 1.0),
         }
         rng = np.random.default_rng(0)
-        study = Study(seed=1, n_startup=5)
+        monkeypatch.setattr(hpo, "N_STARTUP", 5)
+        study = Study(seed=1)
         for number in range(60):
             point = suggest(study, space)
             assert 1e-4 <= point["lr"] <= 1.0
@@ -82,9 +85,10 @@ class TestSuggest:
             value = float(rng.normal())
             study.trials.append(Trial(number, point, value, "ok"))
 
-    def test_constant_objective_still_in_bounds(self):
+    def test_constant_objective_still_in_bounds(self, monkeypatch):
         space = {"x": uniform_dim(0.0, 1.0)}
-        study = Study(seed=2, n_startup=3)
+        monkeypatch.setattr(hpo, "N_STARTUP", 3)
+        study = Study(seed=2)
         for number in range(30):
             point = suggest(study, space)
             assert 0.0 <= point["x"] <= 1.0
@@ -93,7 +97,7 @@ class TestSuggest:
     def test_suggestions_concentrate_near_good_region(self):
         # reward only x > 0.8; later proposals should crowd that corner
         space = {"x": uniform_dim(0.0, 1.0)}
-        study = Study(seed=3, n_startup=10)
+        study = Study(seed=3)
         number = 0
         for _ in range(50):
             point = suggest(study, space)
@@ -108,9 +112,10 @@ class TestSuggest:
             number += 1
         assert hits >= 14
 
-    def test_failed_trials_ignored_by_model(self):
+    def test_failed_trials_ignored_by_model(self, monkeypatch):
         space = {"x": uniform_dim(0.0, 1.0)}
-        study = Study(seed=4, n_startup=2)
+        monkeypatch.setattr(hpo, "N_STARTUP", 2)
+        study = Study(seed=4)
         for number in range(20):
             point = suggest(study, space)
             if number % 3 == 0:
@@ -280,9 +285,10 @@ class TestDefaultSpace:
         assert space["num_leaves"].integer
         assert space["min_data_in_leaf"].integer
 
-    def test_samples_build_valid_params(self):
+    def test_samples_build_valid_params(self, monkeypatch):
         space = default_space()
-        study = Study(seed=7, n_startup=5)
+        monkeypatch.setattr(hpo, "N_STARTUP", 5)
+        study = Study(seed=7)
         for number in range(12):
             point = suggest(study, space)
             params = TrainParams(**point)  # must not raise

@@ -25,17 +25,16 @@ from semgkit.dataset import (
     save_recording,
 )
 from semgkit.dsp import cascade, design_bandpass, design_notch, filter_channels
-from semgkit.ensemble import BaggedModel, load_bagged, train_bagged
+from semgkit.ensemble import BaggedModel, load_bagged, stratified_kfold, train_bagged
 from semgkit.features import FeatureConfig
 from semgkit.gbdt import LossSpec, ModelFormatError, TrainParams, load_model, save_model
-from semgkit.gbdt import booster
+from semgkit.gbdt import binning, booster
 from semgkit.gbdt.booster import detect_hard_classes
 from semgkit.pipeline import (
     PipelineConfig,
     PipelineError,
     _effective,
     _filter_recording,
-    _holdout_fit,
     _load_plan,
     _plan_rows,
     _prepare_windows,
@@ -652,6 +651,54 @@ class TestRunModes:
                 == Path(result["files"]["metrics"]).read_bytes()
             )
 
+    def test_failed_train_leaves_no_mixed_model_set(self, tmp_path, monkeypatch):
+        # a seed-1 run that failed saving plan_2 once left its plan_1 beside
+        # the seed-0 plan_2 and plan_3, which evaluate read without complaint
+        spec = replace(TINY_SPEC, n_classes=4)
+        params = replace(TINY_PARAMS, max_rounds=3)
+        model_dir = str(tmp_path / "model")
+        seed0 = replace(tiny_config(tmp_path / "seed0", seed=0), synthetic=spec, params=params,
+                        model_dir=model_dir)
+        run_pipeline(seed0, mode="train")
+        Path(model_dir, "notes.txt").write_text("kept")
+        Path(model_dir, "plan_3", "notes.txt").write_text("kept")
+        seed1 = replace(seed0, seed=1, out_dir=str(tmp_path / "seed1"))
+
+        # a train stage that fails before any save leaves the seed-0 set whole
+        def failing(*args, **kwargs):
+            raise RuntimeError("no fit")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(pipeline, "_plan_losses", failing)
+            with pytest.raises(PipelineError, match="no fit"):
+                run_pipeline(seed1, mode="train")
+        evaluated = run_pipeline(replace(seed0, out_dir=str(tmp_path / "eval")), mode="evaluate")
+        assert (
+            Path(evaluated["files"]["metrics"]).read_bytes()
+            == Path(tmp_path, "seed0", "metrics.csv").read_bytes()
+        )
+
+        save = pipeline._save_plan
+
+        def failing_at_plan_2(plan_dir, model, stats):
+            if os.path.basename(plan_dir) == "plan_2":
+                raise RuntimeError("disk full")
+            save(plan_dir, model, stats)
+
+        monkeypatch.setattr(pipeline, "_save_plan", failing_at_plan_2)
+        with pytest.raises(PipelineError, match="disk full"):
+            run_pipeline(seed1, mode="train")
+        assert sorted(str(p.relative_to(model_dir)) for p in Path(model_dir).rglob("*")) == [
+            "notes.txt", "plan_1", os.path.join("plan_1", "model.json"),
+            "plan_2", "plan_3", os.path.join("plan_3", "notes.txt"),
+        ]
+        missing = os.path.join(model_dir, "plan_2", "model.json")
+        for config in (seed0, seed1):
+            with pytest.raises(PipelineError) as err:
+                run_pipeline(replace(config, out_dir=str(tmp_path / "eval")), mode="evaluate")
+            assert err.value.stage == "load_model"
+            assert missing in str(err.value)
+
     def test_tune_mode(self, tmp_path):
         config = replace(tiny_config(tmp_path), hpo_trials=3)
         result = run_pipeline(config, mode="tune")
@@ -744,7 +791,8 @@ class TestRunModes:
                 Path(plan_dir, "model.json").read_bytes()
                 == Path(rerun["model_dir"], f"plan_{i}", "model.json").read_bytes()
             )
-            detected = _holdout_fit(detect_hard_classes, X, y, params)
+            hold = stratified_kfold(y, k=5, seed=params.seed) == 0
+            detected = detect_hard_classes(X[~hold], y[~hold], X[hold], y[hold], params)
             assert detected
             model, _ = _load_plan(plan_dir)
             for member in model.members if use_ensemble else [model]:
@@ -1162,6 +1210,41 @@ class TestEveryFitInThePool:
         assert names.count("semgkit.transfer._fit_labels") == 3 * labelled
         for fn in set(submitted):
             assert pickle.loads(pickle.dumps(fn)) is fn
+
+
+# run -> (mode, config changes, bin_features calls in the calling process):
+# every hold-out fit of a plan restarts one binning of its rows, at any
+# trial count; a bagged plan bins its members' rows once more
+BINNINGS = {
+    "tune-fast-1": ("tune", dict(hpo_fast=True, hpo_trials=1), 1),
+    "tune-fast-3": ("tune", dict(hpo_fast=True, hpo_trials=3), 1),
+    "tune-full": ("tune", dict(hpo_fast=False, hpo_trials=2), 3),
+    "single": ("train", {}, 3),
+    "hard-single": ("train", dict(auto_hard_classes=True, synthetic=NOISY_SPEC), 3),
+    "bagged": ("train", dict(use_ensemble=True, ensemble_k=3), 3),
+    "hard-bagged": (
+        "train", dict(auto_hard_classes=True, synthetic=NOISY_SPEC, use_ensemble=True, ensemble_k=3),
+        6,
+    ),
+}
+
+
+@pytest.mark.parametrize("run", sorted(BINNINGS))
+def test_each_plan_bins_its_hold_out_rows_once(tmp_path, monkeypatch, run):
+    mode, changes, want = BINNINGS[run]
+    calls = []
+    original = binning.bin_features
+
+    def counted(*args, **kwargs):
+        calls.append(os.getpid())
+        return original(*args, **kwargs)
+
+    for module in [m for name, m in sys.modules.items() if name.startswith("semgkit")]:
+        for key, value in list(vars(module).items()):
+            if value is original:
+                monkeypatch.setattr(module, key, counted)
+    run_pipeline(replace(tiny_config(tmp_path), **changes), mode=mode)
+    assert calls.count(os.getpid()) == want
 
 
 def test_a_job_raising_in_a_worker_fails_the_run(trained_run, tmp_path, monkeypatch):
