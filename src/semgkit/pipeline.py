@@ -721,15 +721,17 @@ def _run_train(config: PipelineConfig, timings: Dict[str, float]) -> Dict:
         plan_rows = _plan_rows(config, windows, plans, timings, pool)
         fits = []
         with _stage("train", timings):
-            # a bagged run without auto_hard_classes makes no hold-out fit
+            # the warm-ups need every plan's hold-out job before any fit
             holdouts = [_holdout_fit(X, y, params) for _, X, y, _, _ in plan_rows
-                        if config.auto_hard_classes or not config.use_ensemble]
+                        if config.auto_hard_classes]
             losses = _plan_losses(config, params, holdouts, pool)
             for p, ((_, X_train, y_train, _, _), loss) in enumerate(zip(plan_rows, losses)):
                 if config.use_ensemble:
                     assignment, jobs = _member_jobs(X_train, y_train, params, loss, k)
                 else:
-                    assignment, jobs = None, [_restart(holdouts[p][0], params, loss)]
+                    # built as its plan's fit is submitted, unless a warm-up needed it
+                    holdout = holdouts[p] if holdouts else _holdout_fit(X_train, y_train, params)
+                    assignment, jobs = None, [_restart(holdout[0], params, loss)]
                 # map submits the plan's jobs now and yields their models in order
                 fits.append((assignment, pool.map(_boost, *zip(*jobs))))
 
